@@ -203,3 +203,38 @@ def test_write_windows_csv_from_verdict(tmp_path):
     assert len(lines) == 5
     t, partial, inc = lines[1].split(",")
     assert float(t) == 2.0 and float(partial) == float(inc)
+
+
+def test_analyze_suite_matches_library_suite(tmp_path):
+    from sispace import GeneratorSpec, PsiParams, auto_grid, run_witness_suite
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
+    })
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--analyses", "suite",
+                 "--windows", "2,4,8,16", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    spec = GeneratorSpec(kind="psi", psi=PsiParams(1.0, 2.0, 2, 2))
+    grid, _ = auto_grid(spec)
+    expected = run_witness_suite(spec, grid=grid, windows=[2.0, 4.0, 8.0, 16.0])
+    assert report["analyses"]["suite"] == json.loads(dumps_deterministic(expected))
+    assert report["analyses"]["suite"]["time_localization"]["probe_truncation"] == 4
+
+
+def test_analyze_decay_builds_one_evaluator(tmp_path, monkeypatch):
+    from sispace.generators import PsiTimeEvaluator
+    built = []
+    init = PsiTimeEvaluator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PsiTimeEvaluator, "__init__", counting_init)
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
+        "analyses": ["decay"],
+        "parameters": {"windows": [2, 4, 8, 16]},
+    })
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(built) == 1
