@@ -13,10 +13,11 @@ from .grid import (FrequencyGrid, GridError, SampledSignal, SampledSpectrum,
 from .localization import (FeasibilityGate, GateReport, GrowthVerdict,
                            PointwiseDecay, divergence_probe,
                            feasibility_gates, pointwise_freq_decay,
-                           psi_block_freq_contributions, run_witness_suite,
+                           psi_block_freq_contributions,
                            spectrum_envelope_exponent,
                            truncation_depth_for_span, weighted_freq_norm,
                            weighted_time_partial)
+from .pipeline import run_witness_suite
 from .spectral import (InvarianceGroup, InvarianceReport,
                        PeriodizationProfile, detect_invariance_group,
                        gram_coefficients, is_riesz_generator,

@@ -10,8 +10,6 @@ All functions here are pure and accept scalars or numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Magnitudes below this are treated as "outside the support" in numeric
@@ -117,30 +115,3 @@ def partition_defect(alpha, J, exclusion_halfwidth, resolution=1 << 15):
     for j in range(1, J + 1):
         total += h(xi, j, alpha) ** 2 + h(-xi, j, alpha) ** 2
     return float(np.max(np.abs(total - 1.0)))
-
-
-@dataclass(frozen=True)
-class SmoothStepTable:
-    """Precomputed samples of ``g`` on [0, 1] (test fixture convenience).
-
-    Endpoint samples are exactly 0 and 1 by construction of ``smooth_step``.
-    """
-
-    resolution: int
-    x: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def build(cls, resolution):
-        if resolution < 2:
-            raise ValueError("resolution must be >= 2")
-        x = np.linspace(0.0, 1.0, resolution + 1)
-        vals = smooth_step(x)
-        x.setflags(write=False)
-        vals.setflags(write=False)
-        return cls(resolution=resolution, x=x, values=vals)
-
-    def max_partition_error(self):
-        """max |g(x)**2 + g(1-x)**2 - 1| over the table points."""
-        other = smooth_step(1.0 - self.x)
-        return float(np.max(np.abs(self.values ** 2 + other ** 2 - 1.0)))

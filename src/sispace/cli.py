@@ -1,5 +1,11 @@
 """Command-line front end: ``sispace construct | analyze | compare``.
 
+The CLI reads and validates the config (:class:`RunConfig`), then hands a
+:class:`~sispace.pipeline.RunContext` to the analysis pipeline in
+:mod:`sispace.pipeline`: ``analyze`` runs the named sections, ``compare``
+projects one context per generator into a ``compare.csv`` row, and
+``construct`` uses the same :func:`~sispace.pipeline.build`.
+
 Exit codes: 0 success, 2 config error, 3 numeric precondition violation
 (e.g. grid too small), 4 I/O failure.  ``analyze`` writes a deterministic
 ``report.json`` (same config + same version => byte-identical bytes) plus
@@ -18,82 +24,59 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .generators import (GeneratorSpec, PsiParams, auto_grid, build_bspline,
-                         build_psi_spectrum, build_sinc)
-from .grid import GridError, make_grid, to_time_domain
-from .localization import (DEFAULT_WINDOWS, FeasibilityGate, divergence_probe,
-                           feasibility_gates, pointwise_freq_decay,
-                           psi_block_freq_contributions, run_witness_suite,
-                           spectrum_envelope_exponent,
-                           truncation_depth_for_span)
-from .report import (read_spectrum_csv, write_compare_csv,
-                     write_periodization_csv, write_report, write_signal_csv,
-                     write_spectrum_csv)
-from .spectral import (detect_invariance_group, gram_coefficients,
-                       n_invariance_report, orthonormality_defect,
-                       periodization, translation_invariance_defect)
+from .generators import GeneratorSpec
+from .grid import GridError, to_time_domain
+from .pipeline import (DEFAULT_PARAMETERS, SECTIONS, ConfigError, RunContext,
+                       build, compare_header, compare_row, load_json)
+from .report import (write_compare_csv, write_periodization_csv, write_report,
+                     write_signal_csv, write_spectrum_csv, write_windows_csv)
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
 
-ANALYSES = ("periodization", "invariance", "decay", "pointwise", "gates", "suite")
-
-DEFAULT_PARAMETERS = {
-    "eps": 0.5,
-    "gamma": 0.0,
-    "delta": 0.2,
-    "p": 1.0,
-    "q": 1.0,
-    "n_max": 8,
-    "K": 8,
-    "s": 0.5,
-    "windows": list(DEFAULT_WINDOWS),
-}
-
-
-class ConfigError(Exception):
-    pass
-
-
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"bad JSON in {path}: {e}") from e
+ANALYSES = tuple(SECTIONS)
 
 
 class RunConfig:
-    """Validated run description (generator, grid, analyses, parameters)."""
+    """Validated run description (generator, grid, analyses, parameters).
+
+    ``parameters`` holds the typed analysis parameters; the report echoes
+    them as written in the config.
+    """
 
     def __init__(self, obj, overrides=None):
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
-        obj = dict(obj)
         overrides = overrides or {}
         try:
             self.spec = GeneratorSpec.from_json(obj.get("generator", obj))
         except (ValueError, KeyError, TypeError) as e:
             raise ConfigError(f"bad generator spec: {e}") from e
         self.grid_spec = overrides.get("grid") or obj.get("grid", "auto")
-        analyses = obj.get("analyses", ["periodization", "invariance"])
-        if overrides.get("analyses"):
-            analyses = overrides["analyses"]
+        analyses = (overrides.get("analyses")
+                    or obj.get("analyses", ["periodization", "invariance"]))
         if not analyses:
             raise ConfigError("analyses must be non-empty")
         bad = [a for a in analyses if a not in ANALYSES]
         if bad:
             raise ConfigError(f"unknown analyses {bad}; choose from {ANALYSES}")
         self.analyses = list(analyses)
-        self.parameters = dict(DEFAULT_PARAMETERS)
-        self.parameters.update(obj.get("parameters", {}))
-        for key in ("eps", "n_max", "windows"):
-            if overrides.get(key) is not None:
-                self.parameters[key] = overrides[key]
+        given = obj.get("parameters", {})
+        if not isinstance(given, dict):
+            raise ConfigError("parameters must be a JSON object")
+        if "J" in given:
+            raise ConfigError("parameters.J is not supported; set generator.J instead")
+        self._echoed = {**DEFAULT_PARAMETERS, **given}
+        self._echoed.update({key: overrides[key] for key in ("eps", "n_max", "windows")
+                             if overrides.get(key) is not None})
+        self.parameters = {}
+        for key, default in DEFAULT_PARAMETERS.items():
+            value = self._echoed[key]
+            try:
+                self.parameters[key] = ([float(T) for T in value] if key == "windows"
+                                        else type(default)(value))
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ConfigError(f"bad parameter {key} = {value!r}: {e}") from e
         self.output = overrides.get("out") or obj.get("output", ".")
         self.formats = overrides.get("formats") or obj.get("formats", ["json", "csv"])
         for f in self.formats:
@@ -101,90 +84,30 @@ class RunConfig:
                 raise ConfigError(f"unknown format {f!r}")
 
     def echo(self):
-        return {
-            "generator": self.spec.to_json(),
-            "grid": self.grid_spec,
-            "analyses": self.analyses,
-            "parameters": self.parameters,
-            "formats": list(self.formats),
-        }
-
-
-def _resolve_grid(cfg: RunConfig):
-    gspec = cfg.grid_spec
-    if gspec == "auto":
-        if cfg.spec.kind == "custom":
-            return None, {"rule": "from-file"}
-        return auto_grid(cfg.spec)
-    if isinstance(gspec, str):
-        try:
-            S, Xi = (int(v) for v in gspec.split(","))
-        except ValueError as e:
-            raise ConfigError(f"bad --grid {gspec!r}; expected S,Xi or auto") from e
-    elif isinstance(gspec, dict):
-        S, Xi = int(gspec["S"]), int(gspec["Xi"])
-    else:
-        S, Xi = int(gspec[0]), int(gspec[1])
-    return make_grid(S, Xi), {"rule": "explicit"}
-
-
-def _build(cfg: RunConfig):
-    grid, sizing = _resolve_grid(cfg)
-    spec = cfg.spec
-    signal = None
-    if spec.kind == "custom":
-        meta_path = Path(spec.path).with_name("meta.json")
-        meta = _load_json(meta_path) if meta_path.exists() else {}
-        try:
-            spectrum = read_spectrum_csv(spec.path, grid=grid,
-                                         meta=meta.get("spectrum_meta", meta))
-        except OSError as e:
-            raise ConfigError(f"cannot read custom spectrum: {e}") from e
-        grid = spectrum.grid
-    elif spec.kind == "sinc":
-        spectrum = build_sinc(grid)
-    elif spec.kind == "bspline":
-        signal, spectrum = build_bspline(spec.degree, grid)
-    else:
-        psi = spec.psi
-        j_override = cfg.parameters.get("J")
-        if j_override:
-            psi = PsiParams(psi.alpha, psi.beta, psi.n, int(j_override))
-            grid, sizing = (grid, sizing) if cfg.grid_spec != "auto" else \
-                auto_grid(GeneratorSpec(kind="psi", psi=psi))
-        spectrum = build_psi_spectrum(psi, grid)
-    return grid, spectrum, signal, sizing
+        return {"generator": self.spec.to_json(), "grid": self.grid_spec,
+                "analyses": self.analyses, "parameters": self._echoed,
+                "formats": list(self.formats)}
 
 
 def _grid_block(grid, sizing):
-    return {"samples_per_unit": grid.samples_per_unit,
-            "half_range": grid.half_range,
-            "n_points": grid.n_points,
-            "spacing": grid.spacing,
-            "time_spacing": grid.time_spacing,
-            "sizing": sizing}
+    return {"samples_per_unit": grid.samples_per_unit, "half_range": grid.half_range,
+            "n_points": grid.n_points, "spacing": grid.spacing,
+            "time_spacing": grid.time_spacing, "sizing": sizing}
 
 
 def cmd_construct(cfg: RunConfig):
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
-    grid, spectrum, signal, sizing = _build(cfg)
+    grid, spectrum, signal, sizing = build(cfg.spec, cfg.grid_spec)
     if signal is None:
         signal = to_time_domain(spectrum)
     write_spectrum_csv(out / "spectrum.csv", spectrum)
     write_signal_csv(out / "signal.csv", signal)
-    meta = {
-        "generator": cfg.spec.to_json(),
-        "version": __version__,
-        "grid": _grid_block(grid, sizing),
-        "label": spectrum.label,
-        "hermitian": spectrum.hermitian,
-        "spectrum_meta": _json_safe(spectrum.meta),
-    }
+    meta = {"generator": cfg.spec.to_json(), "version": __version__,
+            "grid": _grid_block(grid, sizing), "label": spectrum.label,
+            "hermitian": spectrum.hermitian, "spectrum_meta": spectrum.meta}
     if cfg.spec.kind == "psi":
         p = cfg.spec.psi
-        if cfg.parameters.get("J"):
-            p = PsiParams(p.alpha, p.beta, p.n, int(cfg.parameters["J"]))
         meta["beta_j"] = list(p.block_counts[:p.J])
         meta["gamma_j"] = list(p.block_offsets[:p.J])
         meta["required_half_range"] = p.required_half_range
@@ -192,249 +115,47 @@ def cmd_construct(cfg: RunConfig):
     return EXIT_OK
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
-def _decay_windows(params_windows, signal):
-    span = signal.half_span
-    windows = [float(T) for T in params_windows if T <= span]
-    if len(windows) >= 4:
-        return windows
-    return [span / 8, span / 4, span / 2, span]
-
-
-def _analyze_one(cfg: RunConfig, timings):
-    grid, spectrum, signal, sizing = _build(cfg)
-    pars = cfg.parameters
-    analyses = {}
-
-    def run(name, fn):
-        t0 = time.perf_counter()
-        analyses[name] = fn()
-        timings[name] = time.perf_counter() - t0
-
-    if "periodization" in cfg.analyses:
-        def _periodization():
-            prof = periodization(spectrum)
-            K = int(pars["K"])
-            ks, coeffs = gram_coefficients(prof, K)
-            analyses["_profile"] = prof
-            return {
-                "m": prof.m,
-                "M": prof.M,
-                "orthonormality_defect": orthonormality_defect(prof),
-                "excluded_band": list(prof.excluded_band) if prof.excluded_band else None,
-                "riesz_threshold": 1e-6,
-                "gram": {str(int(k)): [float(c.real), float(c.imag)]
-                         for k, c in zip(ks, coeffs)},
-            }
-        run("periodization", _periodization)
-
-    if "invariance" in cfg.analyses:
-        def _invariance():
-            n_max = int(min(pars["n_max"], grid.half_range // 2))
-            defect, witness = translation_invariance_defect(spectrum)
-            group = detect_invariance_group(spectrum, n_max)
-            return {
-                "translation_defect": defect,
-                "translation_witness": witness,
-                "per_n": {str(n): ("pass" if n_invariance_report(spectrum, n).passed
-                                   else "fail")
-                          for n in range(2, n_max + 1)},
-                "invariance_group": group.describe(),
-                "magnitude_threshold": 1e-12,
-            }
-        run("invariance", _invariance)
-
-    if "decay" in cfg.analyses:
-        def _decay():
-            eps = float(pars["eps"])
-            block = {}
-            if cfg.spec.kind == "psi":
-                p = cfg.spec.psi
-                windows = [float(T) for T in pars["windows"]]
-                probe_J = max(p.J, truncation_depth_for_span(p.alpha, max(windows)))
-                probe = PsiParams(p.alpha, p.beta, p.n, probe_J)
-                block["probe_truncation"] = probe_J
-                block["windows"] = windows
-                block["integrability"] = _verdict_dict(
-                    divergence_probe(probe, 1, 0.0, windows))
-                block["second_moment_heavy"] = _verdict_dict(
-                    divergence_probe(probe, 2, 1.0 + eps, windows))
-                block["second_moment_light"] = _verdict_dict(
-                    divergence_probe(probe, 2, 1.0 - eps, windows))
-            else:
-                sig = signal if signal is not None else to_time_domain(spectrum)
-                windows = _decay_windows(pars["windows"], sig)
-                block["windows"] = windows
-                block["integrability"] = _verdict_dict(
-                    divergence_probe(sig, 1, 0.0, windows))
-            return block
-        run("decay", _decay)
-
-    if "pointwise" in cfg.analyses:
-        def _pointwise():
-            s = float(pars["s"])
-            target = cfg.spec.psi if cfg.spec.kind == "psi" else spectrum
-            decay = pointwise_freq_decay(target, s)
-            block = {"s": s, "sup_scaled": decay.sup_value,
-                     "per_block_peaks": [[j, pk] for j, pk in decay.per_block_peaks]}
-            if cfg.spec.kind == "bspline":
-                block["envelope_exponent"] = spectrum_envelope_exponent(spectrum)
-            return block
-        run("pointwise", _pointwise)
-
-    if "gates" in cfg.analyses:
-        def _gates():
-            if cfg.spec.kind != "psi":
-                return {"note": "exponent gates apply to the banded family only"}
-            p = cfg.spec.psi
-            gate = FeasibilityGate(alpha=p.alpha, beta=p.beta,
-                                   gamma=float(pars["gamma"]),
-                                   delta=float(pars["delta"]),
-                                   p=float(pars["p"]), q=float(pars["q"]),
-                                   epsilon=float(pars["eps"]))
-            g = feasibility_gates(gate)
-            central, blocks = psi_block_freq_contributions(p, gate.q, gate.delta)
-            return {
-                "time_lp_ok": g.time_lp_ok,
-                "freq_lq_ok": g.freq_lq_ok,
-                "joint_ok": g.joint_ok,
-                "joint_unbounded": g.joint_unbounded,
-                "time_lp_margin": g.time_lp_margin,
-                "freq_lq_margin": g.freq_lq_margin,
-                "freq_central_contribution": central,
-                "freq_block_contributions": [[j, c] for j, c in blocks],
-            }
-        run("gates", _gates)
-
-    if "suite" in cfg.analyses:
-        def _suite():
-            gate = None
-            if cfg.spec.kind == "psi":
-                p = cfg.spec.psi
-                gate = FeasibilityGate(alpha=p.alpha, beta=p.beta,
-                                       gamma=float(pars["gamma"]),
-                                       delta=float(pars["delta"]),
-                                       p=float(pars["p"]), q=float(pars["q"]),
-                                       epsilon=float(pars["eps"]))
-            return run_witness_suite(cfg.spec, eps=float(pars["eps"]), gate=gate,
-                                     n_max=int(pars["n_max"]), grid=grid,
-                                     windows=[float(T) for T in pars["windows"]])
-        run("suite", _suite)
-
-    profile = analyses.pop("_profile", None)
-    report = {
-        "config": cfg.echo(),
-        "version": __version__,
-        "grid": _grid_block(grid, sizing),
-        "analyses": _json_safe(analyses),
-    }
-    return report, profile
-
-
-def _verdict_dict(v):
-    return {
-        "windows": list(v.windows),
-        "partials": list(v.partials),
-        "tail_increments": list(v.tail_increments),
-        "fitted_slope": v.fitted_slope,
-        "verdict": v.verdict,
-        "rel_tol": v.rel_tol,
-        "route": v.route,
-        "note": v.note,
-    }
-
-
 def cmd_analyze(cfg: RunConfig):
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
-    timings = {}
-    t0 = time.perf_counter()
-    report, profile = _analyze_one(cfg, timings)
+    t_start = time.perf_counter()
+    ctx = RunContext(cfg.spec, cfg.grid_spec, cfg.parameters)
+    analyses, timings = {}, {}
+    for name in ANALYSES:
+        if name in cfg.analyses:
+            t0 = time.perf_counter()
+            analyses[name] = SECTIONS[name](ctx)
+            timings[name] = time.perf_counter() - t0
     if "json" in cfg.formats:
-        write_report(out / "report.json", report)
+        write_report(out / "report.json", {"config": cfg.echo(), "version": __version__,
+                                           "grid": _grid_block(ctx.grid, ctx.sizing),
+                                           "analyses": analyses})
     if "csv" in cfg.formats:
-        if profile is not None:
-            write_periodization_csv(out / "periodization.csv", profile)
-        decay = report["analyses"].get("decay")
-        if decay:
-            for name in ("integrability", "second_moment_heavy", "second_moment_light"):
-                if name in decay:
-                    _write_windows_csv_from_dict(out / f"windows_{name}.csv", decay[name])
-    write_report(out / "run_meta.json",
-                 {"wall_clock_s": {k: round(v, 6) for k, v in timings.items()},
-                  "total_s": round(time.perf_counter() - t0, 6)})
+        if "periodization" in analyses:
+            write_periodization_csv(out / "periodization.csv", ctx.profile)
+        if "decay" in analyses:
+            for name, verdict in ctx.decay_verdicts().items():
+                write_windows_csv(out / f"windows_{name}.csv", verdict)
+    with open(out / "run_meta.json", "w") as fh:
+        json.dump({"wall_clock_s": {k: round(v, 6) for k, v in timings.items()},
+                   "total_s": round(time.perf_counter() - t_start, 6)}, fh, indent=2)
+        fh.write("\n")
     return EXIT_OK
-
-
-def _write_windows_csv_from_dict(path, verdict_dict):
-    rows = []
-    prev = 0.0
-    for i, (T, P) in enumerate(zip(verdict_dict["windows"], verdict_dict["partials"])):
-        rows.append((format(T, ".17g"), format(P, ".17g"),
-                     format(P - prev if i else P, ".17g")))
-        prev = P
-    with open(path, "w") as fh:
-        fh.write("T,partial,increment\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
 
 
 def cmd_compare(cfgs, out_dir, n_max=4):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    def one(cfg):
-        grid, spectrum, signal, _ = _build(cfg)
-        prof = periodization(spectrum)
-        group = detect_invariance_group(spectrum, int(min(n_max, grid.half_range // 2)))
-        inv = {n: n_invariance_report(spectrum, n).passed
-               for n in range(2, n_max + 1)}
-        if cfg.spec.kind == "psi":
-            p = cfg.spec.psi
-            probe_J = max(p.J, truncation_depth_for_span(p.alpha, 64.0))
-            l1 = divergence_probe(PsiParams(p.alpha, p.beta, p.n, probe_J),
-                                  1, 0.0, DEFAULT_WINDOWS)
-            decay = pointwise_freq_decay(p, 0.5)
-            gate = feasibility_gates(FeasibilityGate(alpha=p.alpha, beta=p.beta))
-            freq_gate = str(gate.freq_lq_ok)
-        else:
-            sig = signal if signal is not None else to_time_domain(spectrum)
-            l1 = divergence_probe(sig, 1, 0.0, _decay_windows(DEFAULT_WINDOWS, sig))
-            decay = pointwise_freq_decay(spectrum, 0.5)
-            freq_gate = ""
-        row = [spectrum.label, prof.m, prof.M, orthonormality_defect(prof),
-               group.describe()]
-        row += ["pass" if inv[n] else "fail" for n in range(2, n_max + 1)]
-        row += [l1.verdict, decay.sup_value, freq_gate]
-        return row
-
-    cap = None
-    raw = os.environ.get("SISPACE_THREADS", "")
-    if raw:
-        try:
-            cap = max(1, int(raw))
-        except ValueError:
-            cap = None
-    if cap == 1 or len(cfgs) == 1:
-        rows = [one(c) for c in cfgs]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cap or min(4, len(cfgs))) as ex:
-            rows = list(ex.map(one, cfgs))
-    header = (["generator", "m", "M", "orthonormality_defect", "invariance_group"]
-              + [f"inv_n{n}" for n in range(2, n_max + 1)]
-              + ["integrability_verdict", "sup_scaled_half", "freq_gate"])
-    write_compare_csv(out / "compare.csv", header, rows)
+    # every generator is probed with the same fixed parameters, not its config's
+    parameters = dict(DEFAULT_PARAMETERS, n_max=n_max)
+    try:
+        cap = max(1, int(os.environ.get("SISPACE_THREADS", "")))
+    except ValueError:
+        cap = None
+    with concurrent.futures.ThreadPoolExecutor(max_workers=cap or min(4, len(cfgs))) as ex:
+        rows = list(ex.map(lambda cfg: compare_row(RunContext(cfg.spec, cfg.grid_spec,
+                                                              parameters)), cfgs))
+    write_compare_csv(out / "compare.csv", compare_header(n_max), rows)
     return EXIT_OK
 
 
@@ -465,17 +186,14 @@ def main(argv=None):
         paths = list(args.config) + list(args.configs)
         if not paths:
             raise ConfigError("no config given (use --config FILE.json)")
-        overrides = {
-            "out": args.out,
-            "grid": args.grid,
-            "eps": args.eps,
-            "n_max": args.n_max,
+        overrides = {key: getattr(args, key) for key in ("out", "grid", "eps", "n_max")}
+        overrides.update({
             "formats": args.format.split(",") if args.format else None,
             "windows": ([float(w) for w in args.windows.split(",")]
                         if args.windows else None),
             "analyses": args.analyses.split(",") if args.analyses else None,
-        }
-        cfgs = [RunConfig(_load_json(p), overrides) for p in paths]
+        })
+        cfgs = [RunConfig(load_json(p), overrides) for p in paths]
         if args.command == "construct":
             return cmd_construct(cfgs[0])
         if args.command == "analyze":

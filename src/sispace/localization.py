@@ -27,14 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import h, h_support
-from .generators import (GeneratorSpec, PsiParams, PsiTimeEvaluator,
-                         auto_grid, build_bspline, build_psi_spectrum,
-                         build_sinc)
-from .grid import (GridError, SampledSignal, SampledSpectrum, next_pow2,
-                   to_time_domain)
-from .spectral import (detect_invariance_group, n_invariance_report,
-                       orthonormality_defect, periodization,
-                       translation_invariance_defect)
+from .generators import PsiParams, PsiTimeEvaluator
+from .grid import GridError, SampledSignal, SampledSpectrum, next_pow2
 
 DEFAULT_WINDOWS = (4.0, 8.0, 16.0, 32.0, 64.0)
 DEFAULT_REL_TOL = 0.05
@@ -188,6 +182,12 @@ def weighted_freq_norm(f: SampledSpectrum, q, delta, window=None) -> float:
     return float(np.trapezoid(integrand, dx=f.grid.spacing))
 
 
+def _block_nodes(params: PsiParams, j, n_nodes):
+    """``n_nodes`` points spanning the support of ``h_j`` and ``|h_j|`` on them."""
+    u = np.linspace(*h_support(j, params.alpha), n_nodes)
+    return u, np.abs(h(u, j, params.alpha))
+
+
 def psi_block_freq_contributions(params: PsiParams, q, delta, n_nodes=2049):
     """Per-depth contributions to the weighted frequency norm, analytically.
 
@@ -199,16 +199,13 @@ def psi_block_freq_contributions(params: PsiParams, q, delta, n_nodes=2049):
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    a = params.alpha
-    lo, hi = h_support(0, a)
-    u = np.linspace(lo, hi, n_nodes)
-    central = float(np.trapezoid(np.abs(h(u, 0, a)) ** q * (1 + np.abs(u)) ** delta, u))
+    u, shape = _block_nodes(params, 0, n_nodes)
+    central = float(np.trapezoid(shape ** q * (1 + np.abs(u)) ** delta, u))
     out = []
     counts, offsets = params.block_counts, params.block_offsets
     for j in range(1, params.J + 1):
-        lo, hi = h_support(j, a)
-        u = np.linspace(lo, hi, n_nodes)
-        shape_q = np.abs(h(u, j, a)) ** q
+        u, shape = _block_nodes(params, j, n_nodes)
+        shape_q = shape ** q
         centers = params.n * (offsets[j] + np.arange(counts[j]))
         weights = (1.0 + centers[:, None] + u[None, :]) ** delta
         total = np.trapezoid(shape_q[None, :] * weights, u, axis=1).sum()
@@ -233,16 +230,13 @@ def pointwise_freq_decay(f, s, n_nodes=4097) -> PointwiseDecay:
     (analytic local evaluation; any truncation depth is cheap).
     """
     if isinstance(f, PsiParams):
-        a = f.alpha
-        lo, hi = h_support(0, a)
-        u = np.linspace(lo, hi, n_nodes)
-        sup = float(np.max(np.abs(h(u, 0, a)) * (1 + np.abs(u)) ** s))
+        u, shape = _block_nodes(f, 0, n_nodes)
+        sup = float(np.max(shape * (1 + np.abs(u)) ** s))
         peaks = []
         counts, offsets = f.block_counts, f.block_offsets
         for j in range(1, f.J + 1):
-            lo, hi = h_support(j, a)
-            u = np.linspace(lo, hi, n_nodes)
-            shape = np.abs(h(u, j, a)) * counts[j] ** -0.5
+            u, shape = _block_nodes(f, j, n_nodes)
+            shape = shape * counts[j] ** -0.5
             # the weight is monotone in the copy center: the extreme copies bound all
             peak = 0.0
             for l in (0, counts[j] - 1):
@@ -335,141 +329,3 @@ def feasibility_gates(gate: FeasibilityGate) -> GateReport:
     return GateReport(time_lp_ok=t_margin > 0, freq_lq_ok=f_margin > 0,
                       joint_ok=joint_ok, time_lp_margin=t_margin,
                       freq_lq_margin=f_margin, joint_unbounded=unbounded)
-
-
-# ---------------------------------------------------------------------------
-# suite
-# ---------------------------------------------------------------------------
-
-def _verdict_json(v: GrowthVerdict):
-    return {
-        "windows": list(v.windows),
-        "partials": list(v.partials),
-        "tail_increments": list(v.tail_increments),
-        "fitted_slope": v.fitted_slope,
-        "verdict": v.verdict,
-        "rel_tol": v.rel_tol,
-        "route": v.route,
-        "note": v.note,
-    }
-
-
-def run_witness_suite(spec: GeneratorSpec, eps=0.5, gate: FeasibilityGate | None = None,
-                      n_max=8, grid=None, windows=DEFAULT_WINDOWS) -> dict:
-    """Run the full check battery on one generator and tag each result.
-
-    Combines the periodization/invariance criteria with the localization
-    probes: integrability trend, the symmetric second-moment pair at
-    weights 1 +- eps (banded generators, analytic route with the truncation
-    deepened to cover the window span), the scaled-sup profile, and the
-    exponent gates.  Returns a JSON-ready dict with fixed key order.
-    """
-    sizing = {}
-    if grid is None:
-        grid, sizing = auto_grid(spec)
-
-    signal = None
-    if spec.kind == "sinc":
-        spectrum = build_sinc(grid)
-    elif spec.kind == "bspline":
-        signal, spectrum = build_bspline(spec.degree, grid)
-    elif spec.kind == "psi":
-        spectrum = build_psi_spectrum(spec.psi, grid)
-    else:
-        raise ValueError("suite needs a concrete generator, not a custom path")
-
-    report = {
-        "generator": spec.to_json(),
-        "grid": {"samples_per_unit": grid.samples_per_unit,
-                 "half_range": grid.half_range,
-                 "n_points": grid.n_points,
-                 "sizing": sizing},
-    }
-
-    profile = periodization(spectrum)
-    report["periodization"] = {
-        "m": profile.m,
-        "M": profile.M,
-        "orthonormality_defect": orthonormality_defect(profile),
-        "excluded_band": list(profile.excluded_band) if profile.excluded_band else None,
-        "checks": "bounded below characterizes a stable shift basis; "
-                  "identically 1 characterizes an orthonormal one",
-    }
-
-    n_cap = int(min(n_max, grid.half_range // 2))
-    group = detect_invariance_group(spectrum, n_cap)
-    defect, witness = translation_invariance_defect(spectrum)
-    report["invariance"] = {
-        "translation_defect": defect,
-        "translation_witness": witness,
-        "per_n": {str(n): ("pass" if n_invariance_report(spectrum, n).passed else "fail")
-                  for n in range(2, n_cap + 1)},
-        "group": group.describe(),
-        "checks": "disjoint integer translates of the support admit all "
-                  "translations; residue-class concentration admits step 1/n",
-    }
-
-    time_section = {}
-    if spec.kind == "psi":
-        p = spec.psi
-        probe_J = max(p.J, truncation_depth_for_span(p.alpha, max(windows)))
-        # one evaluator: the probes share the sampled lattice
-        probe = PsiTimeEvaluator(PsiParams(p.alpha, p.beta, p.n, probe_J))
-        time_section["probe_truncation"] = probe_J
-        time_section["integrability"] = _verdict_json(
-            divergence_probe(probe, 1, 0.0, windows))
-        time_section["second_moment_heavy"] = _verdict_json(
-            divergence_probe(probe, 2, 1.0 + eps, windows))
-        time_section["second_moment_light"] = _verdict_json(
-            divergence_probe(probe, 2, 1.0 - eps, windows))
-    else:
-        if signal is None:
-            signal = to_time_domain(spectrum)
-        if spec.kind == "bspline":
-            t0 = float(spec.degree + 1)
-            span = signal.half_span
-            ts = [t0 * (span / t0) ** (i / 3.0) for i in range(4)]
-        else:
-            span = signal.half_span
-            ts = [span / 64, span / 32, span / 16, span / 8, span / 4]
-        time_section["integrability"] = _verdict_json(
-            divergence_probe(signal, 1, 0.0, ts))
-    time_section["checks"] = ("a diverging integrability trend witnesses the "
-                              "non-integrability forced by full translation "
-                              "invariance; the 1 +- eps pair brackets the "
-                              "second-moment obstruction of refined invariance")
-    report["time_localization"] = time_section
-
-    freq_section = {}
-    if spec.kind == "psi":
-        decay = pointwise_freq_decay(spec.psi, 0.5)
-        freq_section["sup_scaled_half"] = decay.sup_value
-        freq_section["per_block_peaks"] = [[j, pk] for j, pk in decay.per_block_peaks]
-    else:
-        decay = pointwise_freq_decay(spectrum, 0.5)
-        freq_section["sup_scaled_half"] = decay.sup_value
-        if spec.kind == "bspline":
-            freq_section["envelope_exponent"] = spectrum_envelope_exponent(spectrum)
-    freq_section["checks"] = ("bounded sup at scaling 1/2 is the optimal "
-                              "pointwise frequency decay compatible with "
-                              "refined invariance")
-    report["frequency_localization"] = freq_section
-
-    if spec.kind == "psi":
-        if gate is None:
-            gate = FeasibilityGate(alpha=spec.psi.alpha, beta=spec.psi.beta,
-                                   epsilon=eps)
-        g = feasibility_gates(gate)
-        central, blocks = psi_block_freq_contributions(spec.psi, gate.q, gate.delta)
-        report["gates"] = {
-            "parameters": {"alpha": gate.alpha, "beta": gate.beta,
-                           "gamma": gate.gamma, "delta": gate.delta,
-                           "p": gate.p, "q": gate.q, "epsilon": gate.epsilon},
-            "time_lp_ok": g.time_lp_ok,
-            "freq_lq_ok": g.freq_lq_ok,
-            "joint_ok": g.joint_ok,
-            "joint_unbounded": g.joint_unbounded,
-            "freq_block_contributions": [[j, c] for j, c in blocks],
-            "freq_central_contribution": central,
-        }
-    return report

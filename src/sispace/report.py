@@ -81,20 +81,19 @@ def _cell(v):
     return str(v)
 
 
-def write_spectrum_csv(path, spectrum: SampledSpectrum):
-    vals = np.asarray(spectrum.values, dtype=complex)
-    xi = spectrum.grid.xi
-    rows = ((str(i), _fmt_float(xi[i]), _fmt_float(vals[i].real), _fmt_float(vals[i].imag))
+def _write_samples_csv(path, axis_name, axis, values):
+    vals = np.asarray(values, dtype=complex)
+    rows = ((str(i), _fmt_float(axis[i]), _fmt_float(vals[i].real), _fmt_float(vals[i].imag))
             for i in range(vals.size))
-    _write_csv(path, ("index", "xi", "re", "im"), rows)
+    _write_csv(path, ("index", axis_name, "re", "im"), rows)
+
+
+def write_spectrum_csv(path, spectrum: SampledSpectrum):
+    _write_samples_csv(path, "xi", spectrum.grid.xi, spectrum.values)
 
 
 def write_signal_csv(path, signal: SampledSignal):
-    vals = np.asarray(signal.values, dtype=complex)
-    x = signal.grid.x
-    rows = ((str(i), _fmt_float(x[i]), _fmt_float(vals[i].real), _fmt_float(vals[i].imag))
-            for i in range(vals.size))
-    _write_csv(path, ("index", "x", "re", "im"), rows)
+    _write_samples_csv(path, "x", signal.grid.x, signal.values)
 
 
 def write_periodization_csv(path, profile):
@@ -105,12 +104,9 @@ def write_periodization_csv(path, profile):
 
 
 def write_windows_csv(path, verdict):
-    rows = []
-    prev = 0.0
-    for i, (T, P) in enumerate(zip(verdict.windows, verdict.partials)):
-        inc = P - prev if i else P
-        rows.append((_fmt_float(T), _fmt_float(P), _fmt_float(inc)))
-        prev = P
+    increments = (verdict.partials[0],) + tuple(verdict.tail_increments)
+    rows = ((_fmt_float(T), _fmt_float(P), _fmt_float(inc))
+            for T, P, inc in zip(verdict.windows, verdict.partials, increments))
     _write_csv(path, ("T", "partial", "increment"), rows)
 
 

@@ -91,8 +91,8 @@ def periodization(f: SampledSpectrum) -> PeriodizationProfile:
     )
 
 
-def riesz_bounds(profile: PeriodizationProfile, threshold=1e-6):
-    """(m, M) over non-excluded residues; the stability verdict is m > threshold."""
+def riesz_bounds(profile: PeriodizationProfile):
+    """(m, M) over non-excluded residues; see :func:`is_riesz_generator` for the verdict."""
     return profile.m, profile.M
 
 
@@ -202,6 +202,20 @@ class InvarianceGroup:
     passing_n: tuple
     maximal_n: int | None
 
+    @classmethod
+    def classify(cls, translation_defect, passing_n, defect_tolerance=1e-12):
+        """Classify from the translation defect and the refinements n that pass.
+
+        A passing translation criterion reports only a candidate: full
+        invariance cannot be certified on a grid.  ``passing_n`` is read
+        only when that criterion fails, so it may be a lazy iterable.
+        """
+        if translation_defect <= defect_tolerance:
+            return cls("R-candidate", translation_defect, (), None)
+        passing = tuple(passing_n)
+        return cls("fractional" if passing else "integer", translation_defect, passing,
+                   max(passing) if passing else None)
+
     def describe(self):
         if self.kind == "R-candidate":
             return "R-candidate"
@@ -213,20 +227,11 @@ class InvarianceGroup:
 def detect_invariance_group(f: SampledSpectrum, n_max: int,
                             threshold=MAGNITUDE_THRESHOLD,
                             defect_tolerance=1e-12) -> InvarianceGroup:
-    """Classify: full translation invariance cannot be certified on a grid,
-    so a passing translation criterion reports only a candidate; otherwise
-    the passing refinements n (if any) are listed with the largest one.
-    """
+    """Classify the invariance group of ``f`` with refinements n <= n_max
+    (see :meth:`InvarianceGroup.classify`)."""
     if n_max > f.grid.half_range / 2:
         raise GridError(f"n_max = {n_max} too large for half_range {f.grid.half_range}")
     defect, _ = translation_invariance_defect(f, threshold)
-    if defect <= defect_tolerance:
-        return InvarianceGroup(kind="R-candidate", translation_defect=defect,
-                               passing_n=(), maximal_n=None)
-    passing = tuple(n for n in range(2, n_max + 1)
-                    if n_invariance_report(f, n, threshold).passed)
-    if passing:
-        return InvarianceGroup(kind="fractional", translation_defect=defect,
-                               passing_n=passing, maximal_n=max(passing))
-    return InvarianceGroup(kind="integer", translation_defect=defect,
-                           passing_n=(), maximal_n=None)
+    passing = (n for n in range(2, n_max + 1)
+               if n_invariance_report(f, n, threshold).passed)
+    return InvarianceGroup.classify(defect, passing, defect_tolerance)

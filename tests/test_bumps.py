@@ -1,9 +1,38 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sispace.bumps import (SUPPORT_EPS, SmoothStepTable, g0, g1, g1_support,
+from sispace.bumps import (SUPPORT_EPS, g0, g1, g1_support,
                            h, h_support, partition_defect, smooth_step)
+
+
+@dataclass(frozen=True)
+class SmoothStepTable:
+    """Precomputed samples of ``g`` on [0, 1].
+
+    Endpoint samples are exactly 0 and 1 by construction of ``smooth_step``.
+    """
+
+    resolution: int
+    x: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def build(cls, resolution):
+        if resolution < 2:
+            raise ValueError("resolution must be >= 2")
+        x = np.linspace(0.0, 1.0, resolution + 1)
+        vals = smooth_step(x)
+        x.setflags(write=False)
+        vals.setflags(write=False)
+        return cls(resolution=resolution, x=x, values=vals)
+
+    def max_partition_error(self):
+        """max |g(x)**2 + g(1-x)**2 - 1| over the table points."""
+        other = smooth_step(1.0 - self.x)
+        return float(np.max(np.abs(self.values ** 2 + other ** 2 - 1.0)))
 
 
 def test_step_boundary_values():

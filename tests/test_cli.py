@@ -238,3 +238,21 @@ def test_analyze_decay_builds_one_evaluator(tmp_path, monkeypatch):
     })
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"parameters": {"J": 3}}, "set generator.J instead"),
+    ({"grid": {"S": 64}}, "bad grid"),
+    ({"grid": [64]}, "bad grid"),
+    ({"parameters": {"eps": "x"}}, "bad parameter eps"),
+    ({"parameters": {"windows": 5}}, "bad parameter windows"),
+])
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
+        **extra,
+    })
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error:") and message in err[0]

@@ -7,10 +7,10 @@ from sispace.grid import GridError, make_grid, to_time_domain
 from sispace.localization import (FeasibilityGate, divergence_probe,
                                   feasibility_gates, pointwise_freq_decay,
                                   psi_block_freq_contributions,
-                                  run_witness_suite,
                                   spectrum_envelope_exponent,
                                   truncation_depth_for_span,
                                   weighted_freq_norm, weighted_time_partial)
+from sispace.pipeline import run_witness_suite
 
 LOG2_INCREMENT = 4 / np.pi ** 2 * np.log(2)  # per-doubling growth of the sinc tail
 
