@@ -27,6 +27,7 @@ from pathlib import Path
 from . import __version__
 from .generators import GeneratorSpec
 from .grid import GridError, to_time_domain
+from .localization import MIN_PROBE_WINDOWS, check_windows
 from .pipeline import (DEFAULT_PARAMETERS, SECTIONS, ConfigError, RunContext,
                        build, compare_header, compare_row, load_json)
 from .report import (write_compare_csv, write_periodization_csv, write_report,
@@ -67,16 +68,19 @@ class RunConfig:
         if "J" in given:
             raise ConfigError("parameters.J is not supported; set generator.J instead")
         self._echoed = {**DEFAULT_PARAMETERS, **given}
-        self._echoed.update({key: overrides[key] for key in ("eps", "n_max", "windows")
-                             if overrides.get(key) is not None})
+        overridden = [key for key in ("eps", "n_max", "windows")
+                      if overrides.get(key) is not None]
+        self._echoed.update({key: overrides[key] for key in overridden})
         self.parameters = {}
         for key, default in DEFAULT_PARAMETERS.items():
             value = self._echoed[key]
             try:
-                self.parameters[key] = ([float(T) for T in value] if key == "windows"
-                                        else type(default)(value))
+                self.parameters[key] = (check_windows(value, MIN_PROBE_WINDOWS)
+                                        if key == "windows" else type(default)(value))
             except (TypeError, ValueError, OverflowError) as e:
                 raise ConfigError(f"bad parameter {key} = {value!r}: {e}") from e
+        # command-line values are echoed typed, as they were parsed
+        self._echoed.update({key: self.parameters[key] for key in overridden})
         self.output = overrides.get("out") or obj.get("output", ".")
         self.formats = overrides.get("formats") or obj.get("formats", ["json", "csv"])
         for f in self.formats:
@@ -96,11 +100,11 @@ def _grid_block(grid, sizing):
 
 
 def cmd_construct(cfg: RunConfig):
-    out = Path(cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
     grid, spectrum, signal, sizing = build(cfg.spec, cfg.grid_spec)
     if signal is None:
         signal = to_time_domain(spectrum)
+    out = Path(cfg.output)
+    out.mkdir(parents=True, exist_ok=True)
     write_spectrum_csv(out / "spectrum.csv", spectrum)
     write_signal_csv(out / "signal.csv", signal)
     meta = {"generator": cfg.spec.to_json(), "version": __version__,
@@ -116,8 +120,6 @@ def cmd_construct(cfg: RunConfig):
 
 
 def cmd_analyze(cfg: RunConfig):
-    out = Path(cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
     ctx = RunContext(cfg.spec, cfg.grid_spec, cfg.parameters)
     analyses, timings = {}, {}
@@ -126,6 +128,9 @@ def cmd_analyze(cfg: RunConfig):
             t0 = time.perf_counter()
             analyses[name] = SECTIONS[name](ctx)
             timings[name] = time.perf_counter() - t0
+    # created only once every analysis has succeeded: a failed run leaves no directory
+    out = Path(cfg.output)
+    out.mkdir(parents=True, exist_ok=True)
     if "json" in cfg.formats:
         write_report(out / "report.json", {"config": cfg.echo(), "version": __version__,
                                            "grid": _grid_block(ctx.grid, ctx.sizing),
@@ -189,8 +194,7 @@ def main(argv=None):
         overrides = {key: getattr(args, key) for key in ("out", "grid", "eps", "n_max")}
         overrides.update({
             "formats": args.format.split(",") if args.format else None,
-            "windows": ([float(w) for w in args.windows.split(",")]
-                        if args.windows else None),
+            "windows": args.windows.split(",") if args.windows else None,
             "analyses": args.analyses.split(",") if args.analyses else None,
         })
         cfgs = [RunConfig(load_json(p), overrides) for p in paths]

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .bumps import g0, g1, h, h_support
 from .grid import (FrequencyGrid, GridError, SampledSignal, SampledSpectrum,
@@ -324,19 +323,42 @@ TABLE_X_SAMPLES = 4097   # spacing 1/32 over [-64, 64], includes 0
 TABLE_QUAD_NODES = 8193
 
 
+def _turns(coef, q):
+    """``coef * q`` reduced mod 1 (a phase in turns) for an integer array ``q``.
+
+    ``q`` stays an exact int64 until the product, so the only rounding is
+    that of ``coef * q``; the reduction itself is exact.
+    """
+    return np.mod(coef * np.asarray(q, dtype=np.int64), 1.0)
+
+
 def _inverse_transform_table(window_values, xi_nodes, x_nodes):
-    """Trapezoid quadrature of integral w(xi) exp(2 pi i xi x) dxi, chunked in x."""
-    dxi = xi_nodes[1] - xi_nodes[0]
-    weights = np.full(xi_nodes.size, dxi)
+    """Trapezoid quadrature of integral w(xi) exp(2 pi i xi x) dxi at every x node.
+
+    Both node sets are uniform, so the sum over xi is a chirp-z transform
+    (Rabiner, Schafer & Rader 1969), evaluated with Bluestein's identity
+    ``m*k = (m**2 + k**2 - (k - m)**2) / 2`` as one FFT convolution.  Every
+    phase is reduced mod 1 before ``exp``: the chirp phases grow like
+    ``q**2`` and, unreduced, would lose their low digits inside ``exp``.
+    """
+    M, K = xi_nodes.size, x_nodes.size
+    xi0, x0 = xi_nodes[0], x_nodes[0]
+    dxi = (xi_nodes[-1] - xi0) / (M - 1)
+    dx = (x_nodes[-1] - x0) / (K - 1)
+    weights = np.full(M, dxi)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    wv = window_values * weights
-    out = np.empty(x_nodes.size, dtype=complex)
-    chunk = 256
-    for start in range(0, x_nodes.size, chunk):
-        xs = x_nodes[start:start + chunk]
-        out[start:start + chunk] = np.exp(2j * np.pi * np.outer(xs, xi_nodes)) @ wv
-    return out
+    m, k = np.arange(M), np.arange(K)
+    half_c = dxi * dx / 2.0   # exp(2 pi i dxi dx m k) = chirp(m) chirp(k) / chirp(k - m)
+    a = window_values * weights * np.exp(2j * np.pi * (_turns(x0 * dxi, m)
+                                                       + _turns(half_c, m * m)))
+    L = 1 << (M + K - 2).bit_length()   # >= M + K - 1: no circular wrap into [0, K)
+    q = np.arange(L)
+    q = np.where(q < K, q, q - L)
+    chirp = np.exp(-2j * np.pi * _turns(half_c, q * q))
+    conv = np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(chirp))[:K]
+    post = _turns(xi0 * dx, k) + _turns(half_c, k * k) + _turns(xi0 * x0, 1)
+    return conv * np.exp(2j * np.pi * post)
 
 
 class WindowTables:
@@ -349,6 +371,10 @@ class WindowTables:
 
     def __init__(self, alpha, x_max=TABLE_X_MAX, n_x=TABLE_X_SAMPLES,
                  n_quad=TABLE_QUAD_NODES):
+        # scipy is imported here, not at module level: it is most of the
+        # package's import time, and only the analytic route needs it
+        from scipy.interpolate import CubicSpline
+
         self.alpha = alpha
         self.x_max = x_max
         x_nodes = np.linspace(-x_max, x_max, n_x)
@@ -413,8 +439,9 @@ def evaluate_psi_time(x, params: PsiParams, tables: WindowTables | None = None):
     term plus, per depth j, an envelope ``g1_inv`` at the block scale, a
     carrier phase at the block center frequency, and the closed-form
     geometric sum over the ``beta_j`` copies (Dirichlet ratio with a
-    removable-singularity guard).  Returns complex values; the mirror terms
-    cancel the imaginary part up to table rounding.
+    removable-singularity guard).  The window ``g1`` is real, so each mirror
+    term is the complex conjugate of its direct term and the pair sums to
+    ``2 Re``; the values returned are real, for every x.
     """
     if tables is None:
         tables = window_tables(params.alpha)
@@ -426,19 +453,19 @@ def evaluate_psi_time(x, params: PsiParams, tables: WindowTables | None = None):
     counts = params.block_counts
     offsets = params.block_offsets
     s0 = (1.0 - 2.0 ** (-a)) / 2.0
-    out = np.asarray(s0 * tables.g0_inv(s0 * x), dtype=complex)
+    out = s0 * tables.g0_inv(s0 * x)
 
     u = params.n * x
     for j in range(1, params.J + 1):
         bj = counts[j]
         cj = (2.0 ** a - 1.0) / 2.0 ** (j * a + 1)
         pref = (2.0 ** a - 1.0) / 2.0 * bj ** -0.5 * 2.0 ** (-j * a)
-        carrier = np.exp(1j * np.pi * x * (1.0 - 2.0 ** (-j * a)))
-        comb = (np.exp(2j * np.pi * u * offsets[j])
-                * np.exp(1j * np.pi * u * (bj - 1))
-                * dirichlet_ratio(u, bj))
-        out += pref * tables.g1_inv(cj * x) * carrier * comb
-        out += pref * tables.g1_inv(-cj * x) * np.conj(carrier) * np.conj(comb)
+        # carrier at the block scale and the comb's center frequency, in turns
+        freq = (1.0 - 2.0 ** (-j * a)) / 2.0 + params.n * (offsets[j] + (bj - 1) / 2.0)
+        angle = 2.0 * np.pi * np.mod(freq * x, 1.0)
+        envelope = tables.g1_inv(cj * x)
+        out += (2.0 * pref * dirichlet_ratio(u, bj)
+                * (envelope.real * np.cos(angle) - envelope.imag * np.sin(angle)))
     return out[0] if scalar else out
 
 
@@ -474,11 +501,13 @@ class PsiTimeEvaluator:
             if cached_inv == inv_dx and cached_half >= n_half:
                 mid = cached_half
                 return vals[mid - n_half:mid + n_half + 1]
-        xs = np.arange(-n_half, n_half + 1) / inv_dx
-        vals = np.empty(xs.size)
+        # f is even: evaluate k >= 0 only and mirror
+        xs = np.arange(n_half + 1) / inv_dx
+        half = np.empty(xs.size)
         chunk = 1 << 19
         for s in range(0, xs.size, chunk):
-            vals[s:s + chunk] = np.abs(self(xs[s:s + chunk]))
+            half[s:s + chunk] = np.abs(self(xs[s:s + chunk]))
+        vals = np.concatenate((half[:0:-1], half))
         self._abs_cache.clear()
         self._abs_cache[(n_half, inv_dx)] = vals
         return vals

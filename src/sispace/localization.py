@@ -33,6 +33,7 @@ from .grid import GridError, SampledSignal, SampledSpectrum, next_pow2
 DEFAULT_WINDOWS = (4.0, 8.0, 16.0, 32.0, 64.0)
 DEFAULT_REL_TOL = 0.05
 LATTICE_OVERSAMPLE = 8
+MIN_PROBE_WINDOWS = 4
 
 
 def truncation_depth_for_span(alpha, span):
@@ -44,6 +45,18 @@ def truncation_depth_for_span(alpha, span):
     """
     need = span * (2.0 ** alpha - 1.0)
     return max(1, math.ceil(math.log2(need) / alpha))
+
+
+def check_windows(windows, min_count=1):
+    """``windows`` as floats; ValueError unless there are at least
+    ``min_count`` of them and they are finite, positive and strictly increasing."""
+    windows = [float(T) for T in windows]
+    if len(windows) < min_count:
+        raise ValueError(f"need at least {min_count} windows")
+    if not (all(0 < T < math.inf for T in windows)
+            and all(b > a for a, b in zip(windows, windows[1:]))):
+        raise ValueError("windows must be finite, positive and strictly increasing")
+    return windows
 
 
 def _as_time_source(source):
@@ -58,9 +71,9 @@ def _lattice_step(evaluator: PsiTimeEvaluator):
 
 def _window_partials(source, p, w, windows):
     """Trapezoid partials of |f(x)|**p (1+|x|)**w over |x| <= T per window."""
-    windows = [float(T) for T in windows]
-    if sorted(windows) != windows:
-        raise ValueError("windows must be increasing")
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    windows = check_windows(windows)
     source = _as_time_source(source)
     if isinstance(source, SampledSignal):
         dx = source.time_spacing
@@ -99,8 +112,6 @@ def weighted_time_partial(source, p, w, T) -> float:
     ``source`` is a sampled signal (grid route) or banded-generator
     parameters / evaluator (analytic route).
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
     partials, _, _ = _window_partials(source, p, w, [T])
     return float(partials[0])
 
@@ -148,8 +159,7 @@ def divergence_probe(source, p, w, windows=DEFAULT_WINDOWS,
     the boundary case is deliberately not classified.
     """
     windows = list(windows)
-    if len(windows) < 4:
-        raise ValueError("need at least 4 windows")
+    check_windows(windows, MIN_PROBE_WINDOWS)
     partials, route, _ = _window_partials(source, p, w, windows)
     abscissa = np.power(windows, kappa) if kappa is not None else np.log(windows)
     slope = float(np.polyfit(abscissa, partials, 1)[0])

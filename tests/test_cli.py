@@ -173,6 +173,15 @@ def test_console_script_version():
     assert "sispace" in res.stdout
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only when window tables are built
+    res = subprocess.run([sys.executable, "-c",
+                          "import sys, sispace.cli; print('scipy' in sys.modules)"],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 def test_deterministic_dumps_float_format():
     text = dumps_deterministic({"x": 1.0 / 3.0, "n": 5, "flag": True, "none": None})
     assert "0.33333333333333331" in text
@@ -246,13 +255,21 @@ def test_analyze_decay_builds_one_evaluator(tmp_path, monkeypatch):
     ({"grid": [64]}, "bad grid"),
     ({"parameters": {"eps": "x"}}, "bad parameter eps"),
     ({"parameters": {"windows": 5}}, "bad parameter windows"),
+    ({"parameters": {"windows": [8, 4, 2, 1]}}, "strictly increasing"),
+    ({"parameters": {"windows": [2, 4, 8]}}, "need at least 4"),
+    ({"parameters": {"windows": [0, 2, 4, 8]}}, "positive"),
+    ({"argv": ["--windows", "4,x"]}, "bad parameter windows"),
 ])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
+    extra = dict(extra)
+    argv = extra.pop("argv", [])
     cfg = write_config(tmp_path / "c.json", {
         "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
         **extra,
     })
-    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out), *argv]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error:") and message in err[0]
+    assert not out.exists()

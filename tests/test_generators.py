@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sispace.bumps import h_support
+from sispace.bumps import g0, g1, h_support
 from sispace.generators import (GeneratorSpec, PsiParams, PsiTimeEvaluator,
-                                auto_grid, build_bspline, build_psi_spectrum,
-                                dirichlet_ratio,
-                                evaluate_psi_time, window_tables)
+                                _inverse_transform_table, auto_grid,
+                                build_bspline, build_psi_spectrum,
+                                dirichlet_ratio, evaluate_psi_time,
+                                window_tables)
 from sispace.grid import (GridError, l2_norm, make_grid, to_freq_domain,
                           to_time_domain)
 
@@ -242,6 +243,26 @@ def test_g0_inverse_at_zero_is_window_mass():
     assert_allclose(t.g0_inv(np.array([0.0]))[0], np.trapezoid(g0(xi), xi), rtol=1e-10)
 
 
+def dense_inverse_transform_table(window_values, xi_nodes, x_nodes):
+    """Reference: the trapezoid sum of w(xi) exp(2 pi i xi x) as a dense matrix product."""
+    weights = np.full(xi_nodes.size, xi_nodes[1] - xi_nodes[0])
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return np.exp(2j * np.pi * np.outer(x_nodes, xi_nodes)) @ (window_values * weights)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0, 2.0])
+def test_chirp_z_table_matches_dense_quadrature(alpha):
+    # alpha = 0.7 gives a g1 node spacing that is not dyadic
+    x = np.linspace(-64.0, 64.0, 257)
+    xi0 = np.linspace(-1.0, 1.0, 513)
+    xi1 = np.linspace(-1.0, 2.0 ** (-alpha), 513)
+    for values, xi in ((g0(xi0), xi0), (g1(xi1, alpha), xi1)):
+        got = _inverse_transform_table(values, xi, x)
+        ref = dense_inverse_transform_table(values, xi, x)
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+
 def test_route_cross_check_small(psi_small, rng):
     params, grid, spec = psi_small
     sig = to_time_domain(spec)
@@ -251,6 +272,23 @@ def test_route_cross_check_small(psi_small, rng):
     ref = sig.values[m + grid.n_points // 2]
     assert np.max(np.abs(ana - ref)) < 1e-6
     assert np.max(np.abs(ana.imag)) < 1e-10
+
+
+def test_evaluate_real_and_even(psi_small, rng):
+    params, _, _ = psi_small
+    xs = rng.uniform(-30.0, 30.0, 500)
+    vals = evaluate_psi_time(xs, params)
+    assert vals.dtype == np.float64
+    assert np.max(np.abs(evaluate_psi_time(-xs, params) - vals)) < 1e-13
+
+
+def test_abs_on_lattice_matches_full_symmetric_lattice(psi_small):
+    params, _, _ = psi_small
+    n_half, inv_dx = 3000, 128
+    direct = np.abs(evaluate_psi_time(np.arange(-n_half, n_half + 1) / inv_dx, params))
+    lattice = PsiTimeEvaluator(params).abs_on_lattice(n_half, inv_dx)
+    assert lattice.shape == direct.shape
+    assert np.max(np.abs(lattice - direct)) < 1e-13
 
 
 def test_evaluate_scalar_input(psi_small):

@@ -88,6 +88,19 @@ def test_probe_requires_four_windows(bspline1):
         divergence_probe(sig, 2, 0.0, [4, 8, 16])
 
 
+def test_probe_requires_p_at_least_one(bspline1):
+    sig, _ = bspline1
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        divergence_probe(sig, 0.5, 0.0, [4, 8, 16, 32])
+
+
+@pytest.mark.parametrize("windows", [[-4, 8, 16, 32], [4, 4, 8, 16], [8, 4, 16, 32]])
+def test_probe_rejects_bad_windows(bspline1, windows):
+    sig, _ = bspline1
+    with pytest.raises(ValueError, match="strictly increasing"):
+        divergence_probe(sig, 1, 0.0, windows)
+
+
 def test_critical_exponent_not_classified(psi_small):
     params, _, _ = psi_small
     verdict = divergence_probe(params, 2, 1.0, [4, 8, 16, 32])
