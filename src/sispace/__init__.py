@@ -11,19 +11,17 @@ from .grid import (FrequencyGrid, GridError, SampledSignal, SampledSpectrum,
                    l2_norm, make_grid, next_pow2, to_freq_domain,
                    to_time_domain)
 from .localization import (FeasibilityGate, GateReport, GrowthVerdict,
-                           PointwiseDecay, divergence_probe,
+                           PointwiseDecay, divergence_probe, divergence_probes,
                            feasibility_gates, pointwise_freq_decay,
                            psi_block_freq_contributions,
                            spectrum_envelope_exponent,
-                           truncation_depth_for_span, weighted_freq_norm,
-                           weighted_time_partial)
+                           truncation_depth_for_span, weighted_freq_norm)
 from .pipeline import run_witness_suite
 from .spectral import (InvarianceGroup, InvarianceReport,
                        PeriodizationProfile, detect_invariance_group,
                        gram_coefficients, is_riesz_generator,
                        n_invariance_report, orthonormality_defect,
-                       periodization, riesz_bounds,
-                       translation_invariance_defect)
+                       periodization, translation_invariance_defect)
 
 __all__ = [
     "__version__",
@@ -34,12 +32,12 @@ __all__ = [
     "FrequencyGrid", "GridError", "SampledSignal", "SampledSpectrum",
     "l2_norm", "make_grid", "next_pow2", "to_freq_domain", "to_time_domain",
     "FeasibilityGate", "GateReport", "GrowthVerdict", "PointwiseDecay",
-    "divergence_probe", "feasibility_gates", "pointwise_freq_decay",
-    "psi_block_freq_contributions", "run_witness_suite",
+    "divergence_probe", "divergence_probes", "feasibility_gates",
+    "pointwise_freq_decay", "psi_block_freq_contributions", "run_witness_suite",
     "spectrum_envelope_exponent", "truncation_depth_for_span",
-    "weighted_freq_norm", "weighted_time_partial",
+    "weighted_freq_norm",
     "InvarianceGroup", "InvarianceReport", "PeriodizationProfile",
     "detect_invariance_group", "gram_coefficients", "is_riesz_generator",
     "n_invariance_report", "orthonormality_defect", "periodization",
-    "riesz_bounds", "translation_invariance_defect",
+    "translation_invariance_defect",
 ]

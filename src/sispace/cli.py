@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .generators import GeneratorSpec
 from .grid import GridError, to_time_domain
-from .localization import MIN_PROBE_WINDOWS, check_windows
+from .localization import check_windows
 from .pipeline import (DEFAULT_PARAMETERS, SECTIONS, ConfigError, RunContext,
                        build, compare_header, compare_row, load_json)
 from .report import (write_compare_csv, write_periodization_csv, write_report,
@@ -75,8 +75,8 @@ class RunConfig:
         for key, default in DEFAULT_PARAMETERS.items():
             value = self._echoed[key]
             try:
-                self.parameters[key] = (check_windows(value, MIN_PROBE_WINDOWS)
-                                        if key == "windows" else type(default)(value))
+                self.parameters[key] = (check_windows(value) if key == "windows"
+                                        else type(default)(value))
             except (TypeError, ValueError, OverflowError) as e:
                 raise ConfigError(f"bad parameter {key} = {value!r}: {e}") from e
         # command-line values are echoed typed, as they were parsed
@@ -139,7 +139,7 @@ def cmd_analyze(cfg: RunConfig):
         if "periodization" in analyses:
             write_periodization_csv(out / "periodization.csv", ctx.profile)
         if "decay" in analyses:
-            for name, verdict in ctx.decay_verdicts().items():
+            for name, verdict in ctx.decay_verdicts.items():
                 write_windows_csv(out / f"windows_{name}.csv", verdict)
     with open(out / "run_meta.json", "w") as fh:
         json.dump({"wall_clock_s": {k: round(v, 6) for k, v in timings.items()},

@@ -364,24 +364,22 @@ def _inverse_transform_table(window_values, xi_nodes, x_nodes):
 class WindowTables:
     """Tabulated inverse transforms of ``g0`` and ``g1`` with cubic interpolation.
 
-    Values beyond ``|x| = x_max`` evaluate to 0; ``tail_bound`` records the
+    Values beyond ``|x| = TABLE_X_MAX`` evaluate to 0; ``tail_bound`` records the
     largest magnitude seen on the outer 2% of each table, which bounds the
     truncation error committed by that convention.
     """
 
-    def __init__(self, alpha, x_max=TABLE_X_MAX, n_x=TABLE_X_SAMPLES,
-                 n_quad=TABLE_QUAD_NODES):
+    def __init__(self, alpha):
         # scipy is imported here, not at module level: it is most of the
         # package's import time, and only the analytic route needs it
         from scipy.interpolate import CubicSpline
 
         self.alpha = alpha
-        self.x_max = x_max
-        x_nodes = np.linspace(-x_max, x_max, n_x)
+        x_nodes = np.linspace(-TABLE_X_MAX, TABLE_X_MAX, TABLE_X_SAMPLES)
 
-        xi0 = np.linspace(-1.0, 1.0, n_quad)
+        xi0 = np.linspace(-1.0, 1.0, TABLE_QUAD_NODES)
         g0_inv = _inverse_transform_table(g0(xi0), xi0, x_nodes)
-        xi1 = np.linspace(-1.0, 2.0 ** (-alpha), n_quad)
+        xi1 = np.linspace(-1.0, 2.0 ** (-alpha), TABLE_QUAD_NODES)
         g1_inv = _inverse_transform_table(g1(xi1, alpha), xi1, x_nodes)
 
         self._g0 = CubicSpline(x_nodes, g0_inv.real)
@@ -395,56 +393,53 @@ class WindowTables:
     def g0_inv(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape)
-        ok = np.abs(x) <= self.x_max
+        ok = np.abs(x) <= TABLE_X_MAX
         out[ok] = self._g0(x[ok])
         return out
 
     def g1_inv(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
-        ok = np.abs(x) <= self.x_max
+        ok = np.abs(x) <= TABLE_X_MAX
         out[ok] = self._g1(x[ok])
         return out
 
 
 @lru_cache(maxsize=8)
-def window_tables(alpha, x_max=TABLE_X_MAX):
-    return WindowTables(alpha, x_max=x_max)
+def window_tables(alpha):
+    return WindowTables(alpha)
 
 
 def dirichlet_ratio(u, count):
-    """Stable ``sin(count*pi*u) / sin(pi*u)``, the closed form of the
-    ``count``-term geometric phase sum magnitude (signed).
+    """``sin(count*pi*u) / sin(pi*u)``, the closed form of the ``count``-term
+    geometric phase sum magnitude (signed).
 
-    Reduced to the nearest-integer residue for accuracy at large ``u``; the
-    removable singularity at integer ``u`` takes the limit value ``count``
-    via a second-order expansion.
+    Reduced to the nearest-integer residue r, where the ratio of the two
+    sines is accurate to rounding for every r != 0; the removable
+    singularity r == 0 takes the limit value ``count``.
     """
     u = np.asarray(u, dtype=float)
     m = np.round(u)
     r = u - m
     sign = np.where((m.astype(np.int64) * (count - 1)) % 2 == 0, 1.0, -1.0)
-    small = np.abs(r) < 1e-7
-    den = np.where(small, 1.0, np.sin(np.pi * r))
-    ratio = np.where(small,
-                     count * (1.0 - (np.pi * r) ** 2 * (count ** 2 - 1) / 6.0),
-                     np.sin(count * np.pi * r) / den)
+    den = np.sin(np.pi * r)
+    ratio = np.divide(np.sin(count * np.pi * r), den,
+                      out=np.full(r.shape, float(count)), where=den != 0)
     return sign * ratio
 
 
-def evaluate_psi_time(x, params: PsiParams, tables: WindowTables | None = None):
+def evaluate_psi_time(x, params: PsiParams):
     """Time-domain values of the banded generator by the analytic route.
 
     Sums the inverse transforms of the individual blocks: a central window
     term plus, per depth j, an envelope ``g1_inv`` at the block scale, a
     carrier phase at the block center frequency, and the closed-form
-    geometric sum over the ``beta_j`` copies (Dirichlet ratio with a
-    removable-singularity guard).  The window ``g1`` is real, so each mirror
-    term is the complex conjugate of its direct term and the pair sums to
-    ``2 Re``; the values returned are real, for every x.
+    geometric sum over the ``beta_j`` copies (Dirichlet ratio).  The window
+    ``g1`` is real, so each mirror term is the complex conjugate of its
+    direct term and the pair sums to ``2 Re``; the values returned are real,
+    for every x.
     """
-    if tables is None:
-        tables = window_tables(params.alpha)
+    tables = window_tables(params.alpha)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -478,36 +473,13 @@ class PsiTimeEvaluator:
     given the block scalings.
     """
 
-    def __init__(self, params: PsiParams, tables: WindowTables | None = None):
+    def __init__(self, params: PsiParams):
         self.params = params
-        self.tables = tables if tables is not None else window_tables(params.alpha)
         self.max_frequency = params.n * (params.block_offsets[params.J + 1] - 1) + 0.5
         scales = [(1.0 - 2.0 ** (-params.alpha)) / 2.0]
         scales += [(2.0 ** params.alpha - 1.0) / 2.0 ** (j * params.alpha + 1)
                    for j in range(1, params.J + 1)]
-        self.valid_span = self.tables.x_max / max(scales)
-        self._abs_cache = {}
+        self.valid_span = TABLE_X_MAX / max(scales)
 
     def __call__(self, x):
-        return evaluate_psi_time(x, self.params, self.tables)
-
-    def abs_on_lattice(self, n_half, inv_dx):
-        """|values| on the symmetric lattice k/inv_dx, |k| <= n_half.
-
-        Cached so several probes over the same lattice share one evaluation
-        (a narrower request reuses a wider cached lattice).
-        """
-        for (cached_half, cached_inv), vals in self._abs_cache.items():
-            if cached_inv == inv_dx and cached_half >= n_half:
-                mid = cached_half
-                return vals[mid - n_half:mid + n_half + 1]
-        # f is even: evaluate k >= 0 only and mirror
-        xs = np.arange(n_half + 1) / inv_dx
-        half = np.empty(xs.size)
-        chunk = 1 << 19
-        for s in range(0, xs.size, chunk):
-            half[s:s + chunk] = np.abs(self(xs[s:s + chunk]))
-        vals = np.concatenate((half[:0:-1], half))
-        self._abs_cache.clear()
-        self._abs_cache[(n_half, inv_dx)] = vals
-        return vals
+        return evaluate_psi_time(x, self.params)

@@ -4,12 +4,12 @@ Divergence of an integral cannot be proven numerically.  The probes here
 compute windowed partial integrals W(T) over an increasing window list and
 classify the trend of the tail increments W(T_{i+1}) - W(T_i):
 
-* ``diverging``    -- increments non-decreasing (within ``rel_tol``) across
-                      the last three windows;
-* ``converging``   -- increments shrink monotonically (within ``rel_tol``),
-                      fall to at most half their initial size over the run,
-                      and the last increment is below ``rel_tol`` of the
-                      last partial;
+* ``diverging``    -- increments non-decreasing (within ``DEFAULT_REL_TOL``)
+                      across the last three windows;
+* ``converging``   -- increments shrink monotonically (within
+                      ``DEFAULT_REL_TOL``), fall to at most half their
+                      initial size over the run, and the last increment is
+                      below ``DEFAULT_REL_TOL`` of the last partial;
 * ``inconclusive`` -- anything else, including the deliberately
                       unclassified critical exponent (p = 2, weight 1).
 
@@ -34,6 +34,10 @@ DEFAULT_WINDOWS = (4.0, 8.0, 16.0, 32.0, 64.0)
 DEFAULT_REL_TOL = 0.05
 LATTICE_OVERSAMPLE = 8
 MIN_PROBE_WINDOWS = 4
+PROBE_CHUNK = 1 << 19        # lattice points evaluated at once by the analytic route
+BLOCK_QUAD_NODES = 2049      # per-block nodes of the frequency-norm quadrature
+POINTWISE_NODES = 4097       # per-block nodes of the scaled-sup search
+ENVELOPE_MIN_OFFSET = 2      # first unit interval fitted by the envelope exponent
 
 
 def truncation_depth_for_span(alpha, span):
@@ -47,12 +51,12 @@ def truncation_depth_for_span(alpha, span):
     return max(1, math.ceil(math.log2(need) / alpha))
 
 
-def check_windows(windows, min_count=1):
+def check_windows(windows):
     """``windows`` as floats; ValueError unless there are at least
-    ``min_count`` of them and they are finite, positive and strictly increasing."""
+    ``MIN_PROBE_WINDOWS`` of them and they are finite, positive and strictly increasing."""
     windows = [float(T) for T in windows]
-    if len(windows) < min_count:
-        raise ValueError(f"need at least {min_count} windows")
+    if len(windows) < MIN_PROBE_WINDOWS:
+        raise ValueError(f"need at least {MIN_PROBE_WINDOWS} windows")
     if not (all(0 < T < math.inf for T in windows)
             and all(b > a for a, b in zip(windows, windows[1:]))):
         raise ValueError("windows must be finite, positive and strictly increasing")
@@ -69,11 +73,18 @@ def _lattice_step(evaluator: PsiTimeEvaluator):
     return 1.0 / next_pow2(int(max(256, LATTICE_OVERSAMPLE * evaluator.max_frequency)))
 
 
-def _window_partials(source, p, w, windows):
-    """Trapezoid partials of |f(x)|**p (1+|x|)**w over |x| <= T per window."""
-    if p < 1:
+def _window_partials(source, exponents, windows):
+    """Trapezoid partials of |f(x)|**p (1+|x|)**w over |x| <= T.
+
+    One row per ``(p, w)`` in ``exponents``, one column per window (checked
+    by the caller).  The analytic route walks the half lattice
+    k = 0..round(T_max/dx) once, in pieces of at most ``PROBE_CHUNK`` points
+    that end at every window seam; each piece is evaluated once and adds its
+    trapezoid to the window segment it lies in.  f is even, so a partial is
+    twice its half-lattice trapezoid.  Returns ``(partials, route)``.
+    """
+    if any(p < 1 for p, _ in exponents):
         raise ValueError("p must be >= 1")
-    windows = check_windows(windows)
     source = _as_time_source(source)
     if isinstance(source, SampledSignal):
         dx = source.time_spacing
@@ -82,38 +93,29 @@ def _window_partials(source, p, w, windows):
                             f"{source.half_span}")
         values = np.abs(source.values)
         mid = source.grid.n_points // 2
-        route = "grid"
-    elif isinstance(source, PsiTimeEvaluator):
-        dx = _lattice_step(source)
-        if windows[-1] > source.valid_span:
-            raise GridError(f"window {windows[-1]} exceeds the analytic route's "
-                            f"table validity {source.valid_span}")
-        M = int(round(windows[-1] / dx))
-        values = source.abs_on_lattice(M, round(1.0 / dx))
-        mid = M
-        route = "analytic"
-    else:
+        xs_abs = np.abs(np.arange(values.size) - mid) * dx
+        ks = [min(int(round(T / dx)), mid) for T in windows]
+        partials = np.empty((len(exponents), len(windows)))
+        for row, (p, w) in enumerate(exponents):
+            integrand = values ** p * (1.0 + xs_abs) ** w
+            partials[row] = [np.trapezoid(integrand[mid - k:mid + k + 1], dx=dx) for k in ks]
+        return partials, "grid"
+    if not isinstance(source, PsiTimeEvaluator):
         raise TypeError("expected SampledSignal, PsiTimeEvaluator or PsiParams")
-
-    n_half = values.size - mid - 1 if route == "analytic" else mid
-    xs_abs = np.abs(np.arange(values.size) - mid) * dx
-    integrand = values ** p * (1.0 + xs_abs) ** w
-    partials = []
-    for T in windows:
-        k = int(round(T / dx))
-        k = min(k, n_half, mid)
-        partials.append(float(np.trapezoid(integrand[mid - k:mid + k + 1], dx=dx)))
-    return np.array(partials), route, dx
-
-
-def weighted_time_partial(source, p, w, T) -> float:
-    """integral over |x| <= T of |f(x)|**p (1+|x|)**w dx (trapezoid).
-
-    ``source`` is a sampled signal (grid route) or banded-generator
-    parameters / evaluator (analytic route).
-    """
-    partials, _, _ = _window_partials(source, p, w, [T])
-    return float(partials[0])
+    dx = _lattice_step(source)
+    if windows[-1] > source.valid_span:
+        raise GridError(f"window {windows[-1]} exceeds the analytic route's "
+                        f"table validity {source.valid_span}")
+    ks = [int(round(T / dx)) for T in windows]
+    segments = np.zeros((len(exponents), len(windows)))
+    stops = sorted({0, *ks, *range(0, ks[-1], PROBE_CHUNK)})
+    for a, b in zip(stops, stops[1:]):
+        xs = np.arange(a, b + 1) * dx
+        values = np.abs(source(xs))
+        seg = next(i for i, k in enumerate(ks) if k >= b)
+        for row, (p, w) in enumerate(exponents):
+            segments[row, seg] += np.trapezoid(values ** p * (1.0 + xs) ** w, dx=dx)
+    return 2.0 * np.cumsum(segments, axis=1), "analytic"
 
 
 @dataclass(frozen=True)
@@ -130,17 +132,17 @@ class GrowthVerdict:
     note: str | None = None
 
 
-def _classify(partials, rel_tol):
+def _classify(partials):
     inc = np.diff(partials)
     atol = 1e-12 * max(abs(partials[-1]), 1.0)
     tail = inc[-3:]
     if np.all(tail <= atol):
         return "converging", "tail increments vanish"
     ratios = tail[1:] / np.maximum(tail[:-1], atol)
-    diverging = inc[-1] > atol and np.all(ratios >= 1.0 - rel_tol)
+    diverging = inc[-1] > atol and np.all(ratios >= 1.0 - DEFAULT_REL_TOL)
     all_ratios = inc[1:] / np.maximum(inc[:-1], atol)
-    converging = (inc[-1] < rel_tol * partials[-1]
-                  and np.all(all_ratios <= 1.0 + rel_tol)
+    converging = (inc[-1] < DEFAULT_REL_TOL * partials[-1]
+                  and np.all(all_ratios <= 1.0 + DEFAULT_REL_TOL)
                   and inc[-1] <= 0.5 * inc[0])
     if diverging and not converging:
         return "diverging", None
@@ -149,28 +151,33 @@ def _classify(partials, rel_tol):
     return "inconclusive", None
 
 
-def divergence_probe(source, p, w, windows=DEFAULT_WINDOWS,
-                     rel_tol=DEFAULT_REL_TOL, kappa=None) -> GrowthVerdict:
-    """Classify the growth of the windowed weighted norm.
+def divergence_probes(source, exponents, windows):
+    """Classify the growth of the windowed weighted norm for each ``(p, w)``.
 
-    ``fitted_slope`` is the least-squares slope of W(T) against log T
-    (or against T**kappa when ``kappa`` is given).  At the critical
-    exponent (p = 2, w = 1) the verdict is pinned to ``inconclusive``:
-    the boundary case is deliberately not classified.
+    All exponents share one pass over the probe lattice (see
+    :func:`_window_partials`); returns one :class:`GrowthVerdict` per pair,
+    in order.  ``fitted_slope`` is the least-squares slope of W(T) against
+    log T.  At the critical exponent (p = 2, w = 1) the verdict is pinned to
+    ``inconclusive``: the boundary case is deliberately not classified.
     """
     windows = list(windows)
-    check_windows(windows, MIN_PROBE_WINDOWS)
-    partials, route, _ = _window_partials(source, p, w, windows)
-    abscissa = np.power(windows, kappa) if kappa is not None else np.log(windows)
-    slope = float(np.polyfit(abscissa, partials, 1)[0])
-    if p == 2 and w == 1.0:
-        verdict, note = "inconclusive", "critical exponent (p=2, weight 1): not classified"
-    else:
-        verdict, note = _classify(partials, rel_tol)
-    return GrowthVerdict(windows=tuple(windows), partials=tuple(partials),
-                         tail_increments=tuple(np.diff(partials)),
-                         fitted_slope=slope, verdict=verdict,
-                         rel_tol=rel_tol, route=route, note=note)
+    partials, route = _window_partials(source, exponents, check_windows(windows))
+    verdicts = []
+    for (p, w), row in zip(exponents, partials):
+        if p == 2 and w == 1.0:
+            verdict, note = "inconclusive", "critical exponent (p=2, weight 1): not classified"
+        else:
+            verdict, note = _classify(row)
+        verdicts.append(GrowthVerdict(
+            windows=tuple(windows), partials=tuple(row), tail_increments=tuple(np.diff(row)),
+            fitted_slope=float(np.polyfit(np.log(windows), row, 1)[0]), verdict=verdict,
+            rel_tol=DEFAULT_REL_TOL, route=route, note=note))
+    return tuple(verdicts)
+
+
+def divergence_probe(source, p, w, windows=DEFAULT_WINDOWS) -> GrowthVerdict:
+    """:func:`divergence_probes` for the single pair ``(p, w)``."""
+    return divergence_probes(source, [(p, w)], windows)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +205,7 @@ def _block_nodes(params: PsiParams, j, n_nodes):
     return u, np.abs(h(u, j, params.alpha))
 
 
-def psi_block_freq_contributions(params: PsiParams, q, delta, n_nodes=2049):
+def psi_block_freq_contributions(params: PsiParams, q, delta):
     """Per-depth contributions to the weighted frequency norm, analytically.
 
     Depth j contributes ``2 * beta_j**(-q/2) * sum_l integral |h_j|**q
@@ -209,12 +216,12 @@ def psi_block_freq_contributions(params: PsiParams, q, delta, n_nodes=2049):
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    u, shape = _block_nodes(params, 0, n_nodes)
+    u, shape = _block_nodes(params, 0, BLOCK_QUAD_NODES)
     central = float(np.trapezoid(shape ** q * (1 + np.abs(u)) ** delta, u))
     out = []
     counts, offsets = params.block_counts, params.block_offsets
     for j in range(1, params.J + 1):
-        u, shape = _block_nodes(params, j, n_nodes)
+        u, shape = _block_nodes(params, j, BLOCK_QUAD_NODES)
         shape_q = shape ** q
         centers = params.n * (offsets[j] + np.arange(counts[j]))
         weights = (1.0 + centers[:, None] + u[None, :]) ** delta
@@ -232,7 +239,7 @@ class PointwiseDecay:
     per_block_peaks: tuple   # ((j, peak), ...); empty for non-banded spectra
 
 
-def pointwise_freq_decay(f, s, n_nodes=4097) -> PointwiseDecay:
+def pointwise_freq_decay(f, s) -> PointwiseDecay:
     """Scaled sup of the spectrum magnitude.
 
     Accepts a sampled spectrum (sup over its grid, block peaks when the
@@ -240,12 +247,12 @@ def pointwise_freq_decay(f, s, n_nodes=4097) -> PointwiseDecay:
     (analytic local evaluation; any truncation depth is cheap).
     """
     if isinstance(f, PsiParams):
-        u, shape = _block_nodes(f, 0, n_nodes)
+        u, shape = _block_nodes(f, 0, POINTWISE_NODES)
         sup = float(np.max(shape * (1 + np.abs(u)) ** s))
         peaks = []
         counts, offsets = f.block_counts, f.block_offsets
         for j in range(1, f.J + 1):
-            u, shape = _block_nodes(f, j, n_nodes)
+            u, shape = _block_nodes(f, j, POINTWISE_NODES)
             shape = shape * counts[j] ** -0.5
             # the weight is monotone in the copy center: the extreme copies bound all
             peak = 0.0
@@ -274,11 +281,11 @@ def pointwise_freq_decay(f, s, n_nodes=4097) -> PointwiseDecay:
     return PointwiseDecay(s=s, sup_value=sup, per_block_peaks=tuple(peaks))
 
 
-def spectrum_envelope_exponent(f: SampledSpectrum, min_offset=2):
+def spectrum_envelope_exponent(f: SampledSpectrum):
     """Fitted decay exponent of per-unit-interval peaks of |f| (log-log slope)."""
     mags = np.abs(f.values).reshape(2 * f.grid.half_range, f.grid.samples_per_unit)
     offsets = np.arange(2 * f.grid.half_range) - f.grid.half_range
-    keep = offsets >= min_offset
+    keep = offsets >= ENVELOPE_MIN_OFFSET
     peaks = mags[keep].max(axis=1)
     centers = offsets[keep] + 0.5
     good = peaks > 0

@@ -17,12 +17,13 @@ from .generators import (GeneratorSpec, PsiTimeEvaluator, auto_grid,
                          build_bspline, build_psi_spectrum, build_sinc)
 from .grid import FrequencyGrid, make_grid, to_time_domain
 from .localization import (DEFAULT_WINDOWS, FeasibilityGate, divergence_probe,
-                           feasibility_gates, pointwise_freq_decay,
+                           divergence_probes, feasibility_gates, pointwise_freq_decay,
                            psi_block_freq_contributions,
                            spectrum_envelope_exponent,
                            truncation_depth_for_span)
 from .report import read_spectrum_csv
-from .spectral import (InvarianceGroup, gram_coefficients, n_invariance_report,
+from .spectral import (MAGNITUDE_THRESHOLD, RIESZ_THRESHOLD, InvarianceGroup,
+                       gram_coefficients, n_invariance_report,
                        orthonormality_defect, periodization,
                        translation_invariance_defect)
 
@@ -90,8 +91,8 @@ class RunContext:
     """One generator on one grid with typed analysis parameters.
 
     Each intermediate is built on first use and kept: a psi run whose
-    analyses never read the spectrum never builds it, and the probes share
-    one analytic evaluator (and so one sampled lattice).
+    analyses never read the spectrum never builds it, and the decay probes
+    share one pass over the probe lattice.
     """
 
     def __init__(self, spec: GeneratorSpec, grid, parameters):
@@ -155,18 +156,15 @@ class RunContext:
         depth = truncation_depth_for_span(self.psi.alpha, max(self.windows))
         return PsiTimeEvaluator(replace(self.psi, J=max(self.psi.J, depth)))
 
-    def verdict(self, p, w, windows=None):
-        windows = tuple(self.windows if windows is None else windows)
-        return self._once(("probe", p, w, windows),
-                          lambda: divergence_probe(self.time_source, p, w, list(windows)))
-
+    @cached_property
     def decay_verdicts(self):
         """The L^1 trend, plus the ``|x|^{1 +- eps}`` second-moment pair for psi."""
-        out = {"integrability": self.verdict(1, 0.0)}
+        names, exponents = ["integrability"], [(1, 0.0)]
         if self.psi:
-            out["second_moment_heavy"] = self.verdict(2, 1.0 + self.params["eps"])
-            out["second_moment_light"] = self.verdict(2, 1.0 - self.params["eps"])
-        return out
+            eps = self.params["eps"]
+            names += ["second_moment_heavy", "second_moment_light"]
+            exponents += [(2, 1.0 + eps), (2, 1.0 - eps)]
+        return dict(zip(names, divergence_probes(self.time_source, exponents, self.windows)))
 
     def pointwise(self, s):
         return self._once(("pointwise", s),
@@ -198,19 +196,19 @@ def _translation_summary(ctx):
 
 def periodization_section(ctx):
     ks, coeffs = gram_coefficients(ctx.profile, ctx.params["K"])
-    return {**_profile_summary(ctx), "riesz_threshold": 1e-6,
+    return {**_profile_summary(ctx), "riesz_threshold": RIESZ_THRESHOLD,
             "gram": {str(int(k)): [float(c.real), float(c.imag)] for k, c in zip(ks, coeffs)}}
 
 
 def invariance_section(ctx):
     return {**_translation_summary(ctx), "invariance_group": ctx.group.describe(),
-            "magnitude_threshold": 1e-12}
+            "magnitude_threshold": MAGNITUDE_THRESHOLD}
 
 
 def decay_section(ctx):
     block = {"probe_truncation": ctx.time_source.params.J} if ctx.psi else {}
     block["windows"] = ctx.windows
-    block.update((name, asdict(v)) for name, v in ctx.decay_verdicts().items())
+    block.update((name, asdict(v)) for name, v in ctx.decay_verdicts.items())
     return block
 
 
@@ -260,7 +258,7 @@ def _suite(ctx, sizing):
             ts = [t0 * (span / t0) ** (i / 3.0) for i in range(4)]
         else:
             ts = [span / 64, span / 32, span / 16, span / 8, span / 4]
-        time_section = {"integrability": asdict(ctx.verdict(1, 0.0, ts))}
+        time_section = {"integrability": asdict(divergence_probe(ctx.time_source, 1, 0.0, ts))}
     time_section["checks"] = ("a diverging integrability trend witnesses the non-integrability "
                               "forced by full translation invariance; the 1 +- eps pair "
                               "brackets the second-moment obstruction of refined invariance")
@@ -320,5 +318,6 @@ def compare_row(ctx):
     return ([ctx.spectrum.label, prof.m, prof.M, orthonormality_defect(prof),
              ctx.group.describe()]
             + list(_per_n(ctx, ctx.params["n_max"]).values())
-            + [ctx.verdict(1, 0.0).verdict, ctx.pointwise(ctx.params["s"]).sup_value,
+            + [divergence_probe(ctx.time_source, 1, 0.0, ctx.windows).verdict,
+               ctx.pointwise(ctx.params["s"]).sup_value,
                str(feasibility_gates(ctx.gate).freq_lq_ok) if ctx.psi else ""])

@@ -61,9 +61,10 @@ def dumps_deterministic(obj, indent=0):
 
 
 def write_report(path, obj):
+    # rendered before the file is opened: a value that cannot be written leaves no file
+    text = dumps_deterministic(obj) + "\n"
     with open(path, "w") as fh:
-        fh.write(dumps_deterministic(obj))
-        fh.write("\n")
+        fh.write(text)
 
 
 def _write_csv(path, header, rows):
@@ -119,8 +120,13 @@ def read_spectrum_csv(path, grid: FrequencyGrid | None = None,
     """Re-ingest a spectrum written by :func:`write_spectrum_csv`.
 
     The grid is reconstructed from the sample positions unless given.
+    ValueError unless there are at least two rows, all of them finite.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3), ndmin=2)
+    if data.shape[0] < 2:
+        raise ValueError(f"{path} holds {data.shape[0]} samples; need at least 2")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path} holds non-finite samples")
     xi, re, im = data[:, 0], data[:, 1], data[:, 2]
     if grid is None:
         spacing = xi[1] - xi[0]

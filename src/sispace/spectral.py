@@ -5,9 +5,9 @@ spectrum: the grid is shift-aligned, so collecting the samples of
 ``|f(xi + k)|**2`` over integer k is an exact reshape, never quadrature.
 
 Almost-everywhere statements become per-grid-point checks with a magnitude
-threshold (default 1e-12) and documented exclusions: builders declare the
-residues where a finite truncation or an endpoint convention leaves a
-measure-zero artifact, and the min/max/defect statistics skip them.
+threshold (``MAGNITUDE_THRESHOLD``) and documented exclusions: builders
+declare the residues where a finite truncation or an endpoint convention
+leaves a measure-zero artifact, and the min/max/defect statistics skip them.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import numpy as np
 from .grid import GridError, SampledSpectrum
 
 MAGNITUDE_THRESHOLD = 1e-12
+RIESZ_THRESHOLD = 1e-6       # lower Riesz bound m above which a generator is stable
+DEFECT_TOLERANCE = 1e-12     # translation defect at or below which R-invariance is a candidate
 
 
 def _folded(f: SampledSpectrum):
@@ -91,13 +93,9 @@ def periodization(f: SampledSpectrum) -> PeriodizationProfile:
     )
 
 
-def riesz_bounds(profile: PeriodizationProfile):
-    """(m, M) over non-excluded residues; see :func:`is_riesz_generator` for the verdict."""
-    return profile.m, profile.M
-
-
-def is_riesz_generator(profile: PeriodizationProfile, threshold=1e-6) -> bool:
-    return profile.m > threshold
+def is_riesz_generator(profile: PeriodizationProfile) -> bool:
+    """Lower Riesz bound ``m`` (over non-excluded residues) above ``RIESZ_THRESHOLD``."""
+    return profile.m > RIESZ_THRESHOLD
 
 
 def orthonormality_defect(profile: PeriodizationProfile) -> float:
@@ -125,7 +123,7 @@ def gram_coefficients(f, K: int):
     return ks, phases @ g / S
 
 
-def translation_invariance_defect(f: SampledSpectrum, threshold=MAGNITUDE_THRESHOLD):
+def translation_invariance_defect(f: SampledSpectrum):
     """Largest product of two spectrum magnitudes one integer apart or more.
 
     Zero (below threshold) at every residue is the grid form of the
@@ -140,7 +138,7 @@ def translation_invariance_defect(f: SampledSpectrum, threshold=MAGNITUDE_THRESH
     products[_excluded_mask(f)] = 0.0
     i = int(np.argmax(products))
     defect = float(products[i])
-    witness = i / S if defect > threshold ** 2 else None
+    witness = i / S if defect > MAGNITUDE_THRESHOLD ** 2 else None
     return defect, witness
 
 
@@ -152,14 +150,10 @@ class InvarianceReport:
     active_counts: np.ndarray
     violation_fraction: float
     passed: bool
-    threshold: float
-    tolerance: float
     excluded: np.ndarray = field(repr=False, default=None)
 
 
-def n_invariance_report(f: SampledSpectrum, n: int,
-                        threshold=MAGNITUDE_THRESHOLD,
-                        tolerance=0.0) -> InvarianceReport:
+def n_invariance_report(f: SampledSpectrum, n: int) -> InvarianceReport:
     """Check the refinement criterion for translates by 1/n.
 
     For each residue xi the integer offsets split into n classes mod n; the
@@ -180,16 +174,14 @@ def n_invariance_report(f: SampledSpectrum, n: int,
     class_norms = np.empty((n, S))
     for m in range(n):
         class_norms[m] = sq[classes == m].sum(axis=0)
-    counts = (class_norms > threshold).sum(axis=0)
+    counts = (class_norms > MAGNITUDE_THRESHOLD).sum(axis=0)
     total = class_norms.sum(axis=0)
-    violating = (counts >= 2) | ((counts == 0) & (total > threshold))
+    violating = (counts >= 2) | ((counts == 0) & (total > MAGNITUDE_THRESHOLD))
     excluded = _excluded_mask(f)
     kept = ~excluded
     fraction = float(violating[kept].mean()) if kept.any() else 0.0
     return InvarianceReport(n=n, active_counts=counts,
-                            violation_fraction=fraction,
-                            passed=fraction <= tolerance,
-                            threshold=threshold, tolerance=tolerance,
+                            violation_fraction=fraction, passed=fraction == 0.0,
                             excluded=excluded)
 
 
@@ -203,14 +195,14 @@ class InvarianceGroup:
     maximal_n: int | None
 
     @classmethod
-    def classify(cls, translation_defect, passing_n, defect_tolerance=1e-12):
+    def classify(cls, translation_defect, passing_n):
         """Classify from the translation defect and the refinements n that pass.
 
         A passing translation criterion reports only a candidate: full
         invariance cannot be certified on a grid.  ``passing_n`` is read
         only when that criterion fails, so it may be a lazy iterable.
         """
-        if translation_defect <= defect_tolerance:
+        if translation_defect <= DEFECT_TOLERANCE:
             return cls("R-candidate", translation_defect, (), None)
         passing = tuple(passing_n)
         return cls("fractional" if passing else "integer", translation_defect, passing,
@@ -224,14 +216,11 @@ class InvarianceGroup:
         return "Z"
 
 
-def detect_invariance_group(f: SampledSpectrum, n_max: int,
-                            threshold=MAGNITUDE_THRESHOLD,
-                            defect_tolerance=1e-12) -> InvarianceGroup:
+def detect_invariance_group(f: SampledSpectrum, n_max: int) -> InvarianceGroup:
     """Classify the invariance group of ``f`` with refinements n <= n_max
     (see :meth:`InvarianceGroup.classify`)."""
     if n_max > f.grid.half_range / 2:
         raise GridError(f"n_max = {n_max} too large for half_range {f.grid.half_range}")
-    defect, _ = translation_invariance_defect(f, threshold)
-    passing = (n for n in range(2, n_max + 1)
-               if n_invariance_report(f, n, threshold).passed)
-    return InvarianceGroup.classify(defect, passing, defect_tolerance)
+    defect, _ = translation_invariance_defect(f)
+    passing = (n for n in range(2, n_max + 1) if n_invariance_report(f, n).passed)
+    return InvarianceGroup.classify(defect, passing)

@@ -16,8 +16,8 @@ from sispace import (GeneratorSpec, PsiParams, auto_grid, build_bspline,
 from sispace.bumps import partition_defect, smooth_step
 from sispace.cli import main as cli_main
 from sispace.localization import (FeasibilityGate, divergence_probe,
-                                  feasibility_gates, pointwise_freq_decay,
-                                  psi_block_freq_contributions,
+                                  divergence_probes, feasibility_gates,
+                                  pointwise_freq_decay, psi_block_freq_contributions,
                                   truncation_depth_for_span)
 from sispace.spectral import (gram_coefficients, n_invariance_report,
                               orthonormality_defect, periodization,
@@ -117,8 +117,7 @@ def test_c07_second_moment_pair():
     windows = [4, 8, 16, 32, 64]
     depth = truncation_depth_for_span(1.0, max(windows))
     evaluator = PsiTimeEvaluator(PsiParams(1.0, 2.0, 2, depth))
-    heavy = divergence_probe(evaluator, 2, 1.5, windows)
-    light = divergence_probe(evaluator, 2, 0.5, windows)
+    heavy, light = divergence_probes(evaluator, [(2, 1.5), (2, 0.5)], windows)
     report_line(7, "second-moment divergence/convergence pair", 120.0, t0,
                 heavy.verdict == "diverging" and light.verdict == "converging",
                 f"w=1.5:{heavy.verdict} w=0.5:{light.verdict} (depth {depth})")

@@ -230,6 +230,30 @@ def test_analyze_suite_matches_library_suite(tmp_path):
     assert report["analyses"]["suite"]["time_localization"]["probe_truncation"] == 4
 
 
+def test_decay_and_suite_evaluate_the_probe_lattice_once(tmp_path, monkeypatch):
+    from sispace import generators, localization
+    points = []
+    evaluate = generators.evaluate_psi_time
+
+    def counting_evaluate(x, params):
+        points.append(np.size(x))
+        return evaluate(x, params)
+
+    monkeypatch.setattr(generators, "evaluate_psi_time", counting_evaluate)
+    windows = [2, 4, 8, 16]
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
+        "analyses": ["decay", "suite"],
+        "parameters": {"windows": windows},
+    })
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    depth = localization.truncation_depth_for_span(1.0, windows[-1])
+    probe = generators.PsiTimeEvaluator(generators.PsiParams(1.0, 2.0, 2, depth))
+    M = round(windows[-1] / localization._lattice_step(probe))
+    seams = len(windows) - 1 + M // localization.PROBE_CHUNK
+    assert M + 1 <= sum(points) <= M + 1 + seams
+
+
 def test_analyze_decay_builds_one_evaluator(tmp_path, monkeypatch):
     from sispace.generators import PsiTimeEvaluator
     built = []
@@ -272,4 +296,30 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error:") and message in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("corrupt", ["one row", "nan", "inf"])
+def test_malformed_custom_spectrum_exits_3_with_one_line(tmp_path, capsys, corrupt):
+    from sispace.generators import build_sinc
+    from sispace.grid import make_grid
+    from sispace.report import write_spectrum_csv
+    path = tmp_path / "spectrum.csv"
+    write_spectrum_csv(path, build_sinc(make_grid(32, 2)))
+    lines = path.read_text().splitlines()
+    if corrupt == "one row":
+        lines = lines[:2]
+    else:
+        index, xi, _, im = lines[5].split(",")
+        lines[5] = ",".join((index, xi, corrupt, im))
+    path.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "custom", "path": str(path)},
+        "analyses": ["periodization", "invariance"],
+    })
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numeric precondition violated:")
     assert not out.exists()

@@ -213,11 +213,16 @@ def test_dirichlet_at_integers_gives_count():
         assert_allclose(full, count, rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("count", [2, 5, 16])
+@pytest.mark.parametrize("count", [2, 5, 16, 4096])
 def test_dirichlet_matches_direct_geometric_sum(count, rng):
     u = rng.uniform(-20, 20, 300)
     u = u[np.abs(u - np.round(u)) > 1e-3]
-    direct = np.abs(np.exp(2j * np.pi * np.outer(u, np.arange(count))).sum(axis=1))
+    # near-integer residues, where the ratio of the two sines is smallest
+    near = np.logspace(-9, -6, 16) * rng.choice([-1.0, 1.0], 16)
+    u = np.concatenate((u, rng.integers(-20, 21, 16) + near))
+    # phase u*k in turns with its integer part round(u)*k dropped exactly
+    phase = np.mod(np.outer(u - np.round(u), np.arange(count)), 1.0)
+    direct = np.abs(np.exp(2j * np.pi * phase).sum(axis=1))
     assert np.max(np.abs(np.abs(dirichlet_ratio(u, count)) - direct)) < 1e-9
 
 
@@ -280,15 +285,6 @@ def test_evaluate_real_and_even(psi_small, rng):
     vals = evaluate_psi_time(xs, params)
     assert vals.dtype == np.float64
     assert np.max(np.abs(evaluate_psi_time(-xs, params) - vals)) < 1e-13
-
-
-def test_abs_on_lattice_matches_full_symmetric_lattice(psi_small):
-    params, _, _ = psi_small
-    n_half, inv_dx = 3000, 128
-    direct = np.abs(evaluate_psi_time(np.arange(-n_half, n_half + 1) / inv_dx, params))
-    lattice = PsiTimeEvaluator(params).abs_on_lattice(n_half, inv_dx)
-    assert lattice.shape == direct.shape
-    assert np.max(np.abs(lattice - direct)) < 1e-13
 
 
 def test_evaluate_scalar_input(psi_small):

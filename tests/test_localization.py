@@ -1,15 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sispace.generators import GeneratorSpec, PsiParams
+from sispace import localization
+from sispace.generators import (GeneratorSpec, PsiParams, PsiTimeEvaluator,
+                                evaluate_psi_time)
 from sispace.grid import GridError, make_grid, to_time_domain
 from sispace.localization import (FeasibilityGate, divergence_probe,
-                                  feasibility_gates, pointwise_freq_decay,
+                                  divergence_probes, feasibility_gates,
+                                  pointwise_freq_decay,
                                   psi_block_freq_contributions,
                                   spectrum_envelope_exponent,
                                   truncation_depth_for_span,
-                                  weighted_freq_norm, weighted_time_partial)
+                                  weighted_freq_norm)
 from sispace.pipeline import run_witness_suite
 
 LOG2_INCREMENT = 4 / np.pi ** 2 * np.log(2)  # per-doubling growth of the sinc tail
@@ -21,34 +26,34 @@ def sinc_tail_quadrature(a, b):
     return np.trapezoid(np.abs(np.sinc(xs)), xs)
 
 
-# ------------------------------------------------------- weighted time partial
+# ---------------------------------------------------------- windowed partials
 
 def test_compact_support_partial_constant_in_T(bspline1):
     sig, _ = bspline1
-    vals = [weighted_time_partial(sig, 2, 3.0, T) for T in (4, 8, 16, 32)]
+    vals = divergence_probe(sig, 2, 3.0, [4, 8, 16, 32]).partials
     assert_allclose(vals, vals[0], rtol=0, atol=1e-15)
 
 
 def test_bspline1_squared_mass_closed_form(bspline1):
     # integral over [0, 2] of the hat squared is exactly 2/3
     sig, _ = bspline1
-    assert abs(weighted_time_partial(sig, 2, 0.0, 2.0) - 2.0 / 3.0) < 1e-6
+    mass = divergence_probe(sig, 2, 0.0, [0.5, 1.0, 1.5, 2.0]).partials[-1]
+    assert abs(mass - 2.0 / 3.0) < 1e-6
 
 
 def test_partial_monotone_in_T_and_w(sinc_spectrum):
     sig = to_time_domain(sinc_spectrum)
     ts = [2.0, 4.0, 8.0, 16.0]
-    partials = [weighted_time_partial(sig, 2, 0.0, T) for T in ts]
+    partials = divergence_probe(sig, 2, 0.0, ts).partials
     assert all(b >= a for a, b in zip(partials, partials[1:]))
-    low = weighted_time_partial(sig, 2, 0.25, 8.0)
-    high = weighted_time_partial(sig, 2, 0.75, 8.0)
-    assert high >= low
+    low, high = divergence_probes(sig, [(2, 0.25), (2, 0.75)], [1.0, 2.0, 4.0, 8.0])
+    assert high.partials[-1] >= low.partials[-1]
 
 
 def test_partial_rejects_T_beyond_span(bspline1):
     sig, _ = bspline1
     with pytest.raises(GridError):
-        weighted_time_partial(sig, 1, 0.0, sig.half_span + 1)
+        divergence_probe(sig, 1, 0.0, [1, 2, 3, sig.half_span + 1])
 
 
 def test_partial_agrees_between_routes(psi_small):
@@ -56,10 +61,50 @@ def test_partial_agrees_between_routes(psi_small):
     # than the analytic lattice, so agreement is at quadrature accuracy
     params, _, spec = psi_small
     sig = to_time_domain(spec)
-    for w in (0.0, 1.0):
-        grid_route = weighted_time_partial(sig, 2, w, 8.0)
-        analytic = weighted_time_partial(params, 2, w, 8.0)
-        assert abs(grid_route - analytic) / grid_route < 1e-3
+    exponents, windows = [(2, 0.0), (2, 1.0)], [1.0, 2.0, 4.0, 8.0]
+    for grid_route, analytic in zip(divergence_probes(sig, exponents, windows),
+                                    divergence_probes(params, exponents, windows)):
+        grid_partial, analytic_partial = grid_route.partials[-1], analytic.partials[-1]
+        assert abs(grid_partial - analytic_partial) / grid_partial < 1e-3
+
+
+def test_streamed_partials_match_symmetric_lattice(psi_small, monkeypatch):
+    # 1000-point chunks put a chunk seam inside every window segment
+    monkeypatch.setattr(localization, "PROBE_CHUNK", 1000)
+    params, _, _ = psi_small
+    evaluator = PsiTimeEvaluator(params)
+    windows = [1.0, 2.0, 3.0, 4.0]
+    exponents = [(1, 0.0), (2, 1.5), (2, 0.5)]
+    verdicts = divergence_probes(evaluator, exponents, windows)
+    dx = localization._lattice_step(evaluator)
+    M = round(windows[-1] / dx)
+    assert M > 4 * 1000
+    xs = np.arange(-M, M + 1) * dx
+    values = np.abs(evaluate_psi_time(xs, params))
+    for (p, w), verdict in zip(exponents, verdicts):
+        integrand = values ** p * (1.0 + np.abs(xs)) ** w
+        for T, partial in zip(windows, verdict.partials):
+            k = round(T / dx)
+            reference = np.trapezoid(integrand[M - k:M + k + 1], dx=dx)
+            assert abs(partial - reference) <= 1e-12 * reference
+
+
+def test_probe_memory_does_not_grow_with_the_lattice(psi_small, monkeypatch):
+    monkeypatch.setattr(localization, "PROBE_CHUNK", 1 << 12)
+    evaluator = PsiTimeEvaluator(psi_small[0])
+    exponents = [(1, 0.0), (2, 1.5), (2, 0.5)]
+
+    def traced_peak(windows):
+        tracemalloc.start()
+        try:
+            divergence_probes(evaluator, exponents, windows)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak([2, 4, 8, 16])   # window tables and first-call allocations
+    base = traced_peak([2, 4, 8, 16])
+    assert traced_peak([2, 4, 8, 32]) < 1.1 * base
 
 
 # ------------------------------------------------------------ divergence probe
@@ -114,8 +159,7 @@ def test_psi_probe_pair_verdicts():
     # (the 1 +- 0.5 pair at full windows runs in the acceptance suite)
     depth = truncation_depth_for_span(1.0, 32.0)
     params = PsiParams(1.0, 2.0, 2, depth)
-    heavy = divergence_probe(params, 2, 1.75, [4, 8, 16, 32])
-    light = divergence_probe(params, 2, 0.25, [4, 8, 16, 32])
+    heavy, light = divergence_probes(params, [(2, 1.75), (2, 0.25)], [4, 8, 16, 32])
     assert heavy.verdict == "diverging"
     assert light.verdict == "converging"
     assert heavy.route == "analytic" and light.route == "analytic"
