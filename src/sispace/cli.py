@@ -4,7 +4,7 @@ The CLI reads and validates the config (:class:`RunConfig`), then hands a
 :class:`~sispace.pipeline.RunContext` to the analysis pipeline in
 :mod:`sispace.pipeline`: ``analyze`` runs the named sections, ``compare``
 projects one context per generator into a ``compare.csv`` row, and
-``construct`` uses the same :func:`~sispace.pipeline.build`.
+``construct`` writes the spectrum and signal of one context.
 
 Exit codes: 0 success, 2 config error, 3 numeric precondition violation
 (e.g. grid too small), 4 I/O failure.  ``analyze`` writes a deterministic
@@ -26,10 +26,10 @@ from pathlib import Path
 
 from . import __version__
 from .generators import GeneratorSpec
-from .grid import GridError, to_time_domain
+from .grid import GridError
 from .localization import check_windows
 from .pipeline import (DEFAULT_PARAMETERS, SECTIONS, ConfigError, RunContext,
-                       build, compare_header, compare_row, load_json)
+                       compare_header, compare_row, grid_block, load_json)
 from .report import (write_compare_csv, write_periodization_csv, write_report,
                      write_signal_csv, write_spectrum_csv, write_windows_csv)
 
@@ -93,22 +93,15 @@ class RunConfig:
                 "formats": list(self.formats)}
 
 
-def _grid_block(grid, sizing):
-    return {"samples_per_unit": grid.samples_per_unit, "half_range": grid.half_range,
-            "n_points": grid.n_points, "spacing": grid.spacing,
-            "time_spacing": grid.time_spacing, "sizing": sizing}
-
-
 def cmd_construct(cfg: RunConfig):
-    grid, spectrum, signal, sizing = build(cfg.spec, cfg.grid_spec)
-    if signal is None:
-        signal = to_time_domain(spectrum)
+    ctx = RunContext(cfg.spec, cfg.grid_spec, cfg.parameters)
+    spectrum, signal = ctx.spectrum, ctx.signal
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
     write_spectrum_csv(out / "spectrum.csv", spectrum)
     write_signal_csv(out / "signal.csv", signal)
     meta = {"generator": cfg.spec.to_json(), "version": __version__,
-            "grid": _grid_block(grid, sizing), "label": spectrum.label,
+            "grid": grid_block(ctx), "label": spectrum.label,
             "hermitian": spectrum.hermitian, "spectrum_meta": spectrum.meta}
     if cfg.spec.kind == "psi":
         p = cfg.spec.psi
@@ -133,7 +126,7 @@ def cmd_analyze(cfg: RunConfig):
     out.mkdir(parents=True, exist_ok=True)
     if "json" in cfg.formats:
         write_report(out / "report.json", {"config": cfg.echo(), "version": __version__,
-                                           "grid": _grid_block(ctx.grid, ctx.sizing),
+                                           "grid": grid_block(ctx),
                                            "analyses": analyses})
     if "csv" in cfg.formats:
         if "periodization" in analyses:
@@ -164,39 +157,48 @@ def cmd_compare(cfgs, out_dir, n_max=4):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a config error, not a usage exit."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _parser():
-    p = argparse.ArgumentParser(prog="sispace",
-                                description="construct and analyze generators of "
-                                            "principal shift-invariant spaces")
+    p = _Parser(prog="sispace",
+                description="construct and analyze generators of "
+                            "principal shift-invariant spaces")
     p.add_argument("--version", action="version", version=f"sispace {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("construct", "analyze", "compare"):
-        sp = sub.add_parser(name)
+    parsers = {name: sub.add_parser(name) for name in ("construct", "analyze", "compare")}
+    for sp in parsers.values():
         sp.add_argument("--config", action="append", default=[],
                         help="config JSON file (repeatable for compare)")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--format", default=None, help="comma list: json,csv")
         sp.add_argument("--grid", default=None, help="S,Xi or auto")
-        sp.add_argument("--n-max", type=int, default=None, dest="n_max")
-        sp.add_argument("--eps", type=float, default=None)
-        sp.add_argument("--windows", default=None, help="comma list of window sizes")
-        sp.add_argument("--analyses", default=None, help="comma list of analyses")
         sp.add_argument("configs", nargs="*", help="config JSON files (positional)")
+    for name in ("analyze", "compare"):
+        parsers[name].add_argument("--n-max", type=int, default=None, dest="n_max")
+    analyze = parsers["analyze"]
+    analyze.add_argument("--format", default=None, help="comma list: json,csv")
+    analyze.add_argument("--eps", type=float, default=None)
+    analyze.add_argument("--windows", default=None, help="comma list of window sizes")
+    analyze.add_argument("--analyses", default=None, help="comma list of analyses")
     return p
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         paths = list(args.config) + list(args.configs)
         if not paths:
             raise ConfigError("no config given (use --config FILE.json)")
-        overrides = {key: getattr(args, key) for key in ("out", "grid", "eps", "n_max")}
-        overrides.update({
-            "formats": args.format.split(",") if args.format else None,
-            "windows": args.windows.split(",") if args.windows else None,
-            "analyses": args.analyses.split(",") if args.analyses else None,
-        })
+        # a subcommand's namespace holds only the flags it takes
+        overrides = {key: getattr(args, key, None) for key in ("out", "grid", "eps", "n_max")}
+        for key, flag in (("formats", "format"), ("windows", "windows"),
+                          ("analyses", "analyses")):
+            if getattr(args, flag, None):
+                overrides[key] = getattr(args, flag).split(",")
         cfgs = [RunConfig(load_json(p), overrides) for p in paths]
         if args.command == "construct":
             return cmd_construct(cfgs[0])

@@ -2,8 +2,9 @@
 
 :func:`build` is the only builder dispatch.  A :class:`RunContext` computes
 each intermediate of one generator on one grid lazily and at most once;
-``SECTIONS`` maps each analysis name to a function ``ctx -> dict``, and
-:func:`run_witness_suite` and :func:`compare_row` project the same context.
+``SECTIONS`` maps each analysis name to a function ``ctx -> dict``; the
+``suite`` section (also :func:`run_witness_suite`) runs all the others, and
+:func:`compare_row` projects the same context into one CSV row.
 """
 
 from __future__ import annotations
@@ -63,28 +64,25 @@ def resolve_grid(spec: GeneratorSpec, grid):
     return make_grid(S, Xi), {"rule": "explicit"}
 
 
-def build(spec: GeneratorSpec, grid="auto"):
-    """``(grid, spectrum, signal, sizing)``; ``signal`` is None unless the
-    builder samples it exactly (B-splines).  A custom spectrum is read from
-    its CSV with the ``meta.json`` sidecar next to it, when present."""
-    grid, sizing = resolve_grid(spec, grid)
-    signal = None
+def build(spec: GeneratorSpec, grid):
+    """``(spectrum, signal)`` on a grid from :func:`resolve_grid`; ``signal`` is
+    None unless the builder samples it exactly (B-splines).  A custom spectrum
+    is read from its CSV with the ``meta.json`` sidecar next to it, when
+    present, on its own grid when ``grid`` is None."""
     if spec.kind == "custom":
         meta_path = Path(spec.path).with_name("meta.json")
         meta = load_json(meta_path) if meta_path.exists() else {}
         try:
-            spectrum = read_spectrum_csv(spec.path, grid=grid,
-                                         meta=meta.get("spectrum_meta", meta))
+            return read_spectrum_csv(spec.path, grid=grid,
+                                     meta=meta.get("spectrum_meta", meta)), None
         except OSError as e:
             raise ConfigError(f"cannot read custom spectrum: {e}") from e
-        grid = spectrum.grid
-    elif spec.kind == "sinc":
-        spectrum = build_sinc(grid)
-    elif spec.kind == "bspline":
+    if spec.kind == "sinc":
+        return build_sinc(grid), None
+    if spec.kind == "bspline":
         signal, spectrum = build_bspline(spec.degree, grid)
-    else:
-        spectrum = build_psi_spectrum(spec.psi, grid)
-    return grid, spectrum, signal, sizing
+        return spectrum, signal
+    return build_psi_spectrum(spec.psi, grid), None
 
 
 class RunContext:
@@ -111,15 +109,15 @@ class RunContext:
 
     @cached_property
     def _built(self):
-        return build(self.spec, self.grid or "auto")
+        return build(self.spec, self.grid)
 
     @property
     def spectrum(self):
-        return self._built[1]
+        return self._built[0]
 
     @cached_property
     def signal(self):
-        return self._built[2] if self._built[2] is not None else to_time_domain(self.spectrum)
+        return self._built[1] if self._built[1] is not None else to_time_domain(self.spectrum)
 
     @cached_property
     def profile(self):
@@ -177,10 +175,11 @@ class RunContext:
                                delta=pars["delta"], p=pars["p"], q=pars["q"], epsilon=pars["eps"])
 
 
-def _profile_summary(ctx):
-    prof = ctx.profile
-    return {"m": prof.m, "M": prof.M, "orthonormality_defect": orthonormality_defect(prof),
-            "excluded_band": list(prof.excluded_band) if prof.excluded_band else None}
+def grid_block(ctx):
+    grid = ctx.grid
+    return {"samples_per_unit": grid.samples_per_unit, "half_range": grid.half_range,
+            "n_points": grid.n_points, "spacing": grid.spacing,
+            "time_spacing": grid.time_spacing, "sizing": ctx.sizing}
 
 
 def _per_n(ctx, n_last):
@@ -188,20 +187,19 @@ def _per_n(ctx, n_last):
             for n in range(2, n_last + 1)}
 
 
-def _translation_summary(ctx):
-    defect, witness = ctx.translation
-    return {"translation_defect": defect, "translation_witness": witness,
-            "per_n": _per_n(ctx, ctx.n_cap)}
-
-
 def periodization_section(ctx):
-    ks, coeffs = gram_coefficients(ctx.profile, ctx.params["K"])
-    return {**_profile_summary(ctx), "riesz_threshold": RIESZ_THRESHOLD,
+    prof = ctx.profile
+    ks, coeffs = gram_coefficients(prof, ctx.params["K"])
+    return {"m": prof.m, "M": prof.M, "orthonormality_defect": orthonormality_defect(prof),
+            "excluded_band": list(prof.excluded_band) if prof.excluded_band else None,
+            "riesz_threshold": RIESZ_THRESHOLD,
             "gram": {str(int(k)): [float(c.real), float(c.imag)] for k, c in zip(ks, coeffs)}}
 
 
 def invariance_section(ctx):
-    return {**_translation_summary(ctx), "invariance_group": ctx.group.describe(),
+    defect, witness = ctx.translation
+    return {"translation_defect": defect, "translation_witness": witness,
+            "per_n": _per_n(ctx, ctx.n_cap), "invariance_group": ctx.group.describe(),
             "magnitude_threshold": MAGNITUDE_THRESHOLD}
 
 
@@ -232,78 +230,48 @@ def gates_section(ctx):
             "freq_block_contributions": [list(b) for b in blocks]}
 
 
-def _suite(ctx, sizing):
-    """The witness-suite layout, with ``sizing`` in its grid block."""
-    spec, grid = ctx.spec, ctx.grid
-    if spec.kind == "custom":
-        raise ValueError("suite needs a concrete generator, not a custom path")
-    report = {
-        "generator": spec.to_json(),
-        "grid": {"samples_per_unit": grid.samples_per_unit, "half_range": grid.half_range,
-                 "n_points": grid.n_points, "sizing": sizing},
-        "periodization": {**_profile_summary(ctx),
-                          "checks": "bounded below characterizes a stable shift basis; "
-                                    "identically 1 characterizes an orthonormal one"},
-        "invariance": {**_translation_summary(ctx), "group": ctx.group.describe(),
-                       "checks": "disjoint integer translates of the support admit all "
-                                 "translations; residue-class concentration admits step 1/n"},
-    }
-    if ctx.psi:
-        time_section = {k: v for k, v in decay_section(ctx).items() if k != "windows"}
-    else:
-        # the grid route probes its own geometric windows over the sampled span
-        span = ctx.signal.half_span
-        if spec.kind == "bspline":
-            t0 = float(spec.degree + 1)
-            ts = [t0 * (span / t0) ** (i / 3.0) for i in range(4)]
-        else:
-            ts = [span / 64, span / 32, span / 16, span / 8, span / 4]
-        time_section = {"integrability": asdict(divergence_probe(ctx.time_source, 1, 0.0, ts))}
-    time_section["checks"] = ("a diverging integrability trend witnesses the non-integrability "
-                              "forced by full translation invariance; the 1 +- eps pair "
-                              "brackets the second-moment obstruction of refined invariance")
-    report["time_localization"] = time_section
+CHECKS = {
+    "periodization": "bounded below characterizes a stable shift basis; "
+                     "identically 1 characterizes an orthonormal one",
+    "invariance": "disjoint integer translates of the support admit all translations; "
+                  "residue-class concentration admits step 1/n",
+    "decay": "a diverging integrability trend witnesses the non-integrability forced by "
+             "full translation invariance; the 1 +- eps pair brackets the second-moment "
+             "obstruction of refined invariance",
+    "pointwise": "bounded sup at scaling 1/2 is the optimal pointwise frequency decay "
+                 "compatible with refined invariance",
+    "gates": "exact arithmetic gates on the exponent inequalities that govern which "
+             "weighted norms stay finite",
+}
 
-    decay = ctx.pointwise(0.5)
-    freq_section = {"sup_scaled_half": decay.sup_value}
-    if ctx.psi:
-        freq_section["per_block_peaks"] = [list(peak) for peak in decay.per_block_peaks]
-    elif spec.kind == "bspline":
-        freq_section["envelope_exponent"] = spectrum_envelope_exponent(ctx.spectrum)
-    freq_section["checks"] = ("bounded sup at scaling 1/2 is the optimal pointwise "
-                              "frequency decay compatible with refined invariance")
-    report["frequency_localization"] = freq_section
 
-    if ctx.psi:
-        gates = gates_section(ctx)
-        report["gates"] = {"parameters": asdict(ctx.gate),
-                           **{k: gates[k] for k in ("time_lp_ok", "freq_lq_ok", "joint_ok",
-                                                    "joint_unbounded", "freq_block_contributions",
-                                                    "freq_central_contribution")}}
+def suite_section(ctx):
+    """The generator and its grid, then every other section tagged with ``checks``,
+    the statement it witnesses."""
+    report = {"generator": ctx.spec.to_json(), "grid": grid_block(ctx)}
+    for name, section in SECTIONS.items():
+        if name in CHECKS:
+            report[name] = {**section(ctx), "checks": CHECKS[name]}
     return report
 
 
-# the suite section runs on the caller's grid and so reports no sizing of its own
 SECTIONS = {"periodization": periodization_section, "invariance": invariance_section,
             "decay": decay_section, "pointwise": pointwise_section, "gates": gates_section,
-            "suite": lambda ctx: _suite(ctx, {})}
+            "suite": suite_section}
 
 
 def run_witness_suite(spec: GeneratorSpec, eps=0.5, gate: FeasibilityGate | None = None,
                       n_max=8, grid=None, windows=DEFAULT_WINDOWS) -> dict:
-    """Run the full check battery on one generator and tag each result.
-
-    Combines the periodization/invariance criteria with the localization
-    probes: integrability trend, the symmetric second-moment pair at
-    weights 1 +- eps (banded generators, analytic route with the truncation
-    deepened to cover the window span), the scaled-sup profile, and the
-    exponent gates.  Returns a JSON-ready dict with fixed key order.
+    """The ``suite`` section of one generator: every analysis, each tagged with
+    the statement it witnesses.  ``gate`` overrides the exponent gate built
+    from the defaults and ``eps``.  Returns a JSON-ready dict with fixed key
+    order.
     """
     ctx = RunContext(spec, "auto" if grid is None else grid,
                      dict(DEFAULT_PARAMETERS, eps=eps, n_max=n_max, windows=list(windows)))
     if gate is not None:
         ctx.gate = gate
-    return _suite(ctx, ctx.sizing)
+    return suite_section(ctx)
 
 
 def compare_header(n_max):

@@ -12,7 +12,7 @@ leaves a measure-zero artifact, and the min/max/defect statistics skip them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class PeriodizationProfile:
     exclusion_halfwidth: float | None
     m: float
     M: float
-    label: str = ""
 
     @property
     def excluded_band(self):
@@ -89,7 +88,6 @@ def periodization(f: SampledSpectrum) -> PeriodizationProfile:
         exclusion_halfwidth=f.meta.get("exclusion_halfwidth"),
         m=float(kept.min()),
         M=float(kept.max()),
-        label=f.label,
     )
 
 
@@ -130,11 +128,11 @@ def translation_invariance_defect(f: SampledSpectrum):
     translation-invariance criterion: no two integer translates of the
     support overlap.  Returns ``(defect, witness_residue_or_None)``.
     """
-    mags = np.sqrt(_folded(f))
+    sq = _folded(f)
     S = f.grid.samples_per_unit
-    # two largest magnitudes per residue column
-    top2 = -np.partition(-mags, 1, axis=0)[:2, :]
-    products = top2[0] * top2[1]
+    # the two largest |f|**2 per residue column, in the last two rows
+    top2 = np.partition(sq, sq.shape[0] - 2, axis=0)[-2:]
+    products = np.sqrt(top2[0]) * np.sqrt(top2[1])
     products[_excluded_mask(f)] = 0.0
     i = int(np.argmax(products))
     defect = float(products[i])
@@ -147,10 +145,8 @@ class InvarianceReport:
     """Residue-class activity for one candidate refinement n."""
 
     n: int
-    active_counts: np.ndarray
     violation_fraction: float
     passed: bool
-    excluded: np.ndarray = field(repr=False, default=None)
 
 
 def n_invariance_report(f: SampledSpectrum, n: int) -> InvarianceReport:
@@ -168,21 +164,15 @@ def n_invariance_report(f: SampledSpectrum, n: int) -> InvarianceReport:
     if n > f.grid.half_range / 2:
         raise GridError(f"n = {n} too large for half_range {f.grid.half_range}")
     sq = _folded(f)
-    offsets = np.arange(2 * f.grid.half_range) - f.grid.half_range
-    classes = np.mod(offsets, n)
-    S = f.grid.samples_per_unit
-    class_norms = np.empty((n, S))
-    for m in range(n):
-        class_norms[m] = sq[classes == m].sum(axis=0)
+    Xi = f.grid.half_range
+    # row i holds integer offset i - Xi, so class m starts at row (m + Xi) mod n
+    class_norms = np.stack([sq[(m + Xi) % n::n].sum(axis=0) for m in range(n)])
     counts = (class_norms > MAGNITUDE_THRESHOLD).sum(axis=0)
     total = class_norms.sum(axis=0)
     violating = (counts >= 2) | ((counts == 0) & (total > MAGNITUDE_THRESHOLD))
-    excluded = _excluded_mask(f)
-    kept = ~excluded
+    kept = ~_excluded_mask(f)
     fraction = float(violating[kept].mean()) if kept.any() else 0.0
-    return InvarianceReport(n=n, active_counts=counts,
-                            violation_fraction=fraction, passed=fraction == 0.0,
-                            excluded=excluded)
+    return InvarianceReport(n=n, violation_fraction=fraction, passed=fraction == 0.0)
 
 
 @dataclass(frozen=True)

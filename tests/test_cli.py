@@ -215,7 +215,7 @@ def test_write_windows_csv_from_verdict(tmp_path):
 
 
 def test_analyze_suite_matches_library_suite(tmp_path):
-    from sispace import GeneratorSpec, PsiParams, auto_grid, run_witness_suite
+    from sispace import GeneratorSpec, PsiParams, run_witness_suite
     cfg = write_config(tmp_path / "c.json", {
         "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
     })
@@ -224,10 +224,50 @@ def test_analyze_suite_matches_library_suite(tmp_path):
                  "--windows", "2,4,8,16", "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     spec = GeneratorSpec(kind="psi", psi=PsiParams(1.0, 2.0, 2, 2))
-    grid, _ = auto_grid(spec)
-    expected = run_witness_suite(spec, grid=grid, windows=[2.0, 4.0, 8.0, 16.0])
+    expected = run_witness_suite(spec, windows=[2.0, 4.0, 8.0, 16.0])
     assert report["analyses"]["suite"] == json.loads(dumps_deterministic(expected))
-    assert report["analyses"]["suite"]["time_localization"]["probe_truncation"] == 4
+    assert report["analyses"]["suite"]["decay"]["probe_truncation"] == 4
+
+
+@pytest.mark.parametrize("generator, windows", [
+    ({"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2}, [2, 4, 8, 16]),
+    ({"variant": "sinc"}, None),
+    ({"variant": "bspline", "degree": 3}, None),
+])
+def test_suite_is_the_other_sections_tagged(tmp_path, generator, windows):
+    from sispace.pipeline import SECTIONS
+    cfg = {"generator": generator, "analyses": list(SECTIONS)}
+    if windows:
+        cfg["parameters"] = {"windows": windows}
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", write_config(tmp_path / "c.json", cfg),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    analyses = report["analyses"]
+    suite = analyses["suite"]
+    assert suite["generator"] == report["config"]["generator"]
+    assert suite["grid"] == report["grid"]
+    assert list(suite) == ["generator", "grid", *(name for name in SECTIONS if name != "suite")]
+    for name in SECTIONS:
+        if name != "suite":
+            tagged = dict(suite[name])
+            assert tagged.pop("checks")
+            assert tagged == analyses[name]
+
+
+def test_custom_spectrum_runs_suite(tmp_path):
+    cfg = write_config(tmp_path / "c.json", {"generator": {"variant": "sinc"},
+                                             "grid": "64,4"})
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    custom = write_config(tmp_path / "custom.json", {
+        "generator": {"variant": "custom", "path": str(tmp_path / "c" / "spectrum.csv")},
+        "analyses": ["suite"],
+    })
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", custom, "--out", str(out)]) == 0
+    suite = json.loads((out / "report.json").read_text())["analyses"]["suite"]
+    assert suite["grid"]["sizing"] == {"rule": "from-file"}
+    assert suite["invariance"]["invariance_group"] == "R-candidate"
 
 
 def test_decay_and_suite_evaluate_the_probe_lattice_once(tmp_path, monkeypatch):
@@ -283,16 +323,19 @@ def test_analyze_decay_builds_one_evaluator(tmp_path, monkeypatch):
     ({"parameters": {"windows": [2, 4, 8]}}, "need at least 4"),
     ({"parameters": {"windows": [0, 2, 4, 8]}}, "positive"),
     ({"argv": ["--windows", "4,x"]}, "bad parameter windows"),
+    ({"argv": ["--n-max", "x"]}, "invalid int value"),
+    ({"command": "construct", "argv": ["--eps", "0.3"]}, "unrecognized arguments: --eps"),
 ])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
     extra = dict(extra)
     argv = extra.pop("argv", [])
+    command = extra.pop("command", "analyze")
     cfg = write_config(tmp_path / "c.json", {
         "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
         **extra,
     })
     out = tmp_path / "out"
-    assert main(["analyze", "--config", cfg, "--out", str(out), *argv]) == 2
+    assert main([command, "--config", cfg, "--out", str(out), *argv]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error:") and message in err[0]

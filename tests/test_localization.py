@@ -323,16 +323,16 @@ def test_truncation_depth_rule():
 
 def test_suite_sinc():
     report = run_witness_suite(GeneratorSpec(kind="sinc"), windows=(4, 8, 16, 32, 64))
-    assert report["invariance"]["group"] == "R-candidate"
-    assert report["time_localization"]["integrability"]["verdict"] == "diverging"
+    assert report["invariance"]["invariance_group"] == "R-candidate"
+    assert report["decay"]["integrability"]["verdict"] == "diverging"
     assert report["periodization"]["orthonormality_defect"] == 0.0
 
 
 def test_suite_bspline():
     report = run_witness_suite(GeneratorSpec(kind="bspline", degree=3))
-    assert report["invariance"]["group"] == "Z"
-    assert report["time_localization"]["integrability"]["verdict"] == "converging"
-    assert abs(report["frequency_localization"]["envelope_exponent"] + 4.0) < 0.2
+    assert report["invariance"]["invariance_group"] == "Z"
+    assert report["decay"]["integrability"]["verdict"] == "converging"
+    assert abs(report["pointwise"]["envelope_exponent"] + 4.0) < 0.2
 
 
 def test_suite_psi_small():
@@ -340,10 +340,10 @@ def test_suite_psi_small():
     # probes deepen the truncation to match and share one sampled lattice
     spec = GeneratorSpec(kind="psi", psi=PsiParams(1.0, 2.0, 2, 2))
     report = run_witness_suite(spec, eps=0.5)
-    assert report["invariance"]["group"] == "(1/2)Z"
+    assert report["invariance"]["invariance_group"] == "(1/2)Z"
     assert report["periodization"]["orthonormality_defect"] < 1e-12
-    assert report["time_localization"]["second_moment_heavy"]["verdict"] == "diverging"
-    assert report["time_localization"]["second_moment_light"]["verdict"] == "converging"
-    assert report["time_localization"]["integrability"]["verdict"] == "converging"
-    assert report["time_localization"]["probe_truncation"] == 6
+    assert report["decay"]["second_moment_heavy"]["verdict"] == "diverging"
+    assert report["decay"]["second_moment_light"]["verdict"] == "converging"
+    assert report["decay"]["integrability"]["verdict"] == "converging"
+    assert report["decay"]["probe_truncation"] == 6
     assert report["gates"]["freq_lq_ok"] is False
