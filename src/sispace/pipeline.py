@@ -238,8 +238,8 @@ CHECKS = {
     "decay": "a diverging integrability trend witnesses the non-integrability forced by "
              "full translation invariance; the 1 +- eps pair brackets the second-moment "
              "obstruction of refined invariance",
-    "pointwise": "bounded sup at scaling 1/2 is the optimal pointwise frequency decay "
-                 "compatible with refined invariance",
+    "pointwise": "bounded sup at scaling s; s = 1/2 is the optimal pointwise frequency "
+                 "decay compatible with refined invariance",
     "gates": "exact arithmetic gates on the exponent inequalities that govern which "
              "weighted norms stay finite",
 }

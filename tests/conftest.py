@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from sispace import (GeneratorSpec, PsiParams, auto_grid, build_bspline,
                      build_psi_spectrum, build_sinc, make_grid)
@@ -8,10 +9,6 @@ from sispace import (GeneratorSpec, PsiParams, auto_grid, build_bspline,
 def pytest_configure(config):
     """Hypothesis caches constants read from the local sources in ./.hypothesis;
     keep that cache under pytest's own cache directory instead."""
-    try:
-        from hypothesis.configuration import set_hypothesis_home_dir
-    except ImportError:
-        return
     if getattr(config, "cache", None) is not None:
         set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
