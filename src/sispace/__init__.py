@@ -17,9 +17,9 @@ from .localization import (FeasibilityGate, GateReport, GrowthVerdict,
                            spectrum_envelope_exponent,
                            truncation_depth_for_span, weighted_freq_norm)
 from .pipeline import run_witness_suite
-from .spectral import (InvarianceGroup, InvarianceReport,
+from .spectral import (GridCriteria, InvarianceGroup, InvarianceReport,
                        PeriodizationProfile, detect_invariance_group,
-                       gram_coefficients, is_riesz_generator,
+                       gram_coefficients, grid_criteria, is_riesz_generator,
                        n_invariance_report, orthonormality_defect,
                        periodization, translation_invariance_defect)
 
@@ -36,8 +36,8 @@ __all__ = [
     "pointwise_freq_decay", "psi_block_freq_contributions", "run_witness_suite",
     "spectrum_envelope_exponent", "truncation_depth_for_span",
     "weighted_freq_norm",
-    "InvarianceGroup", "InvarianceReport", "PeriodizationProfile",
-    "detect_invariance_group", "gram_coefficients", "is_riesz_generator",
+    "GridCriteria", "InvarianceGroup", "InvarianceReport", "PeriodizationProfile",
+    "detect_invariance_group", "gram_coefficients", "grid_criteria", "is_riesz_generator",
     "n_invariance_report", "orthonormality_defect", "periodization",
     "translation_invariance_defect",
 ]

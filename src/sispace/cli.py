@@ -7,8 +7,9 @@ projects one context per generator into a ``compare.csv`` row, and
 ``construct`` writes the spectrum and signal of one context.
 
 Exit codes: 0 success, 2 config error, 3 numeric precondition violation
-(e.g. grid too small), 4 I/O failure.  ``analyze`` writes a deterministic
-``report.json`` (same config + same version => byte-identical bytes) plus
+(e.g. grid too small, or too large to allocate), 4 I/O failure.  ``analyze``
+writes a deterministic ``report.json`` (same config + same version =>
+byte-identical bytes) plus
 CSV tables; wall-clock timings go to a separate ``run_meta.json`` so they
 never perturb the report.  ``SISPACE_THREADS`` caps the worker pool used by
 ``compare``.
@@ -79,6 +80,9 @@ class RunConfig:
                                         else type(default)(value))
             except (TypeError, ValueError, OverflowError) as e:
                 raise ConfigError(f"bad parameter {key} = {value!r}: {e}") from e
+        if self.parameters["n_max"] < 2:
+            raise ConfigError(f"bad parameter n_max = {self._echoed['n_max']!r}: "
+                              "must be >= 2")
         # command-line values are echoed typed, as they were parsed
         self._echoed.update({key: self.parameters[key] for key in overridden})
         self.output = overrides.get("out") or obj.get("output", ".")
@@ -130,7 +134,7 @@ def cmd_analyze(cfg: RunConfig):
                                            "analyses": analyses})
     if "csv" in cfg.formats:
         if "periodization" in analyses:
-            write_periodization_csv(out / "periodization.csv", ctx.profile)
+            write_periodization_csv(out / "periodization.csv", ctx.criteria.profile)
         if "decay" in analyses:
             for name, verdict in ctx.decay_verdicts.items():
                 write_windows_csv(out / f"windows_{name}.csv", verdict)
@@ -193,6 +197,8 @@ def main(argv=None):
         paths = list(args.config) + list(args.configs)
         if not paths:
             raise ConfigError("no config given (use --config FILE.json)")
+        if len(paths) > 1 and args.command != "compare":
+            raise ConfigError(f"{args.command} takes one config, got {len(paths)}")
         # a subcommand's namespace holds only the flags it takes
         overrides = {key: getattr(args, key, None) for key in ("out", "grid", "eps", "n_max")}
         for key, flag in (("formats", "format"), ("windows", "windows"),
@@ -211,7 +217,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GridError, ValueError) as e:
+    except (GridError, ValueError, MemoryError) as e:
         print(f"numeric precondition violated: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as e:

@@ -55,8 +55,8 @@ class PsiParams:
     J: int = 5
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValueError("alpha and beta must be positive and finite")
         if int(self.n) != self.n or self.n < 2:
             raise ValueError("n must be an integer >= 2")
         if int(self.J) != self.J or self.J < 1:

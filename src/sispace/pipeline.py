@@ -16,17 +16,15 @@ from pathlib import Path
 
 from .generators import (GeneratorSpec, PsiTimeEvaluator, auto_grid,
                          build_bspline, build_psi_spectrum, build_sinc)
-from .grid import FrequencyGrid, make_grid, to_time_domain
+from .grid import FrequencyGrid, GridError, make_grid, to_time_domain
 from .localization import (DEFAULT_WINDOWS, FeasibilityGate, divergence_probe,
                            divergence_probes, feasibility_gates, pointwise_freq_decay,
                            psi_block_freq_contributions,
                            spectrum_envelope_exponent,
                            truncation_depth_for_span)
 from .report import read_spectrum_csv
-from .spectral import (MAGNITUDE_THRESHOLD, RIESZ_THRESHOLD, InvarianceGroup,
-                       gram_coefficients, n_invariance_report,
-                       orthonormality_defect, periodization,
-                       translation_invariance_defect)
+from .spectral import (MAGNITUDE_THRESHOLD, RIESZ_THRESHOLD, gram_coefficients,
+                       grid_criteria, orthonormality_defect)
 
 DEFAULT_PARAMETERS = {"eps": 0.5, "gamma": 0.0, "delta": 0.2, "p": 1.0, "q": 1.0,
                       "n_max": 8, "K": 8, "s": 0.5, "windows": list(DEFAULT_WINDOWS)}
@@ -89,23 +87,18 @@ class RunContext:
     """One generator on one grid with typed analysis parameters.
 
     Each intermediate is built on first use and kept: a psi run whose
-    analyses never read the spectrum never builds it, and the decay probes
-    share one pass over the probe lattice.
+    analyses never read the spectrum never builds it, the grid criteria
+    share one fold of the spectrum, and the decay probes share one pass over
+    the probe lattice.
     """
 
     def __init__(self, spec: GeneratorSpec, grid, parameters):
         self.spec, self.params = spec, parameters
         self.psi = spec.psi if spec.kind == "psi" else None
-        self._memo = {}
         self.grid, self.sizing = resolve_grid(spec, grid)
         if self.grid is None:
             self.grid = self.spectrum.grid
         self.n_cap = int(min(parameters["n_max"], self.grid.half_range // 2))
-
-    def _once(self, key, make):
-        if key not in self._memo:
-            self._memo[key] = make()
-        return self._memo[key]
 
     @cached_property
     def _built(self):
@@ -120,20 +113,9 @@ class RunContext:
         return self._built[1] if self._built[1] is not None else to_time_domain(self.spectrum)
 
     @cached_property
-    def profile(self):
-        return periodization(self.spectrum)
-
-    @cached_property
-    def translation(self):
-        return translation_invariance_defect(self.spectrum)
-
-    def invariance(self, n):
-        return self._once(("n", n), lambda: n_invariance_report(self.spectrum, n))
-
-    @cached_property
-    def group(self):
-        passing = (n for n in range(2, self.n_cap + 1) if self.invariance(n).passed)
-        return InvarianceGroup.classify(self.translation[0], passing)
+    def criteria(self):
+        """G, the translation defect and the 1/n reports for n <= ``n_cap``."""
+        return grid_criteria(self.spectrum, self.n_cap)
 
     @cached_property
     def windows(self):
@@ -164,9 +146,9 @@ class RunContext:
             exponents += [(2, 1.0 + eps), (2, 1.0 - eps)]
         return dict(zip(names, divergence_probes(self.time_source, exponents, self.windows)))
 
-    def pointwise(self, s):
-        return self._once(("pointwise", s),
-                          lambda: pointwise_freq_decay(self.psi or self.spectrum, s))
+    @cached_property
+    def pointwise(self):
+        return pointwise_freq_decay(self.psi or self.spectrum, self.params["s"])
 
     @cached_property
     def gate(self):
@@ -182,13 +164,12 @@ def grid_block(ctx):
             "time_spacing": grid.time_spacing, "sizing": ctx.sizing}
 
 
-def _per_n(ctx, n_last):
-    return {str(n): ("pass" if ctx.invariance(n).passed else "fail")
-            for n in range(2, n_last + 1)}
+def _per_n(ctx):
+    return {str(r.n): ("pass" if r.passed else "fail") for r in ctx.criteria.per_n}
 
 
 def periodization_section(ctx):
-    prof = ctx.profile
+    prof = ctx.criteria.profile
     ks, coeffs = gram_coefficients(prof, ctx.params["K"])
     return {"m": prof.m, "M": prof.M, "orthonormality_defect": orthonormality_defect(prof),
             "excluded_band": list(prof.excluded_band) if prof.excluded_band else None,
@@ -197,9 +178,9 @@ def periodization_section(ctx):
 
 
 def invariance_section(ctx):
-    defect, witness = ctx.translation
+    defect, witness = ctx.criteria.translation
     return {"translation_defect": defect, "translation_witness": witness,
-            "per_n": _per_n(ctx, ctx.n_cap), "invariance_group": ctx.group.describe(),
+            "per_n": _per_n(ctx), "invariance_group": ctx.criteria.group.describe(),
             "magnitude_threshold": MAGNITUDE_THRESHOLD}
 
 
@@ -211,7 +192,7 @@ def decay_section(ctx):
 
 
 def pointwise_section(ctx):
-    decay = ctx.pointwise(ctx.params["s"])
+    decay = ctx.pointwise
     block = {"s": ctx.params["s"], "sup_scaled": decay.sup_value,
              "per_block_peaks": [list(peak) for peak in decay.per_block_peaks]}
     if ctx.spec.kind == "bspline":
@@ -282,10 +263,13 @@ def compare_header(n_max):
 
 def compare_row(ctx):
     """One ``compare.csv`` row in :func:`compare_header` order."""
-    prof = ctx.profile
+    if ctx.n_cap < ctx.params["n_max"]:   # one column per n: no cap as in analyze
+        raise GridError(f"n_max = {ctx.params['n_max']} too large for half_range "
+                        f"{ctx.grid.half_range}")
+    prof = ctx.criteria.profile
     return ([ctx.spectrum.label, prof.m, prof.M, orthonormality_defect(prof),
-             ctx.group.describe()]
-            + list(_per_n(ctx, ctx.params["n_max"]).values())
+             ctx.criteria.group.describe()]
+            + list(_per_n(ctx).values())
             + [divergence_probe(ctx.time_source, 1, 0.0, ctx.windows).verdict,
-               ctx.pointwise(ctx.params["s"]).sup_value,
+               ctx.pointwise.sup_value,
                str(feasibility_gates(ctx.gate).freq_lq_ok) if ctx.psi else ""])

@@ -3,6 +3,8 @@
 Everything here works on the integer-periodization structure of a sampled
 spectrum: the grid is shift-aligned, so collecting the samples of
 ``|f(xi + k)|**2`` over integer k is an exact reshape, never quadrature.
+:func:`grid_criteria` forms that array once and reads every criterion from
+it; the other criterion functions are views of its result.
 
 Almost-everywhere statements become per-grid-point checks with a magnitude
 threshold (``MAGNITUDE_THRESHOLD``) and documented exclusions: builders
@@ -21,26 +23,6 @@ from .grid import GridError, SampledSpectrum
 MAGNITUDE_THRESHOLD = 1e-12
 RIESZ_THRESHOLD = 1e-6       # lower Riesz bound m above which a generator is stable
 DEFECT_TOLERANCE = 1e-12     # translation defect at or below which R-invariance is a candidate
-
-
-def _folded(f: SampledSpectrum):
-    """|values|**2 arranged as (integer offset, residue) with exact indexing."""
-    S = f.grid.samples_per_unit
-    return (np.abs(f.values) ** 2).reshape(2 * f.grid.half_range, S)
-
-
-def _excluded_mask(f: SampledSpectrum):
-    """Residue columns declared unreliable by the builder.
-
-    ``meta['exclusion_halfwidth'] = hw`` marks residues within ``hw`` of the
-    half-integer point; ``hw = 0`` marks exactly that sample.
-    """
-    S = f.grid.samples_per_unit
-    hw = f.meta.get("exclusion_halfwidth")
-    if hw is None:
-        return np.zeros(S, dtype=bool)
-    residues = np.arange(S) / S
-    return np.abs(residues - 0.5) <= hw + 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,18 +59,7 @@ class PeriodizationProfile:
 
 def periodization(f: SampledSpectrum) -> PeriodizationProfile:
     """Integer periodization of |f|**2 by exact index folding."""
-    S = f.grid.samples_per_unit
-    g_values = _folded(f).sum(axis=0)
-    excluded = _excluded_mask(f)
-    kept = g_values[~excluded] if (~excluded).any() else g_values
-    return PeriodizationProfile(
-        residues=np.arange(S) / S,
-        values=g_values,
-        excluded=excluded,
-        exclusion_halfwidth=f.meta.get("exclusion_halfwidth"),
-        m=float(kept.min()),
-        M=float(kept.max()),
-    )
+    return grid_criteria(f, 1).profile
 
 
 def is_riesz_generator(profile: PeriodizationProfile) -> bool:
@@ -128,16 +99,7 @@ def translation_invariance_defect(f: SampledSpectrum):
     translation-invariance criterion: no two integer translates of the
     support overlap.  Returns ``(defect, witness_residue_or_None)``.
     """
-    sq = _folded(f)
-    S = f.grid.samples_per_unit
-    # the two largest |f|**2 per residue column, in the last two rows
-    top2 = np.partition(sq, sq.shape[0] - 2, axis=0)[-2:]
-    products = np.sqrt(top2[0]) * np.sqrt(top2[1])
-    products[_excluded_mask(f)] = 0.0
-    i = int(np.argmax(products))
-    defect = float(products[i])
-    witness = i / S if defect > MAGNITUDE_THRESHOLD ** 2 else None
-    return defect, witness
+    return grid_criteria(f, 1).translation
 
 
 @dataclass(frozen=True)
@@ -160,19 +122,7 @@ def n_invariance_report(f: SampledSpectrum, n: int) -> InvarianceReport:
     """
     if int(n) != n or n < 2:
         raise ValueError("n must be an integer >= 2")
-    n = int(n)
-    if n > f.grid.half_range / 2:
-        raise GridError(f"n = {n} too large for half_range {f.grid.half_range}")
-    sq = _folded(f)
-    Xi = f.grid.half_range
-    # row i holds integer offset i - Xi, so class m starts at row (m + Xi) mod n
-    class_norms = np.stack([sq[(m + Xi) % n::n].sum(axis=0) for m in range(n)])
-    counts = (class_norms > MAGNITUDE_THRESHOLD).sum(axis=0)
-    total = class_norms.sum(axis=0)
-    violating = (counts >= 2) | ((counts == 0) & (total > MAGNITUDE_THRESHOLD))
-    kept = ~_excluded_mask(f)
-    fraction = float(violating[kept].mean()) if kept.any() else 0.0
-    return InvarianceReport(n=n, violation_fraction=fraction, passed=fraction == 0.0)
+    return grid_criteria(f, int(n)).per_n[-1]
 
 
 @dataclass(frozen=True)
@@ -186,17 +136,17 @@ class InvarianceGroup:
 
     @classmethod
     def classify(cls, translation_defect, passing_n):
-        """Classify from the translation defect and the refinements n that pass.
+        """Classify from the translation defect and the tuple of refinements n
+        that pass, in increasing order.
 
         A passing translation criterion reports only a candidate: full
-        invariance cannot be certified on a grid.  ``passing_n`` is read
-        only when that criterion fails, so it may be a lazy iterable.
+        invariance cannot be certified on a grid, and ``passing_n`` is then
+        left out of the group.
         """
         if translation_defect <= DEFECT_TOLERANCE:
             return cls("R-candidate", translation_defect, (), None)
-        passing = tuple(passing_n)
-        return cls("fractional" if passing else "integer", translation_defect, passing,
-                   max(passing) if passing else None)
+        return cls("fractional" if passing_n else "integer", translation_defect, passing_n,
+                   max(passing_n) if passing_n else None)
 
     def describe(self):
         if self.kind == "R-candidate":
@@ -209,8 +159,63 @@ class InvarianceGroup:
 def detect_invariance_group(f: SampledSpectrum, n_max: int) -> InvarianceGroup:
     """Classify the invariance group of ``f`` with refinements n <= n_max
     (see :meth:`InvarianceGroup.classify`)."""
-    if n_max > f.grid.half_range / 2:
-        raise GridError(f"n_max = {n_max} too large for half_range {f.grid.half_range}")
-    defect, _ = translation_invariance_defect(f)
-    passing = (n for n in range(2, n_max + 1) if n_invariance_report(f, n).passed)
-    return InvarianceGroup.classify(defect, passing)
+    return grid_criteria(f, n_max).group
+
+
+@dataclass(frozen=True)
+class GridCriteria:
+    """Every grid criterion of one spectrum, read from one fold of |f|**2."""
+
+    profile: PeriodizationProfile
+    translation: tuple        # (defect, witness residue or None)
+    per_n: tuple              # InvarianceReport for n = 2..n_max
+    group: InvarianceGroup
+
+
+def grid_criteria(f: SampledSpectrum, n_max: int) -> GridCriteria:
+    """G, the translation defect and the 1/n reports for n = 2..n_max (none
+    when n_max < 2), all read from one array of |f|**2 by (integer offset,
+    residue), squared in place and dropped on return.
+
+    The builder's ``meta['exclusion_halfwidth'] = hw`` excludes the residues
+    within ``hw`` of the half-integer point (``hw = 0``: exactly that sample).
+    """
+    S, Xi = f.grid.samples_per_unit, f.grid.half_range
+    if n_max > Xi / 2:
+        raise GridError(f"n_max = {n_max} too large for half_range {Xi}")
+    sq = np.abs(f.values).reshape(2 * Xi, S)
+    np.square(sq, out=sq)
+    hw = f.meta.get("exclusion_halfwidth")
+    residues = np.arange(S) / S
+    excluded = (np.zeros(S, dtype=bool) if hw is None
+                else np.abs(residues - 0.5) <= hw + 1e-12)
+    kept = ~excluded
+
+    g_values = sq.sum(axis=0)
+    g_kept = g_values[kept] if kept.any() else g_values
+    profile = PeriodizationProfile(residues=residues, values=g_values, excluded=excluded,
+                                   exclusion_halfwidth=hw,
+                                   m=float(g_kept.min()), M=float(g_kept.max()))
+
+    per_n = []
+    for n in range(2, n_max + 1):
+        # row i holds integer offset i - Xi, so class m starts at row (m + Xi) mod n
+        class_norms = np.stack([sq[(m + Xi) % n::n].sum(axis=0) for m in range(n)])
+        counts = (class_norms > MAGNITUDE_THRESHOLD).sum(axis=0)
+        total = class_norms.sum(axis=0)
+        violating = (counts >= 2) | ((counts == 0) & (total > MAGNITUDE_THRESHOLD))
+        fraction = float(violating[kept].mean()) if kept.any() else 0.0
+        per_n.append(InvarianceReport(n=n, violation_fraction=fraction,
+                                      passed=fraction == 0.0))
+
+    # the two largest |f|**2 per residue: the column maximum, then the maximum
+    # again once one occurrence of it is set to zero (every entry is >= 0)
+    first = sq.max(axis=0)
+    sq[(sq == first).argmax(axis=0), np.arange(S)] = 0.0
+    products = np.sqrt(sq.max(axis=0)) * np.sqrt(first)
+    products[excluded] = 0.0
+    i = int(np.argmax(products))
+    defect = float(products[i])
+    witness = i / S if defect > MAGNITUDE_THRESHOLD ** 2 else None
+    group = InvarianceGroup.classify(defect, tuple(r.n for r in per_n if r.passed))
+    return GridCriteria(profile, (defect, witness), tuple(per_n), group)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -325,15 +326,25 @@ def test_analyze_decay_builds_one_evaluator(tmp_path, monkeypatch):
     ({"argv": ["--windows", "4,x"]}, "bad parameter windows"),
     ({"argv": ["--n-max", "x"]}, "invalid int value"),
     ({"command": "construct", "argv": ["--eps", "0.3"]}, "unrecognized arguments: --eps"),
+    ({"argv": ["--config", "{cfg}"]}, "analyze takes one config, got 2"),
+    ({"command": "construct", "argv": ["{cfg}"]}, "construct takes one config, got 2"),
+    ({"generator": {"variant": "psi", "alpha": math.nan, "beta": 2, "n": 2, "J": 2}},
+     "alpha and beta must be positive and finite"),
+    ({"generator": {"variant": "psi", "alpha": math.inf, "beta": 2, "n": 2, "J": 2}},
+     "alpha and beta must be positive and finite"),
+    ({"generator": {"variant": "psi", "alpha": 1, "beta": math.inf, "n": 2, "J": 2}},
+     "alpha and beta must be positive and finite"),
+    ({"parameters": {"n_max": 1}}, "bad parameter n_max = 1: must be >= 2"),
+    ({"argv": ["--n-max", "0"]}, "bad parameter n_max = 0: must be >= 2"),
 ])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
     extra = dict(extra)
-    argv = extra.pop("argv", [])
     command = extra.pop("command", "analyze")
     cfg = write_config(tmp_path / "c.json", {
         "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
         **extra,
     })
+    argv = [arg.format(cfg=cfg) for arg in extra.pop("argv", [])]
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out), *argv]) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -366,3 +377,58 @@ def test_malformed_custom_spectrum_exits_3_with_one_line(tmp_path, capsys, corru
     assert len(err) == 1
     assert err[0].startswith("numeric precondition violated:")
     assert not out.exists()
+
+
+def test_unallocatable_grid_exits_3_with_one_line(tmp_path, capsys):
+    # 2^47 samples (1 PiB of float64) is beyond the address space, so the
+    # allocation fails at once whatever the overcommit policy
+    cfg = write_config(tmp_path / "c.json", {"generator": {"variant": "sinc"},
+                                             "grid": "8388608,8388608"})
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numeric precondition violated:")
+    assert not out.exists()
+
+
+def test_compare_n_max_beyond_the_grid_exits_3_with_one_line(tmp_path, capsys):
+    # compare keeps one inv_n column per n <= n_max, so it cannot cap n_max
+    # to the grid as analyze does
+    cfgs = [write_config(tmp_path / f"{name}.json", {"generator": gen, "grid": "64,4"})
+            for name, gen in (("s", {"variant": "sinc"}),
+                              ("b", {"variant": "bspline", "degree": 1}))]
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfgs[0], "--config", cfgs[1],
+                 "--n-max", "3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0] == "numeric precondition violated: n_max = 3 too large for half_range 4"
+
+
+@pytest.mark.parametrize("analyses", [["periodization", "invariance"], ["suite"]])
+def test_grid_criteria_fold_the_spectrum_once(tmp_path, monkeypatch, analyses):
+    from sispace import spectral
+    folded = []
+
+    class CountingNumpy:
+        """numpy as ``spectral`` sees it, recording the size of each ``abs`` argument."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def abs(x, *args, **kwargs):
+            folded.append(np.size(x))
+            return np.abs(x, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "np", CountingNumpy())
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
+        "analyses": analyses,
+        "parameters": {"windows": [2, 4, 8, 16]},
+    })
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+    n_points = json.loads((out / "report.json").read_text())["grid"]["n_points"]
+    assert folded.count(n_points) == 1

@@ -1,21 +1,25 @@
-"""Property tests: the three grid criteria against pure-Python brute force.
+"""Property tests: the three grid criteria against pure-Python brute force,
+and two invariances of the criteria.
 
 Each example is a small random spectrum (S, Xi powers of two up to 32) with
 a random support density, an overall scale that may put |f|**2 near the
 magnitude threshold, and optionally an excluded band around the
 half-integer residue.  The reference loops index the flat sample array
 directly: sample i sits at xi = i/S - Xi, integer offset i // S - Xi and
-residue i % S.
+residue i % S.  The banded generators are built on grids of at most 2^18
+points.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sispace.grid import SampledSpectrum, make_grid
+from sispace.generators import PsiParams, build_psi_spectrum
+from sispace.grid import SampledSpectrum, make_grid, next_pow2
 from sispace.spectral import (MAGNITUDE_THRESHOLD, n_invariance_report, periodization,
                               translation_invariance_defect)
 
@@ -87,3 +91,38 @@ def test_n_invariance_matches_brute_force(f, n):
     report = n_invariance_report(f, n)
     assert report.violation_fraction == fraction
     assert report.passed == (fraction == 0.0)
+
+
+@st.composite
+def inside_margin(draw):
+    """A spectrum from :func:`spectra` cut to the integer offsets of rows
+    [lo, hi), and a shift k that keeps those rows inside the grid."""
+    f = draw(spectra())
+    S, rows = f.grid.samples_per_unit, 2 * f.grid.half_range
+    lo = draw(st.integers(0, rows - 1))
+    hi = draw(st.integers(lo + 1, rows))
+    values = np.zeros_like(f.values)
+    values[lo * S:hi * S] = f.values[lo * S:hi * S]
+    return replace(f, values=values), draw(st.integers(-lo, rows - hi))
+
+
+@PROPERTY
+@given(inside_margin())
+def test_periodization_is_unchanged_by_integer_shifts(case):
+    # the shift only moves all-zero rows from one end of the sum to the other
+    f, k = case
+    assert np.array_equal(periodization(f.shifted(k)).values, periodization(f).values)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.floats(0.5, 2.5), st.floats(0.5, 2.5), st.integers(2, 12), st.integers(1, 3))
+def test_psi_passes_the_criterion_of_every_divisor_of_n(alpha, beta, n, J):
+    # the support lies in (-1/2, 1/2) + nZ, so at every residue the active
+    # integer offsets share one class mod n, hence one class mod each d | n
+    params = PsiParams(alpha, beta, n, J)
+    Xi = next_pow2(params.required_half_range + 1)
+    assume(Xi <= 2 ** 12)
+    f = build_psi_spectrum(params, make_grid(2 ** 17 // Xi, Xi))
+    for d in range(2, n + 1):
+        if n % d == 0:
+            assert n_invariance_report(f, d).passed, d
