@@ -9,10 +9,9 @@ projects one context per generator into a ``compare.csv`` row, and
 Exit codes: 0 success, 2 config error, 3 numeric precondition violation
 (e.g. grid too small, or too large to allocate), 4 I/O failure.  ``analyze``
 writes a deterministic ``report.json`` (same config + same version =>
-byte-identical bytes) plus
-CSV tables; wall-clock timings go to a separate ``run_meta.json`` so they
-never perturb the report.  ``SISPACE_THREADS`` caps the worker pool used by
-``compare``.
+byte-identical bytes) plus CSV tables; wall-clock timings go to a separate
+``run_meta.json`` so they never perturb the report.  ``SISPACE_THREADS`` caps
+the worker pool used by ``compare``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Everything here works on the integer-periodization structure of a sampled
 spectrum: the grid is shift-aligned, so collecting the samples of
 ``|f(xi + k)|**2`` over integer k is an exact reshape, never quadrature.
 :func:`grid_criteria` forms that array once and reads every criterion from
-it; the other criterion functions are views of its result.
+it; each other criterion function is a whole pass of it, so to read several
+criteria or loop over n, call ``grid_criteria(f, n_max)`` once.
 
 Almost-everywhere statements become per-grid-point checks with a magnitude
 threshold (``MAGNITUDE_THRESHOLD``) and documented exclusions: builders
@@ -58,7 +59,7 @@ class PeriodizationProfile:
 
 
 def periodization(f: SampledSpectrum) -> PeriodizationProfile:
-    """Integer periodization of |f|**2 by exact index folding."""
+    """Integer periodization of |f|**2: a whole :func:`grid_criteria` pass."""
     return grid_criteria(f, 1).profile
 
 
@@ -97,7 +98,8 @@ def translation_invariance_defect(f: SampledSpectrum):
 
     Zero (below threshold) at every residue is the grid form of the
     translation-invariance criterion: no two integer translates of the
-    support overlap.  Returns ``(defect, witness_residue_or_None)``.
+    support overlap.  Returns ``(defect, witness_residue_or_None)`` from a
+    whole :func:`grid_criteria` pass.
     """
     return grid_criteria(f, 1).translation
 
@@ -118,7 +120,8 @@ def n_invariance_report(f: SampledSpectrum, n: int) -> InvarianceReport:
     criterion demands exactly one class carry energy.  A residue where no
     class is active counts as a violation only if the total periodization
     there exceeds the threshold (an all-zero residue carries no information).
-    Excluded residues are skipped.
+    Excluded residues are skipped.  A whole :func:`grid_criteria` pass, which
+    sums the classes of every n' <= n: loops over n read its ``per_n``.
     """
     if int(n) != n or n < 2:
         raise ValueError("n must be an integer >= 2")

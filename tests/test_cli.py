@@ -340,11 +340,12 @@ def test_analyze_decay_builds_one_evaluator(tmp_path, monkeypatch):
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
     extra = dict(extra)
     command = extra.pop("command", "analyze")
+    raw = extra.pop("argv", [])
     cfg = write_config(tmp_path / "c.json", {
         "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
         **extra,
     })
-    argv = [arg.format(cfg=cfg) for arg in extra.pop("argv", [])]
+    argv = [arg.format(cfg=cfg) for arg in raw]
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out), *argv]) == 2
     err = capsys.readouterr().err.strip().splitlines()
