@@ -10,8 +10,10 @@ Exit codes: 0 success, 2 config error, 3 numeric precondition violation
 (e.g. grid too small, or too large to allocate), 4 I/O failure.  ``analyze``
 writes a deterministic ``report.json`` (same config + same version =>
 byte-identical bytes) plus CSV tables; wall-clock timings go to a separate
-``run_meta.json`` so they never perturb the report.  ``SISPACE_THREADS`` caps
-the worker pool used by ``compare``.
+``run_meta.json`` so they never perturb the report.  Each subcommand creates
+its output directory only after its computation has succeeded, and every
+file goes through :func:`~sispace.report.atomic_writer`.  ``SISPACE_THREADS``
+caps the worker pool used by ``compare``.
 """
 
 from __future__ import annotations
@@ -30,12 +32,30 @@ from .grid import GridError
 from .localization import check_windows
 from .pipeline import (DEFAULT_PARAMETERS, SECTIONS, ConfigError, RunContext,
                        compare_header, compare_row, grid_block, load_json)
-from .report import (write_compare_csv, write_periodization_csv, write_report,
-                     write_signal_csv, write_spectrum_csv, write_windows_csv)
+from .report import (atomic_writer, write_compare_csv, write_periodization_csv,
+                     write_report, write_signal_csv, write_spectrum_csv,
+                     write_windows_csv)
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
 
 ANALYSES = tuple(SECTIONS)
+
+# checked when the config is read, before any work: FeasibilityGate's ranges
+# and n_max; each test is written so that NaN fails it
+PARAMETER_RANGES = {
+    "eps": (lambda v: v > 0, "must be > 0"),
+    "p": (lambda v: 1 <= v < 2, "must lie in [1, 2)"),
+    "q": (lambda v: v >= 1, "must be >= 1"),
+    "delta": (lambda v: v > 0, "must be > 0"),
+    "gamma": (lambda v: v >= 0, "must be >= 0"),
+    "n_max": (lambda v: v >= 2, "must be >= 2"),
+}
+
+
+def _config_list(key, value):
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a JSON list, got {value!r}")
+    return value
 
 
 class RunConfig:
@@ -54,8 +74,8 @@ class RunConfig:
         except (ValueError, KeyError, TypeError) as e:
             raise ConfigError(f"bad generator spec: {e}") from e
         self.grid_spec = overrides.get("grid") or obj.get("grid", "auto")
-        analyses = (overrides.get("analyses")
-                    or obj.get("analyses", ["periodization", "invariance"]))
+        analyses = _config_list("analyses", overrides.get("analyses")
+                                or obj.get("analyses", ["periodization", "invariance"]))
         if not analyses:
             raise ConfigError("analyses must be non-empty")
         bad = [a for a in analyses if a not in ANALYSES]
@@ -79,13 +99,14 @@ class RunConfig:
                                         else type(default)(value))
             except (TypeError, ValueError, OverflowError) as e:
                 raise ConfigError(f"bad parameter {key} = {value!r}: {e}") from e
-        if self.parameters["n_max"] < 2:
-            raise ConfigError(f"bad parameter n_max = {self._echoed['n_max']!r}: "
-                              "must be >= 2")
+        for key, (ok, rule) in PARAMETER_RANGES.items():
+            if not ok(self.parameters[key]):
+                raise ConfigError(f"bad parameter {key} = {self._echoed[key]!r}: {rule}")
         # command-line values are echoed typed, as they were parsed
         self._echoed.update({key: self.parameters[key] for key in overridden})
         self.output = overrides.get("out") or obj.get("output", ".")
-        self.formats = overrides.get("formats") or obj.get("formats", ["json", "csv"])
+        self.formats = _config_list("formats", overrides.get("formats")
+                                    or obj.get("formats", ["json", "csv"]))
         for f in self.formats:
             if f not in ("json", "csv"):
                 raise ConfigError(f"unknown format {f!r}")
@@ -137,7 +158,7 @@ def cmd_analyze(cfg: RunConfig):
         if "decay" in analyses:
             for name, verdict in ctx.decay_verdicts.items():
                 write_windows_csv(out / f"windows_{name}.csv", verdict)
-    with open(out / "run_meta.json", "w") as fh:
+    with atomic_writer(out / "run_meta.json") as fh:
         json.dump({"wall_clock_s": {k: round(v, 6) for k, v in timings.items()},
                    "total_s": round(time.perf_counter() - t_start, 6)}, fh, indent=2)
         fh.write("\n")
@@ -145,8 +166,6 @@ def cmd_analyze(cfg: RunConfig):
 
 
 def cmd_compare(cfgs, out_dir, n_max=4):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     # every generator is probed with the same fixed parameters, not its config's
     parameters = dict(DEFAULT_PARAMETERS, n_max=n_max)
     try:
@@ -156,6 +175,9 @@ def cmd_compare(cfgs, out_dir, n_max=4):
     with concurrent.futures.ThreadPoolExecutor(max_workers=cap or min(4, len(cfgs))) as ex:
         rows = list(ex.map(lambda cfg: compare_row(RunContext(cfg.spec, cfg.grid_spec,
                                                               parameters)), cfgs))
+    # created only once every row has succeeded, as in analyze and construct
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_compare_csv(out / "compare.csv", compare_header(n_max), rows)
     return EXIT_OK
 

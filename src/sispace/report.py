@@ -5,23 +5,38 @@ through a small emitter of our own: keys keep insertion order, floats print
 with 17 significant digits ('.' decimal, no locale), which round-trips
 float64 exactly.  Identical config + identical version => byte-identical
 bytes out.
+
+Numeric CSV tables are formatted ``CSV_BLOCK_ROWS`` rows at a time, one
+``%`` operation per block, cell for cell the same text as
+:func:`_fmt_float`.  Every output file is written through
+:func:`atomic_writer`: a temp file in the target directory that replaces
+the final path only once it is complete, so a failed write never leaves a
+half-written file.  Values are checked before any file is opened.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import secrets
+from pathlib import Path
 
 import numpy as np
 
 from .grid import FrequencyGrid, SampledSignal, SampledSpectrum
 
 FLOAT_FMT = ".17g"
+NON_FINITE = "reports must not contain NaN or infinity"
+CSV_BLOCK_ROWS = 1 << 14
+# below this an integral float prints in fixed notation under FLOAT_FMT, with no '.'
+_FIXED_INTEGRAL_LIMIT = 1e17
 
 
 def _fmt_float(x):
     if math.isnan(x) or math.isinf(x):
-        raise ValueError("reports must not contain NaN or infinity")
+        raise ValueError(NON_FINITE)
     s = format(float(x), FLOAT_FMT)
     # keep a float marker so round-tripped types stay stable
     if "." not in s and "e" not in s and "E" not in s:
@@ -60,33 +75,75 @@ def dumps_deterministic(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj)!r} deterministically")
 
 
+@contextlib.contextmanager
+def atomic_writer(path):
+    """Text file handle whose contents replace ``path`` when the block exits.
+
+    The handle writes a fresh temp file next to ``path`` (so ``os.replace``
+    stays on one file system); on any exception the temp file is removed and
+    whatever was at ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_report(path, obj):
     # rendered before the file is opened: a value that cannot be written leaves no file
     text = dumps_deterministic(obj) + "\n"
-    with open(path, "w") as fh:
+    with atomic_writer(path) as fh:
         fh.write(text)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
+def _write_csv(path, header, kinds, *columns):
+    """CSV of numeric columns, formatted ``CSV_BLOCK_ROWS`` rows per ``%``.
+
+    ``kinds`` has one letter per CSV column: ``i`` the row index, ``d`` an
+    integer column, ``g`` a float column printed as :func:`_fmt_float` does.
+    ``columns`` are the ``d`` and ``g`` columns in order.  Every float is
+    checked before the file is opened.
+    """
+    columns = [np.asarray(c, dtype=int if kind == "d" else float)
+               for kind, c in zip(kinds.replace("i", ""), columns)]
+    if not all(np.isfinite(c).all() for c in columns):
+        raise ValueError(NON_FINITE)
+    n_rows = columns[0].size
+    floats = [j for j, kind in enumerate(kinds) if kind == "g"]
+    # one row template per pattern of integral float cells (bit b: float b is integral)
+    templates = []
+    for code in range(1 << len(floats)):
+        cells = ["%d"] * len(kinds)
+        for b, j in enumerate(floats):
+            cells[j] = "%.1f" if code >> b & 1 else "%.17g"
+        templates.append(",".join(cells) + "\n")
+    templates = np.array(templates, dtype=object)
+    weights = 1 << np.arange(len(floats))
+    data = iter(columns)
+    sources = [None if kind == "i" else next(data) for kind in kinds]
+    with atomic_writer(path) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def _cell(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(v)
-    return str(v)
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, n_rows)
+            # integer cells ride as float64 too: exact below 2^53, printed by %d
+            block = np.empty((stop - start, len(kinds)))
+            for j, src in enumerate(sources):
+                block[:, j] = np.arange(start, stop) if src is None else src[start:stop]
+            cells = block[:, floats]
+            integral = (np.trunc(cells) == cells) & (np.abs(cells) < _FIXED_INTEGRAL_LIMIT)
+            template = "".join(templates[integral @ weights].tolist())
+            fh.write(template % tuple(block.ravel().tolist()))
 
 
 def _write_samples_csv(path, axis_name, axis, values):
-    vals = np.asarray(values, dtype=complex)
-    rows = ((str(i), _fmt_float(axis[i]), _fmt_float(vals[i].real), _fmt_float(vals[i].imag))
-            for i in range(vals.size))
-    _write_csv(path, ("index", axis_name, "re", "im"), rows)
+    values = np.asarray(values, dtype=complex)
+    _write_csv(path, ("index", axis_name, "re", "im"), "iggg", axis, values.real, values.imag)
 
 
 def write_spectrum_csv(path, spectrum: SampledSpectrum):
@@ -98,21 +155,28 @@ def write_signal_csv(path, signal: SampledSignal):
 
 
 def write_periodization_csv(path, profile):
-    rows = ((str(i), _fmt_float(profile.residues[i]), _fmt_float(profile.values[i]),
-             str(int(profile.excluded[i])))
-            for i in range(profile.values.size))
-    _write_csv(path, ("index", "xi", "G", "excluded"), rows)
+    _write_csv(path, ("index", "xi", "G", "excluded"), "iggd",
+               profile.residues, profile.values, profile.excluded)
 
 
 def write_windows_csv(path, verdict):
     increments = (verdict.partials[0],) + tuple(verdict.tail_increments)
-    rows = ((_fmt_float(T), _fmt_float(P), _fmt_float(inc))
-            for T, P, inc in zip(verdict.windows, verdict.partials, increments))
-    _write_csv(path, ("T", "partial", "increment"), rows)
+    _write_csv(path, ("T", "partial", "increment"), "ggg",
+               verdict.windows, verdict.partials, increments)
+
+
+def _cell(v):
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return _fmt_float(v)
+    return str(v)
 
 
 def write_compare_csv(path, header, rows):
-    _write_csv(path, header, ([_cell(v) for v in row] for row in rows))
+    text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+    with atomic_writer(path) as fh:
+        fh.write(text)
 
 
 def read_spectrum_csv(path, grid: FrequencyGrid | None = None,

@@ -336,6 +336,14 @@ def test_analyze_decay_builds_one_evaluator(tmp_path, monkeypatch):
      "alpha and beta must be positive and finite"),
     ({"parameters": {"n_max": 1}}, "bad parameter n_max = 1: must be >= 2"),
     ({"argv": ["--n-max", "0"]}, "bad parameter n_max = 0: must be >= 2"),
+    ({"analyses": "decay"}, "analyses must be a JSON list, got 'decay'"),
+    ({"formats": "json"}, "formats must be a JSON list, got 'json'"),
+    ({"analyses": ["gates"], "parameters": {"eps": -1}}, "bad parameter eps = -1: must be > 0"),
+    ({"analyses": ["gates"], "parameters": {"p": 3}}, "bad parameter p = 3: must lie in [1, 2)"),
+    ({"analyses": ["gates"], "parameters": {"q": 0.5}}, "bad parameter q = 0.5: must be >= 1"),
+    ({"analyses": ["gates"], "parameters": {"delta": 0}}, "bad parameter delta = 0: must be > 0"),
+    ({"analyses": ["gates"], "parameters": {"gamma": -1}},
+     "bad parameter gamma = -1: must be >= 0"),
 ])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
     extra = dict(extra)
@@ -405,6 +413,33 @@ def test_compare_n_max_beyond_the_grid_exits_3_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0] == "numeric precondition violated: n_max = 3 too large for half_range 4"
+
+
+def test_failed_compare_leaves_no_directory(tmp_path, capsys):
+    cfgs = [write_config(tmp_path / f"{name}.json", {"generator": gen, "grid": "64,4"})
+            for name, gen in (("s", {"variant": "sinc"}),
+                              ("b", {"variant": "bspline", "degree": 1}))]
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfgs[0], "--config", cfgs[1],
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["numeric precondition violated: n_max = 4 too large for half_range 4"]
+    assert not out.exists()
+
+
+def test_outputs_leave_no_temp_files(tmp_path):
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
+        "analyses": ["periodization", "decay"],
+        "parameters": {"windows": [2, 4, 8, 16]},
+    })
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "periodization.csv", "report.json", "run_meta.json", "windows_integrability.csv",
+        "windows_second_moment_heavy.csv", "windows_second_moment_light.csv"]
+    run_meta = json.loads((out / "run_meta.json").read_text())
+    assert list(run_meta) == ["wall_clock_s", "total_s"]
 
 
 @pytest.mark.parametrize("analyses", [["periodization", "invariance"], ["suite"]])
