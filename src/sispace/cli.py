@@ -29,7 +29,7 @@ from pathlib import Path
 from . import __version__
 from .generators import GeneratorSpec
 from .grid import GridError
-from .localization import check_windows
+from .localization import GATE_RANGES, check_windows
 from .pipeline import (DEFAULT_PARAMETERS, SECTIONS, ConfigError, RunContext,
                        compare_header, compare_row, grid_block, load_json)
 from .report import (atomic_writer, write_compare_csv, write_periodization_csv,
@@ -40,14 +40,11 @@ EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
 
 ANALYSES = tuple(SECTIONS)
 
-# checked when the config is read, before any work: FeasibilityGate's ranges
-# and n_max; each test is written so that NaN fails it
+# checked when the config is read, before any work and whichever subcommand
+# reads it: the gate exponents (the config's "eps" is the gate's epsilon) and
+# n_max; each test is written so that NaN fails it
 PARAMETER_RANGES = {
-    "eps": (lambda v: v > 0, "must be > 0"),
-    "p": (lambda v: 1 <= v < 2, "must lie in [1, 2)"),
-    "q": (lambda v: v >= 1, "must be >= 1"),
-    "delta": (lambda v: v > 0, "must be > 0"),
-    "gamma": (lambda v: v >= 0, "must be >= 0"),
+    **{"eps" if name == "epsilon" else name: rule for name, rule in GATE_RANGES.items()},
     "n_max": (lambda v: v >= 2, "must be >= 2"),
 }
 

@@ -296,6 +296,17 @@ def spectrum_envelope_exponent(f: SampledSpectrum):
 # parameter gates
 # ---------------------------------------------------------------------------
 
+# allowed range of each gate exponent, each test written so that NaN fails
+# it; FeasibilityGate checks its fields and the CLI its config against it
+GATE_RANGES = {
+    "gamma": (lambda v: v >= 0, "must be >= 0"),
+    "delta": (lambda v: v > 0, "must be > 0"),
+    "p": (lambda v: 1 <= v < 2, "must lie in [1, 2)"),
+    "q": (lambda v: v >= 1, "must be >= 1"),
+    "epsilon": (lambda v: v > 0, "must be > 0"),
+}
+
+
 @dataclass(frozen=True)
 class FeasibilityGate:
     """Exponent bundle for the localization trade-off inequalities."""
@@ -311,16 +322,9 @@ class FeasibilityGate:
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if not 1 <= self.p < 2:
-            raise ValueError("p must lie in [1, 2)")
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        for name, (ok, rule) in GATE_RANGES.items():
+            if not ok(getattr(self, name)):
+                raise ValueError(f"{name} {rule}")
 
 
 @dataclass(frozen=True)

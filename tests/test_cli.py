@@ -344,6 +344,9 @@ def test_analyze_decay_builds_one_evaluator(tmp_path, monkeypatch):
     ({"analyses": ["gates"], "parameters": {"delta": 0}}, "bad parameter delta = 0: must be > 0"),
     ({"analyses": ["gates"], "parameters": {"gamma": -1}},
      "bad parameter gamma = -1: must be >= 0"),
+    # the ranges hold for every subcommand's config, read or not
+    ({"command": "construct", "parameters": {"p": 3}}, "bad parameter p = 3: must lie in [1, 2)"),
+    ({"command": "compare", "parameters": {"eps": 0}}, "bad parameter eps = 0: must be > 0"),
 ])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
     extra = dict(extra)

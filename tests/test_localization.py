@@ -293,6 +293,8 @@ def test_gate_validation():
         FeasibilityGate(alpha=1, beta=1, gamma=-1)
     with pytest.raises(ValueError):
         FeasibilityGate(alpha=1, beta=1, delta=0.0)
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        FeasibilityGate(alpha=1, beta=1, q=float("nan"))
 
 
 def test_gate_consistency_with_block_numerics():
