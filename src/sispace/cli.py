@@ -12,8 +12,10 @@ writes a deterministic ``report.json`` (same config + same version =>
 byte-identical bytes) plus CSV tables; wall-clock timings go to a separate
 ``run_meta.json`` so they never perturb the report.  Each subcommand creates
 its output directory only after its computation has succeeded, and every
-file goes through :func:`~sispace.report.atomic_writer`.  ``SISPACE_THREADS``
-caps the worker pool used by ``compare``.
+file goes through :func:`~sispace.report.atomic_writer`.  ``construct``
+replaces its three files only once all of them are written, and ``analyze``
+removes the CSV tables of an earlier run that it did not write again.
+``SISPACE_THREADS`` caps the worker pool used by ``compare``.
 """
 
 from __future__ import annotations
@@ -30,15 +32,18 @@ from . import __version__
 from .generators import GeneratorSpec
 from .grid import GridError
 from .localization import GATE_RANGES, check_windows
-from .pipeline import (DEFAULT_PARAMETERS, SECTIONS, ConfigError, RunContext,
-                       compare_header, compare_row, grid_block, load_json)
-from .report import (atomic_writer, write_compare_csv, write_periodization_csv,
-                     write_report, write_signal_csv, write_spectrum_csv,
-                     write_windows_csv)
+from .pipeline import (DECAY_PROBES, DEFAULT_PARAMETERS, SECTIONS, ConfigError,
+                       RunContext, compare_header, compare_row, grid_block,
+                       load_json)
+from .report import (atomic_writer, staged_paths, write_compare_csv,
+                     write_periodization_csv, write_report, write_signal_csv,
+                     write_spectrum_csv, write_windows_csv)
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
 
 ANALYSES = tuple(SECTIONS)
+# every CSV table analyze may write
+ANALYZE_CSVS = ("periodization.csv", *(f"windows_{name}.csv" for name in DECAY_PROBES))
 
 # checked when the config is read, before any work and whichever subcommand
 # reads it: the gate exponents (the config's "eps" is the gate's epsilon) and
@@ -117,10 +122,6 @@ class RunConfig:
 def cmd_construct(cfg: RunConfig):
     ctx = RunContext(cfg.spec, cfg.grid_spec, cfg.parameters)
     spectrum, signal = ctx.spectrum, ctx.signal
-    out = Path(cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
-    write_spectrum_csv(out / "spectrum.csv", spectrum)
-    write_signal_csv(out / "signal.csv", signal)
     meta = {"generator": cfg.spec.to_json(), "version": __version__,
             "grid": grid_block(ctx), "label": spectrum.label,
             "hermitian": spectrum.hermitian, "spectrum_meta": spectrum.meta}
@@ -129,7 +130,15 @@ def cmd_construct(cfg: RunConfig):
         meta["beta_j"] = list(p.block_counts[:p.J])
         meta["gamma_j"] = list(p.block_offsets[:p.J])
         meta["required_half_range"] = p.required_half_range
-    write_report(out / "meta.json", meta)
+    out = Path(cfg.output)
+    out.mkdir(parents=True, exist_ok=True)
+    # all three are written before any replaces an earlier run's file:
+    # analyze reads meta.json as the sidecar of whatever spectrum.csv is there
+    with staged_paths(out / "spectrum.csv", out / "signal.csv",
+                      out / "meta.json") as (spectrum_tmp, signal_tmp, meta_tmp):
+        write_spectrum_csv(spectrum_tmp, spectrum)
+        write_signal_csv(signal_tmp, signal)
+        write_report(meta_tmp, meta)
     return EXIT_OK
 
 
@@ -149,16 +158,23 @@ def cmd_analyze(cfg: RunConfig):
         write_report(out / "report.json", {"config": cfg.echo(), "version": __version__,
                                            "grid": grid_block(ctx),
                                            "analyses": analyses})
+    written = set()
     if "csv" in cfg.formats:
         if "periodization" in analyses:
             write_periodization_csv(out / "periodization.csv", ctx.criteria.profile)
+            written.add("periodization.csv")
         if "decay" in analyses:
             for name, verdict in ctx.decay_verdicts.items():
                 write_windows_csv(out / f"windows_{name}.csv", verdict)
+                written.add(f"windows_{name}.csv")
     with atomic_writer(out / "run_meta.json") as fh:
         json.dump({"wall_clock_s": {k: round(v, 6) for k, v in timings.items()},
                    "total_s": round(time.perf_counter() - t_start, 6)}, fh, indent=2)
         fh.write("\n")
+    # an earlier run's tables would read as this run's
+    for name in ANALYZE_CSVS:
+        if name not in written:
+            (out / name).unlink(missing_ok=True)
     return EXIT_OK
 
 

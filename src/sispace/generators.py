@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -366,7 +367,10 @@ class WindowTables:
 
     Values beyond ``|x| = TABLE_X_MAX`` evaluate to 0; ``tail_bound`` records the
     largest magnitude seen on the outer 2% of each table, which bounds the
-    truncation error committed by that convention.
+    truncation error committed by that convention.  ``g0_inv``/``g1_inv``
+    take arbitrary x; ``g0_inv_ascending``/``g1_inv_ascending`` take x in
+    ascending order and give bitwise the same values without a per-point
+    interval search.
     """
 
     def __init__(self, alpha):
@@ -384,6 +388,11 @@ class WindowTables:
 
         self._g0 = CubicSpline(x_nodes, g0_inv.real)
         self._g1 = CubicSpline(x_nodes, g1_inv)
+        # per-interval cubic coefficients, highest power first, as PPoly holds them
+        self._knots = x_nodes
+        self._g0_coeffs = self._g0.c
+        self._g1_coeffs = (np.ascontiguousarray(self._g1.c.real),
+                           np.ascontiguousarray(self._g1.c.imag))
         edge = x_nodes.size // 50
         self.tail_bound = float(max(np.abs(g0_inv[:edge]).max(),
                                     np.abs(g0_inv[-edge:]).max(),
@@ -403,6 +412,52 @@ class WindowTables:
         ok = np.abs(x) <= TABLE_X_MAX
         out[ok] = self._g1(x[ok])
         return out
+
+    def g0_inv_ascending(self, x):
+        """:meth:`g0_inv` for a 1-D ascending ``x``."""
+        return self._interval_runs(x, self._g0_coeffs)[0]
+
+    def g1_inv_ascending(self, x):
+        """:meth:`g1_inv` for a 1-D ascending ``x``, as ``(real, imag)``."""
+        return self._interval_runs(x, *self._g1_coeffs)
+
+    def _interval_runs(self, x, *coeffs):
+        """Each spline of ``coeffs`` at an ascending ``x``, one knot interval at a time.
+
+        The points of one interval form a contiguous run of ``x``; each run
+        is evaluated with its interval's coefficients in PPoly's order,
+        ``c3 + c2 s + c1 s**2 + c0 s**3`` with ``s`` the offset from the
+        interval's left knot, so every value is bitwise the spline's own.
+        Points outside the table stay 0.
+        """
+        knots = self._knots
+        outs = [np.zeros(x.shape) for _ in coeffs]
+        first = np.searchsorted(x, knots[0], "left")
+        last = np.searchsorted(x, knots[-1], "right")
+        if first >= last:
+            return outs
+        # a point on an inner knot opens that knot's interval; the last knot
+        # closes the last interval
+        top = knots.size - 2
+        lo = min(int(np.searchsorted(knots, x[first], "right")) - 1, top)
+        hi = min(int(np.searchsorted(knots, x[last - 1], "right")) - 1, top)
+        bounds = [first, *np.searchsorted(x, knots[lo + 1:hi + 1], "left").tolist(), last]
+        scratch = np.empty(x.shape)
+        for i, a, b in zip(range(lo, hi + 1), bounds, bounds[1:]):
+            if a == b:
+                continue
+            s = x[a:b] - knots[i]
+            s2 = s * s
+            s3 = s2 * s
+            term = scratch[a:b]
+            for c, out in zip(coeffs, outs):
+                # c3 + c2 s + c1 s**2 + c0 s**3, summed left to right in place
+                value = out[a:b]
+                np.multiply(s, c[2, i], out=value)
+                value += c[3, i]
+                value += np.multiply(s2, c[1, i], out=term)
+                value += np.multiply(s3, c[0, i], out=term)
+        return outs
 
 
 @lru_cache(maxsize=8)
@@ -428,6 +483,135 @@ def dirichlet_ratio(u, count):
     return sign * ratio
 
 
+# Cap on the Dirichlet tables of one lattice (J tables of 2**(e+1) floats):
+# 2.5 MiB at e = 15, J = 5, and 12 MiB at e = 17, J = 6.
+DIRICHLET_TABLE_BYTES = 16 << 20
+CARRIER_SPLIT_BITS = 10   # lattice carrier: k = k_hi * 2**10 + k_lo
+
+_per_thread = threading.local()
+
+
+def _dirichlet_tables(counts, exponent):
+    """``T[q] = dirichlet_ratio(q * 2**-exponent, count)`` for ``q < 2**(exponent+1)``,
+    one table per count.
+
+    ``dirichlet_ratio(u, count)`` has period 2 in u, so on the lattice
+    ``u = n*k*2**-exponent`` it equals ``T[(n*k) mod 2**(exponent+1)]``
+    bitwise.  Each thread keeps the last set it built: the chunks of one
+    lattice pass share it, and concurrent passes never evict each other.
+    """
+    key = (counts, exponent)
+    cached = getattr(_per_thread, "dirichlet", None)
+    if cached is None or cached[0] != key:
+        q = np.arange(2 << exponent) * 2.0 ** -exponent
+        cached = key, tuple(dirichlet_ratio(q, count) for count in counts)
+        _per_thread.dirichlet = cached
+    return cached[1]
+
+
+@dataclass(frozen=True)
+class DyadicLattice:
+    """The ascending points ``k * 2**-exponent`` for ``k = start .. stop-1``.
+
+    ``np.asarray(lattice)`` gives them as float64, each exact.
+    :func:`evaluate_psi_time` recognises the type and takes each factor of
+    its sum from tables built on the lattice's dyadic structure.
+    """
+
+    start: int
+    stop: int
+    exponent: int
+
+    def __post_init__(self):
+        if not (self.start <= self.stop and self.exponent >= 0):
+            raise ValueError("a lattice needs start <= stop and exponent >= 0")
+
+    @property
+    def size(self):
+        return self.stop - self.start
+
+    @property
+    def k(self):
+        return np.arange(self.start, self.stop)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a DyadicLattice has no array to view; it is built on request")
+        return (self.k * 2.0 ** -self.exponent).astype(dtype or float, copy=False)
+
+
+class _PointFactors:
+    """The factors of the analytic sum at arbitrary points ``x``."""
+
+    def __init__(self, x, params, windows):
+        self.x, self.n, self.windows = x, params.n, windows
+
+    def central(self, scale):
+        return self.windows.g0_inv(scale * self.x)
+
+    def envelope(self, scale):
+        env = self.windows.g1_inv(scale * self.x)
+        return env.real, env.imag
+
+    def dirichlet(self, j, count):
+        return dirichlet_ratio(self.n * self.x, count)
+
+    def carrier(self, freq):
+        angle = 2.0 * np.pi * np.mod(freq * self.x, 1.0)
+        return np.cos(angle), np.sin(angle)
+
+
+class _LatticeFactors(_PointFactors):
+    """The same factors on a :class:`DyadicLattice`.
+
+    * windows: one run of points per spline interval
+      (:meth:`WindowTables.g0_inv_ascending`), bitwise equal;
+    * Dirichlet ratio: gathered from :func:`_dirichlet_tables` while one
+      lattice's tables fit in ``DIRICHLET_TABLE_BYTES``, else computed
+      directly; bitwise equal either way;
+    * carrier: ``E(k) = E_hi(k_hi) * E_lo(k_lo)`` for
+      ``k = k_hi * 2**CARRIER_SPLIT_BITS + k_lo``, each factor's phase
+      reduced as the point route reduces ``freq * x``, so the one new
+      rounding is that complex product.
+    """
+
+    def __init__(self, lattice, params, windows):
+        super().__init__(np.asarray(lattice), params, windows)
+        e = lattice.exponent
+        self.dirichlet_tables = None
+        if params.J * (2 << e) * 8 <= DIRICHLET_TABLE_BYTES:
+            self.dirichlet_tables = _dirichlet_tables(params.block_counts[1:], e)
+            self.q = (params.n * lattice.k) & ((2 << e) - 1)
+        bits = CARRIER_SPLIT_BITS
+        hi = np.arange(lattice.start >> bits, ((lattice.stop - 1) >> bits) + 1) << bits
+        self.x_hi = hi * 2.0 ** -e
+        self.x_lo = np.arange(1 << bits) * 2.0 ** -e
+        self.span = slice(lattice.start - hi[0], lattice.start - hi[0] + lattice.size)
+
+    def central(self, scale):
+        return self.windows.g0_inv_ascending(scale * self.x)
+
+    def envelope(self, scale):
+        return self.windows.g1_inv_ascending(scale * self.x)
+
+    def dirichlet(self, j, count):
+        if self.dirichlet_tables is None:
+            return super().dirichlet(j, count)
+        return self.dirichlet_tables[j - 1].take(self.q)
+
+    def carrier(self, freq):
+        angle_hi = 2.0 * np.pi * np.mod(freq * self.x_hi, 1.0)
+        angle_lo = 2.0 * np.pi * np.mod(freq * self.x_lo, 1.0)
+        cos_hi, sin_hi = np.cos(angle_hi)[:, None], np.sin(angle_hi)[:, None]
+        cos_lo, sin_lo = np.cos(angle_lo), np.sin(angle_lo)
+        # the complex product written out (numpy's own may fuse multiply-adds)
+        cos = cos_hi * cos_lo
+        cos -= sin_hi * sin_lo
+        sin = cos_hi * sin_lo
+        sin += sin_hi * cos_lo
+        return cos.ravel()[self.span], sin.ravel()[self.span]
+
+
 def evaluate_psi_time(x, params: PsiParams):
     """Time-domain values of the banded generator by the analytic route.
 
@@ -438,29 +622,40 @@ def evaluate_psi_time(x, params: PsiParams):
     ``g1`` is real, so each mirror term is the complex conjugate of its
     direct term and the pair sums to ``2 Re``; the values returned are real,
     for every x.
+
+    ``x`` is any array of points, or a :class:`DyadicLattice`.  Both run the
+    one sum below; on a lattice each factor comes from tables instead of
+    per-point work (see :class:`_LatticeFactors`): windows and Dirichlet
+    ratios are bitwise those of the same points given as an array, the
+    carrier differs by the rounding of one complex product.
     """
-    tables = window_tables(params.alpha)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
+    windows = window_tables(params.alpha)
+    if isinstance(x, DyadicLattice):
+        scalar, factors = False, _LatticeFactors(x, params, windows)
+    else:
+        x = np.asarray(x, dtype=float)
+        scalar = x.ndim == 0
+        factors = _PointFactors(np.atleast_1d(x), params, windows)
 
     a = params.alpha
     counts = params.block_counts
     offsets = params.block_offsets
     s0 = (1.0 - 2.0 ** (-a)) / 2.0
-    out = s0 * tables.g0_inv(s0 * x)
+    out = s0 * factors.central(s0)
 
-    u = params.n * x
     for j in range(1, params.J + 1):
         bj = counts[j]
         cj = (2.0 ** a - 1.0) / 2.0 ** (j * a + 1)
         pref = (2.0 ** a - 1.0) / 2.0 * bj ** -0.5 * 2.0 ** (-j * a)
         # carrier at the block scale and the comb's center frequency, in turns
         freq = (1.0 - 2.0 ** (-j * a)) / 2.0 + params.n * (offsets[j] + (bj - 1) / 2.0)
-        angle = 2.0 * np.pi * np.mod(freq * x, 1.0)
-        envelope = tables.g1_inv(cj * x)
-        out += (2.0 * pref * dirichlet_ratio(u, bj)
-                * (envelope.real * np.cos(angle) - envelope.imag * np.sin(angle)))
+        env_re, env_im = factors.envelope(cj)
+        cos, sin = factors.carrier(freq)
+        # out += 2 pref D (env_re cos - env_im sin), in place, in that order
+        term = env_re * cos
+        term -= env_im * sin
+        term *= 2.0 * pref * factors.dirichlet(j, bj)
+        out += term
     return out[0] if scalar else out
 
 

@@ -110,7 +110,8 @@ class SampledSpectrum:
 
     ``meta`` carries builder-provided facts used by the analysis layer, e.g.
     ``exclusion_halfwidth`` (grid artifacts near half-integer frequencies)
-    and ``blocks`` for the banded constructions.
+    and ``blocks`` for the banded constructions.  Values must be finite:
+    GridError otherwise.
     """
 
     grid: FrequencyGrid
@@ -124,6 +125,8 @@ class SampledSpectrum:
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid.n_points,):
             raise GridError(f"values length {v.shape} != grid point count {self.grid.n_points}")
+        if not np.isfinite(v).all():
+            raise GridError("spectrum values must be finite")
 
     def value_at(self, xi):
         return self.values[self.grid.index_of(xi)]

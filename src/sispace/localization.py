@@ -27,14 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import h, h_support
-from .generators import PsiParams, PsiTimeEvaluator
+from .generators import DyadicLattice, PsiParams, PsiTimeEvaluator
 from .grid import GridError, SampledSignal, SampledSpectrum, next_pow2
 
 DEFAULT_WINDOWS = (4.0, 8.0, 16.0, 32.0, 64.0)
 DEFAULT_REL_TOL = 0.05
 LATTICE_OVERSAMPLE = 8
 MIN_PROBE_WINDOWS = 4
-PROBE_CHUNK = 1 << 19        # lattice points evaluated at once by the analytic route
+PROBE_CHUNK = 1 << 16        # lattice points evaluated at once by the analytic route
 BLOCK_QUAD_NODES = 2049      # per-block nodes of the frequency-norm quadrature
 POINTWISE_NODES = 4097       # per-block nodes of the scaled-sup search
 ENVELOPE_MIN_OFFSET = 2      # first unit interval fitted by the envelope exponent
@@ -69,8 +69,13 @@ def _as_time_source(source):
     return source
 
 
+def _lattice_exponent(evaluator: PsiTimeEvaluator):
+    """e of the probe lattice step ``dx = 2**-e``."""
+    return next_pow2(int(max(256, LATTICE_OVERSAMPLE * evaluator.max_frequency))).bit_length() - 1
+
+
 def _lattice_step(evaluator: PsiTimeEvaluator):
-    return 1.0 / next_pow2(int(max(256, LATTICE_OVERSAMPLE * evaluator.max_frequency)))
+    return 2.0 ** -_lattice_exponent(evaluator)
 
 
 def _window_partials(source, exponents, windows):
@@ -78,10 +83,20 @@ def _window_partials(source, exponents, windows):
 
     One row per ``(p, w)`` in ``exponents``, one column per window (checked
     by the caller).  The analytic route walks the half lattice
-    k = 0..round(T_max/dx) once, in pieces of at most ``PROBE_CHUNK`` points
-    that end at every window seam; each piece is evaluated once and adds its
-    trapezoid to the window segment it lies in.  f is even, so a partial is
-    twice its half-lattice trapezoid.  Returns ``(partials, route)``.
+    x = k*dx, k = 0..round(T_max/dx), dx = 2**-e, once, in pieces of at most
+    ``PROBE_CHUNK`` points that end at every window seam; each piece is
+    evaluated once, as a :class:`~sispace.generators.DyadicLattice`, and adds
+    its trapezoid to the window segment it lies in.  f is even, so a partial
+    is twice its half-lattice trapezoid.  Returns ``(partials, route)``.
+
+    On a lattice piece :func:`~sispace.generators.evaluate_psi_time` takes
+    the Dirichlet factor from one table per depth indexed by
+    (n*k) mod 2**(e+1) (built once per lattice while the tables stay under
+    ``generators.DIRICHLET_TABLE_BYTES`` = 16 MiB, computed directly above), the
+    window values one spline interval at a time over the ascending points,
+    and the carrier as a product of two small tables over the high and low
+    bits of k.  A piece of 2**16 points keeps its few 512 KiB temporaries
+    in a core's L2 cache.
     """
     if any(p < 1 for p, _ in exponents):
         raise ValueError("p must be >= 1")
@@ -102,7 +117,8 @@ def _window_partials(source, exponents, windows):
         return partials, "grid"
     if not isinstance(source, PsiTimeEvaluator):
         raise TypeError("expected SampledSignal, PsiTimeEvaluator or PsiParams")
-    dx = _lattice_step(source)
+    exponent = _lattice_exponent(source)
+    dx = 2.0 ** -exponent
     if windows[-1] > source.valid_span:
         raise GridError(f"window {windows[-1]} exceeds the analytic route's "
                         f"table validity {source.valid_span}")
@@ -110,8 +126,9 @@ def _window_partials(source, exponents, windows):
     segments = np.zeros((len(exponents), len(windows)))
     stops = sorted({0, *ks, *range(0, ks[-1], PROBE_CHUNK)})
     for a, b in zip(stops, stops[1:]):
-        xs = np.arange(a, b + 1) * dx
-        values = np.abs(source(xs))
+        lattice = DyadicLattice(a, b + 1, exponent)
+        values = np.abs(source(lattice))
+        xs = np.asarray(lattice)
         seg = next(i for i, k in enumerate(ks) if k >= b)
         for row, (p, w) in enumerate(exponents):
             segments[row, seg] += np.trapezoid(values ** p * (1.0 + xs) ** w, dx=dx)

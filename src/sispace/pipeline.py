@@ -26,6 +26,8 @@ from .report import read_spectrum_csv
 from .spectral import (MAGNITUDE_THRESHOLD, RIESZ_THRESHOLD, gram_coefficients,
                        grid_criteria, orthonormality_defect)
 
+# the decay probes: the L^1 trend, then for psi the |x|^{1 +- eps} second-moment pair
+DECAY_PROBES = ("integrability", "second_moment_heavy", "second_moment_light")
 DEFAULT_PARAMETERS = {"eps": 0.5, "gamma": 0.0, "delta": 0.2, "p": 1.0, "q": 1.0,
                       "n_max": 8, "K": 8, "s": 0.5, "windows": list(DEFAULT_WINDOWS)}
 
@@ -138,13 +140,13 @@ class RunContext:
 
     @cached_property
     def decay_verdicts(self):
-        """The L^1 trend, plus the ``|x|^{1 +- eps}`` second-moment pair for psi."""
-        names, exponents = ["integrability"], [(1, 0.0)]
+        """One verdict per name of ``DECAY_PROBES`` (the first only, unless psi)."""
+        exponents = [(1, 0.0)]
         if self.psi:
             eps = self.params["eps"]
-            names += ["second_moment_heavy", "second_moment_light"]
             exponents += [(2, 1.0 + eps), (2, 1.0 - eps)]
-        return dict(zip(names, divergence_probes(self.time_source, exponents, self.windows)))
+        return dict(zip(DECAY_PROBES,
+                        divergence_probes(self.time_source, exponents, self.windows)))
 
     @cached_property
     def pointwise(self):

@@ -11,7 +11,8 @@ Numeric CSV tables are formatted ``CSV_BLOCK_ROWS`` rows at a time, one
 :func:`_fmt_float`.  Every output file is written through
 :func:`atomic_writer`: a temp file in the target directory that replaces
 the final path only once it is complete, so a failed write never leaves a
-half-written file.  Values are checked before any file is opened.
+half-written file.  :func:`staged_paths` does the same for files that
+belong together.  Values are checked before any file is opened.
 """
 
 from __future__ import annotations
@@ -76,23 +77,35 @@ def dumps_deterministic(obj, indent=0):
 
 
 @contextlib.contextmanager
-def atomic_writer(path):
-    """Text file handle whose contents replace ``path`` when the block exits.
+def staged_paths(*paths):
+    """One temp path next to each of ``paths``; when the block exits, each
+    temp file replaces its path, in order.
 
-    The handle writes a fresh temp file next to ``path`` (so ``os.replace``
-    stays on one file system); on any exception the temp file is removed and
-    whatever was at ``path`` is left as it was.
+    The temp paths sit in their targets' directories (so ``os.replace``
+    stays on one file system).  No path is replaced before the block has
+    completed every temp file, so files that belong together, such as a
+    spectrum and its sidecar, never mix two runs; on any exception the temp
+    files are removed and the paths are left as they were.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    paths = [Path(p) for p in paths]
+    tmps = [p.with_name(f".{p.name}.{secrets.token_hex(8)}.tmp") for p in paths]
     try:
-        with open(tmp, "x") as fh:
-            yield fh
-        os.replace(tmp, path)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def atomic_writer(path):
+    """Text file handle whose contents replace ``path`` when the block exits
+    (:func:`staged_paths` for one path)."""
+    with staged_paths(path) as (tmp,), open(tmp, "x") as fh:
+        yield fh
 
 
 def write_report(path, obj):

@@ -445,6 +445,64 @@ def test_outputs_leave_no_temp_files(tmp_path):
     assert list(run_meta) == ["wall_clock_s", "total_s"]
 
 
+def test_failed_construct_keeps_the_earlier_files(tmp_path, capsys, monkeypatch):
+    from sispace import cli
+    out = tmp_path / "c"
+    sinc = write_config(tmp_path / "s.json", {"generator": {"variant": "sinc"}, "grid": "64,4"})
+    assert main(["construct", "--config", sinc, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["meta.json", "signal.csv", "spectrum.csv"]
+
+    def disk_full(path, signal):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_signal_csv", disk_full)
+    hat = write_config(tmp_path / "b.json", {"generator": {"variant": "bspline", "degree": 1},
+                                             "grid": "64,4"})
+    assert main(["construct", "--config", hat, "--out", str(out)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["I/O error: [Errno 28] No space left on device"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_analyze_removes_tables_it_did_not_write(tmp_path):
+    out = tmp_path / "out"
+    psi = write_config(tmp_path / "psi.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
+        "analyses": ["periodization", "decay"],
+        "parameters": {"windows": [2, 4, 8, 16]},
+    })
+    assert main(["analyze", "--config", psi, "--out", str(out)]) == 0
+    assert len(list(out.glob("*.csv"))) == 4
+    (out / "notes.csv").write_text("kept\n")
+    sinc = write_config(tmp_path / "sinc.json", {"generator": {"variant": "sinc"},
+                                                 "analyses": ["invariance"]})
+    assert main(["analyze", "--config", sinc, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["notes.csv", "report.json",
+                                                     "run_meta.json"]
+    assert main(["analyze", "--config", sinc, "--out", str(out),
+                 "--analyses", "periodization,decay"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "notes.csv", "periodization.csv", "report.json", "run_meta.json",
+        "windows_integrability.csv"]
+
+
+def test_non_finite_spectrum_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    from sispace import pipeline
+    from sispace.grid import SampledSpectrum
+
+    def build_nan(grid):
+        return SampledSpectrum(grid=grid, values=np.full(grid.n_points, np.nan))
+
+    monkeypatch.setattr(pipeline, "build_sinc", build_nan)
+    cfg = write_config(tmp_path / "c.json", {"generator": {"variant": "sinc"}, "grid": "64,4"})
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["numeric precondition violated: spectrum values must be finite"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("analyses", [["periodization", "invariance"], ["suite"]])
 def test_grid_criteria_fold_the_spectrum_once(tmp_path, monkeypatch, analyses):
     from sispace import spectral

@@ -60,6 +60,15 @@ def test_length_mismatch_rejected():
         SampledSignal(grid=g, values=np.zeros(g.n_points + 3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_spectrum_rejected(bad):
+    g = make_grid(16, 4)
+    values = np.zeros(g.n_points, dtype=type(bad))
+    values[5] = bad
+    with pytest.raises(GridError, match="must be finite"):
+        SampledSpectrum(grid=g, values=values)
+
+
 def test_shift_exactness(rng):
     g = make_grid(16, 8)
     values = np.zeros(g.n_points)

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from sispace import report
 from sispace.generators import build_sinc
-from sispace.grid import SampledSpectrum, make_grid
+from sispace.grid import SampledSignal, make_grid
 from sispace.report import (CSV_BLOCK_ROWS, NON_FINITE, _fmt_float, _write_csv,
                             dumps_deterministic, write_periodization_csv,
-                            write_report, write_spectrum_csv, write_windows_csv)
+                            write_report, write_signal_csv, write_spectrum_csv,
+                            write_windows_csv)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -144,8 +145,9 @@ def test_non_finite_sample_raises_before_any_file_exists(tmp_path, monkeypatch, 
     grid = make_grid(8, 2)
     values = np.ones(grid.n_points, dtype=complex)
     values[-1] = complex(0.0, bad)
+    # a SampledSpectrum rejects such values itself; a SampledSignal reaches the writer
     with pytest.raises(ValueError, match=NON_FINITE):
-        write_spectrum_csv(tmp_path / "spectrum.csv", SampledSpectrum(grid, values))
+        write_signal_csv(tmp_path / "signal.csv", SampledSignal(grid, values))
     with pytest.raises(ValueError, match=NON_FINITE):
         write_report(tmp_path / "report.json", {"x": [1.0, bad]})
     assert opened == [] and list(tmp_path.iterdir()) == []
