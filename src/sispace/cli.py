@@ -14,7 +14,8 @@ byte-identical bytes) plus CSV tables; wall-clock timings go to a separate
 its output directory only after its computation has succeeded, and every
 file goes through :func:`~sispace.report.atomic_writer`.  ``construct``
 replaces its three files only once all of them are written, and ``analyze``
-removes the CSV tables of an earlier run that it did not write again.
+removes the report and CSV tables of an earlier run that it did not write
+again.
 ``SISPACE_THREADS`` caps the worker pool used by ``compare``.
 """
 
@@ -42,8 +43,9 @@ from .report import (atomic_writer, staged_paths, write_compare_csv,
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
 
 ANALYSES = tuple(SECTIONS)
-# every CSV table analyze may write
-ANALYZE_CSVS = ("periodization.csv", *(f"windows_{name}.csv" for name in DECAY_PROBES))
+# every report and CSV table analyze may write (run_meta.json is always written)
+ANALYZE_OUTPUTS = ("report.json", "periodization.csv",
+                   *(f"windows_{name}.csv" for name in DECAY_PROBES))
 
 # checked when the config is read, before any work and whichever subcommand
 # reads it: the gate exponents (the config's "eps" is the gate's epsilon) and
@@ -154,11 +156,12 @@ def cmd_analyze(cfg: RunConfig):
     # created only once every analysis has succeeded: a failed run leaves no directory
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
+    written = set()
     if "json" in cfg.formats:
         write_report(out / "report.json", {"config": cfg.echo(), "version": __version__,
                                            "grid": grid_block(ctx),
                                            "analyses": analyses})
-    written = set()
+        written.add("report.json")
     if "csv" in cfg.formats:
         if "periodization" in analyses:
             write_periodization_csv(out / "periodization.csv", ctx.criteria.profile)
@@ -171,8 +174,8 @@ def cmd_analyze(cfg: RunConfig):
         json.dump({"wall_clock_s": {k: round(v, 6) for k, v in timings.items()},
                    "total_s": round(time.perf_counter() - t_start, 6)}, fh, indent=2)
         fh.write("\n")
-    # an earlier run's tables would read as this run's
-    for name in ANALYZE_CSVS:
+    # an earlier run's report and tables would read as this run's
+    for name in ANALYZE_OUTPUTS:
         if name not in written:
             (out / name).unlink(missing_ok=True)
     return EXIT_OK

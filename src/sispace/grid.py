@@ -151,7 +151,12 @@ class SampledSpectrum:
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Samples of a generator on the dual time axis of a :class:`FrequencyGrid`."""
+    """Samples of a generator on the dual time axis of a :class:`FrequencyGrid`.
+
+    Values are real float64 when they come from an exactly Hermitian spectrum
+    (see :func:`to_time_domain`) or from a builder that samples a real
+    generator; complex otherwise.
+    """
 
     grid: FrequencyGrid
     values: np.ndarray
@@ -181,12 +186,36 @@ class SampledSignal:
         return self.values[pos]
 
 
+def _is_hermitian(u):
+    """Whether the uncentered samples ``u`` (``u[0]`` at xi = 0) satisfy
+    ``u[k] == conj(u[N-k])`` for 0 < k < N/2 exactly, with ``u[0]`` and
+    ``u[N/2]`` real: then their inverse transform is real."""
+    h = u.size // 2
+    if not np.iscomplexobj(u):
+        return np.array_equal(u[1:h], u[:h:-1])
+    return (u[0].imag == 0 and u[h].imag == 0
+            and np.array_equal(u[1:h], np.conj(u[:h:-1])))
+
+
 def to_time_domain(f: SampledSpectrum) -> SampledSignal:
-    """Discrete inverse transform; approximates values at x_m = m/(2*Xi)."""
+    """Discrete inverse transform; approximates values at x_m = m/(2*Xi).
+
+    The values are real float64 when the samples are exactly Hermitian
+    (``f(-xi) == conj(f(xi))`` at every grid pair, the sample at -Xi real),
+    as the sinc and psi spectra are; otherwise they are complex.  The
+    samples decide, not the ``hermitian`` flag.
+    """
     # Centered in, centered out: undo the centering, run the radix-2 inverse
     # transform, recenter.  Scaling N/S = 2*Xi turns the mean into the
     # Riemann sum with d(xi) = 1/S.
-    v = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(f.values))) * (2 * f.grid.half_range)
+    u = np.fft.ifftshift(f.values)
+    n = u.size
+    if _is_hermitian(u):
+        v = np.fft.irfft(u[:n // 2 + 1], n)
+    else:
+        v = np.fft.ifft(u)
+    v = np.fft.fftshift(v)
+    v *= 2 * f.grid.half_range
     return SampledSignal(grid=f.grid, values=v, label=f.label)
 
 

@@ -8,11 +8,12 @@ bytes out.
 
 Numeric CSV tables are formatted ``CSV_BLOCK_ROWS`` rows at a time, one
 ``%`` operation per block, cell for cell the same text as
-:func:`_fmt_float`.  Every output file is written through
-:func:`atomic_writer`: a temp file in the target directory that replaces
-the final path only once it is complete, so a failed write never leaves a
-half-written file.  :func:`staged_paths` does the same for files that
-belong together.  Values are checked before any file is opened.
+:func:`_fmt_float`; a float cell that is exactly +0.0 or -0.0 is literal
+text in its row's template and costs no formatting.  Every output file is
+written through :func:`atomic_writer`: a temp file in the target directory
+that replaces the final path only once it is complete, so a failed write
+never leaves a half-written file.  :func:`staged_paths` does the same for
+files that belong together.  Values are checked before any file is opened.
 """
 
 from __future__ import annotations
@@ -129,15 +130,16 @@ def _write_csv(path, header, kinds, *columns):
         raise ValueError(NON_FINITE)
     n_rows = columns[0].size
     floats = [j for j, kind in enumerate(kinds) if kind == "g"]
-    # one row template per pattern of integral float cells (bit b: float b is integral)
+    # one row template per pattern of float cell states, base 4 (digit b: float b):
+    # 0 general, 1 integral, 2 and 3 +0.0 and -0.0, written as text with no argument
     templates = []
-    for code in range(1 << len(floats)):
+    for code in range(4 ** len(floats)):
         cells = ["%d"] * len(kinds)
         for b, j in enumerate(floats):
-            cells[j] = "%.1f" if code >> b & 1 else "%.17g"
+            cells[j] = ("%.17g", "%.1f", "0.0", "-0.0")[code // 4 ** b % 4]
         templates.append(",".join(cells) + "\n")
     templates = np.array(templates, dtype=object)
-    weights = 1 << np.arange(len(floats))
+    weights = 4 ** np.arange(len(floats))
     data = iter(columns)
     sources = [None if kind == "i" else next(data) for kind in kinds]
     with atomic_writer(path) as fh:
@@ -149,13 +151,17 @@ def _write_csv(path, header, kinds, *columns):
             for j, src in enumerate(sources):
                 block[:, j] = np.arange(start, stop) if src is None else src[start:stop]
             cells = block[:, floats]
-            integral = (np.trunc(cells) == cells) & (np.abs(cells) < _FIXED_INTEGRAL_LIMIT)
-            template = "".join(templates[integral @ weights].tolist())
-            fh.write(template % tuple(block.ravel().tolist()))
+            zero = cells == 0.0
+            state = (np.trunc(cells) == cells) & (np.abs(cells) < _FIXED_INTEGRAL_LIMIT)
+            state = state + zero * (1 + np.signbit(cells))
+            template = "".join(templates[state @ weights].tolist())
+            keep = np.ones(block.shape, dtype=bool)
+            keep[:, floats] = ~zero
+            fh.write(template % tuple(block[keep].tolist()))
 
 
 def _write_samples_csv(path, axis_name, axis, values):
-    values = np.asarray(values, dtype=complex)
+    values = np.asarray(values)
     _write_csv(path, ("index", axis_name, "re", "im"), "iggg", axis, values.real, values.imag)
 
 

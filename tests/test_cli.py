@@ -529,3 +529,81 @@ def test_grid_criteria_fold_the_spectrum_once(tmp_path, monkeypatch, analyses):
     assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
     n_points = json.loads((out / "report.json").read_text())["grid"]["n_points"]
     assert folded.count(n_points) == 1
+
+
+def test_csv_only_analyze_removes_an_earlier_report(tmp_path):
+    out = tmp_path / "o"
+    hat = write_config(tmp_path / "b.json", {"generator": {"variant": "bspline", "degree": 1},
+                                             "analyses": ["invariance"], "grid": "64,4"})
+    assert main(["analyze", "--config", hat, "--out", str(out)]) == 0
+    assert (out / "report.json").exists()
+    (out / "notes.txt").write_text("kept\n")
+    sinc = write_config(tmp_path / "s.json", {"generator": {"variant": "sinc"},
+                                              "analyses": ["invariance"], "grid": "64,4",
+                                              "formats": ["csv"]})
+    assert main(["analyze", "--config", sinc, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "run_meta.json"]
+
+
+def _leaves(obj, where=""):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{where}.{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{where}[{i}]")
+    else:
+        yield where, obj
+
+
+def _signal_im_cells(path):
+    return [row.rsplit(",", 1)[1] for row in path.read_text().splitlines()[1:]]
+
+
+GENERATORS = {
+    "sinc": ({"variant": "sinc"}, "64,4"),
+    "bspline3": ({"variant": "bspline", "degree": 3}, "64,4"),
+    "psi": ({"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 1}, "auto"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_construct_writes_a_real_signal_and_analyze_keeps_its_verdicts(tmp_path, monkeypatch,
+                                                                       name):
+    from sispace import grid
+    generator, grid_spec = GENERATORS[name]
+    cfg = write_config(tmp_path / "c.json", {"generator": generator, "grid": grid_spec})
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    assert set(_signal_im_cells(tmp_path / "c" / "signal.csv")) == {"0.0"}
+    custom = write_config(tmp_path / "a.json", {
+        "generator": {"variant": "custom", "path": str(tmp_path / "c" / "spectrum.csv")},
+        "analyses": ["periodization", "invariance", "decay", "pointwise"],
+    })
+    assert main(["analyze", "--config", custom, "--out", str(tmp_path / "real")]) == 0
+    # the same analyses on the complex inverse transform, the route for every spectrum before
+    monkeypatch.setattr(grid, "_is_hermitian", lambda u: False)
+    assert main(["analyze", "--config", custom, "--out", str(tmp_path / "complex")]) == 0
+    real, cplx = (list(_leaves(json.loads((tmp_path / d / "report.json").read_text())))
+                  for d in ("real", "complex"))
+    assert [where for where, _ in real] == [where for where, _ in cplx]
+    for (where, a), (_, b) in zip(real, cplx):
+        if isinstance(a, float):
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15), where
+        else:
+            assert a == b, where
+
+
+def test_off_symmetry_custom_spectrum_keeps_its_imaginary_signal(tmp_path):
+    sinc = write_config(tmp_path / "s.json", {"generator": {"variant": "sinc"}, "grid": "64,4"})
+    assert main(["construct", "--config", sinc, "--out", str(tmp_path / "c")]) == 0
+    rows = (tmp_path / "c" / "spectrum.csv").read_text().splitlines()
+    # xi = 1/4 moves off its mirror at -1/4
+    i = rows.index(next(r for r in rows[1:] if r.split(",")[1] == "0.25"))
+    index, xi, _, im = rows[i].split(",")
+    rows[i] = ",".join([index, xi, "0.75", im])
+    (tmp_path / "c" / "spectrum.csv").write_text("\n".join(rows) + "\n")
+    custom = write_config(tmp_path / "a.json", {
+        "generator": {"variant": "custom", "path": str(tmp_path / "c" / "spectrum.csv")}})
+    assert main(["construct", "--config", custom, "--out", str(tmp_path / "d")]) == 0
+    im = np.array(_signal_im_cells(tmp_path / "d" / "signal.csv"), dtype=float)
+    assert np.max(np.abs(im)) > 1e-3

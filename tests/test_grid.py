@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sispace.grid import (GridError, SampledSignal, SampledSpectrum, l2_norm,
@@ -171,3 +173,64 @@ def test_next_pow2():
     assert next_pow2(1) == 1
     assert next_pow2(5) == 8
     assert next_pow2(64) == 64
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@st.composite
+def spectra(draw, kind):
+    """A random spectrum on a small grid: ``real-even``, ``hermitian`` (complex,
+    ``f(-xi) == conj(f(xi))`` exactly, the -Xi sample real) or ``general``."""
+    g = make_grid(draw(st.sampled_from([2, 4, 8, 16])), draw(st.sampled_from([2, 4, 8])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, h = g.n_points, g.n_points // 2
+    # uncentered: u[k] sits at xi = k/S, u[N-k] at -k/S
+    u = rng.standard_normal(n) * draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e200]))
+    if kind != "real-even":
+        u = u + 1j * rng.standard_normal(n) * np.abs(u).max()
+    if kind != "general":
+        u[:h:-1] = np.conj(u[1:h])
+        u[[0, h]] = u[[0, h]].real
+    return SampledSpectrum(grid=g, values=np.fft.fftshift(u), hermitian=draw(st.booleans()))
+
+
+def complex_route(f):
+    return (np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(f.values)))
+            * (2 * f.grid.half_range))
+
+
+@PROPERTY
+@given(st.one_of(spectra("real-even"), spectra("hermitian")))
+def test_hermitian_spectrum_takes_the_real_route(f):
+    sig = to_time_domain(f)
+    assert sig.values.dtype == np.float64
+    reference = complex_route(f).real
+    assert np.max(np.abs(sig.values - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+
+@PROPERTY
+@given(st.one_of(spectra("real-even"), spectra("hermitian"), spectra("general")))
+def test_round_trip_is_the_identity_on_both_routes(f):
+    back = to_freq_domain(to_time_domain(f))
+    assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+
+
+@PROPERTY
+@given(st.one_of(spectra("real-even"), spectra("hermitian")), st.data())
+def test_one_ulp_off_symmetry_takes_the_complex_route(f, data):
+    n = f.grid.n_points
+    u = np.fft.ifftshift(f.values)
+    k = data.draw(st.integers(0, n - 1))
+    if k in (0, n // 2):
+        u = u.astype(complex)
+        u[k] += 1j * np.nextafter(0.0, 1.0)
+    elif np.iscomplexobj(u):
+        u[k] = complex(np.nextafter(u[k].real, np.inf), u[k].imag)
+    else:
+        u[k] = np.nextafter(u[k], np.inf)
+    off = SampledSpectrum(grid=f.grid, values=np.fft.fftshift(u), hermitian=True)
+    sig = to_time_domain(off)
+    assert sig.values.dtype == np.complex128
+    assert np.array_equal(sig.values, complex_route(off))
+
