@@ -11,17 +11,15 @@ from .grid import (FrequencyGrid, GridError, SampledSignal, SampledSpectrum,
                    l2_norm, make_grid, next_pow2, to_freq_domain,
                    to_time_domain)
 from .localization import (FeasibilityGate, GateReport, GrowthVerdict,
-                           PointwiseDecay, divergence_probe, divergence_probes,
+                           PointwiseDecay, divergence_probes,
                            feasibility_gates, pointwise_freq_decay,
                            psi_block_freq_contributions,
                            spectrum_envelope_exponent,
                            truncation_depth_for_span, weighted_freq_norm)
 from .pipeline import run_witness_suite
 from .spectral import (GridCriteria, InvarianceGroup, InvarianceReport,
-                       PeriodizationProfile, detect_invariance_group,
-                       gram_coefficients, grid_criteria, is_riesz_generator,
-                       n_invariance_report, orthonormality_defect,
-                       periodization, translation_invariance_defect)
+                       PeriodizationProfile, gram_coefficients, grid_criteria,
+                       is_riesz_generator, orthonormality_defect)
 
 __all__ = [
     "__version__",
@@ -32,12 +30,10 @@ __all__ = [
     "FrequencyGrid", "GridError", "SampledSignal", "SampledSpectrum",
     "l2_norm", "make_grid", "next_pow2", "to_freq_domain", "to_time_domain",
     "FeasibilityGate", "GateReport", "GrowthVerdict", "PointwiseDecay",
-    "divergence_probe", "divergence_probes", "feasibility_gates",
+    "divergence_probes", "feasibility_gates",
     "pointwise_freq_decay", "psi_block_freq_contributions", "run_witness_suite",
     "spectrum_envelope_exponent", "truncation_depth_for_span",
     "weighted_freq_norm",
     "GridCriteria", "InvarianceGroup", "InvarianceReport", "PeriodizationProfile",
-    "detect_invariance_group", "gram_coefficients", "grid_criteria", "is_riesz_generator",
-    "n_invariance_report", "orthonormality_defect", "periodization",
-    "translation_invariance_defect",
+    "gram_coefficients", "grid_criteria", "is_riesz_generator", "orthonormality_defect",
 ]

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import json
 import os
 import sys
 import time
@@ -36,9 +35,9 @@ from .localization import GATE_RANGES, check_windows
 from .pipeline import (DECAY_PROBES, DEFAULT_PARAMETERS, SECTIONS, ConfigError,
                        RunContext, compare_header, compare_row, grid_block,
                        load_json)
-from .report import (atomic_writer, staged_paths, write_compare_csv,
-                     write_periodization_csv, write_report, write_signal_csv,
-                     write_spectrum_csv, write_windows_csv)
+from .report import (staged_paths, write_compare_csv, write_periodization_csv,
+                     write_report, write_signal_csv, write_spectrum_csv,
+                     write_windows_csv)
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
 
@@ -170,10 +169,8 @@ def cmd_analyze(cfg: RunConfig):
             for name, verdict in ctx.decay_verdicts.items():
                 write_windows_csv(out / f"windows_{name}.csv", verdict)
                 written.add(f"windows_{name}.csv")
-    with atomic_writer(out / "run_meta.json") as fh:
-        json.dump({"wall_clock_s": {k: round(v, 6) for k, v in timings.items()},
-                   "total_s": round(time.perf_counter() - t_start, 6)}, fh, indent=2)
-        fh.write("\n")
+    write_report(out / "run_meta.json", {"wall_clock_s": timings,
+                                         "total_s": time.perf_counter() - t_start})
     # an earlier run's report and tables would read as this run's
     for name in ANALYZE_OUTPUTS:
         if name not in written:

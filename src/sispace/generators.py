@@ -239,7 +239,11 @@ def build_bspline(degree: int, grid: FrequencyGrid):
     signal = SampledSignal(grid=grid, values=values, label=f"bspline{degree}")
 
     xi = grid.xi
-    spectrum_values = (np.exp(-1j * np.pi * xi) * np.sinc(xi)) ** (degree + 1)
+    # np.sinc is ~1e-17, not 0, at a nonzero integer; exact zeros there keep
+    # the spectrum exactly Hermitian (the -Xi sample real)
+    sinc = np.sinc(xi)
+    sinc[(xi == np.rint(xi)) & (xi != 0)] = 0.0
+    spectrum_values = (np.exp(-1j * np.pi * xi) * sinc) ** (degree + 1)
     spectrum = SampledSpectrum(grid=grid, values=spectrum_values,
                                label=f"bspline{degree}", hermitian=True,
                                meta={"degree": degree, "full_frequency_support": True})

@@ -63,26 +63,20 @@ def check_windows(windows):
     return windows
 
 
-def _as_time_source(source):
-    if isinstance(source, PsiParams):
-        return PsiTimeEvaluator(source)
-    return source
-
-
 def _lattice_exponent(evaluator: PsiTimeEvaluator):
     """e of the probe lattice step ``dx = 2**-e``."""
     return next_pow2(int(max(256, LATTICE_OVERSAMPLE * evaluator.max_frequency))).bit_length() - 1
-
-
-def _lattice_step(evaluator: PsiTimeEvaluator):
-    return 2.0 ** -_lattice_exponent(evaluator)
 
 
 def _window_partials(source, exponents, windows):
     """Trapezoid partials of |f(x)|**p (1+|x|)**w over |x| <= T.
 
     One row per ``(p, w)`` in ``exponents``, one column per window (checked
-    by the caller).  The analytic route walks the half lattice
+    by the caller).  ``source`` is a :class:`~sispace.grid.SampledSignal`
+    (the grid route, on its own samples) or a
+    :class:`~sispace.generators.PsiTimeEvaluator` (the analytic route, at a
+    truncation depth that covers the windows: see
+    :func:`truncation_depth_for_span`).  The analytic route walks the half lattice
     x = k*dx, k = 0..round(T_max/dx), dx = 2**-e, once, in pieces of at most
     ``PROBE_CHUNK`` points that end at every window seam; each piece is
     evaluated once, as a :class:`~sispace.generators.DyadicLattice`, and adds
@@ -100,7 +94,6 @@ def _window_partials(source, exponents, windows):
     """
     if any(p < 1 for p, _ in exponents):
         raise ValueError("p must be >= 1")
-    source = _as_time_source(source)
     if isinstance(source, SampledSignal):
         dx = source.time_spacing
         if windows[-1] > source.half_span + 1e-9:
@@ -116,7 +109,7 @@ def _window_partials(source, exponents, windows):
             partials[row] = [np.trapezoid(integrand[mid - k:mid + k + 1], dx=dx) for k in ks]
         return partials, "grid"
     if not isinstance(source, PsiTimeEvaluator):
-        raise TypeError("expected SampledSignal, PsiTimeEvaluator or PsiParams")
+        raise TypeError("expected SampledSignal or PsiTimeEvaluator")
     exponent = _lattice_exponent(source)
     dx = 2.0 ** -exponent
     if windows[-1] > source.valid_span:
@@ -190,11 +183,6 @@ def divergence_probes(source, exponents, windows):
             fitted_slope=float(np.polyfit(np.log(windows), row, 1)[0]), verdict=verdict,
             rel_tol=DEFAULT_REL_TOL, route=route, note=note))
     return tuple(verdicts)
-
-
-def divergence_probe(source, p, w, windows=DEFAULT_WINDOWS) -> GrowthVerdict:
-    """:func:`divergence_probes` for the single pair ``(p, w)``."""
-    return divergence_probes(source, [(p, w)], windows)[0]
 
 
 # ---------------------------------------------------------------------------

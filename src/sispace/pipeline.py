@@ -17,8 +17,8 @@ from pathlib import Path
 from .generators import (GeneratorSpec, PsiTimeEvaluator, auto_grid,
                          build_bspline, build_psi_spectrum, build_sinc)
 from .grid import FrequencyGrid, GridError, make_grid, to_time_domain
-from .localization import (DEFAULT_WINDOWS, FeasibilityGate, divergence_probe,
-                           divergence_probes, feasibility_gates, pointwise_freq_decay,
+from .localization import (DEFAULT_WINDOWS, FeasibilityGate, divergence_probes,
+                           feasibility_gates, pointwise_freq_decay,
                            psi_block_freq_contributions,
                            spectrum_envelope_exponent,
                            truncation_depth_for_span)
@@ -158,6 +158,11 @@ class RunContext:
         return FeasibilityGate(alpha=self.psi.alpha, beta=self.psi.beta, gamma=pars["gamma"],
                                delta=pars["delta"], p=pars["p"], q=pars["q"], epsilon=pars["eps"])
 
+    @cached_property
+    def gates(self):
+        """The evaluated exponent inequalities of ``gate``."""
+        return feasibility_gates(self.gate)
+
 
 def grid_block(ctx):
     grid = ctx.grid
@@ -205,7 +210,7 @@ def pointwise_section(ctx):
 def gates_section(ctx):
     if not ctx.psi:
         return {"note": "exponent gates apply to the banded family only"}
-    g = feasibility_gates(ctx.gate)
+    g = ctx.gates
     central, blocks = psi_block_freq_contributions(ctx.psi, ctx.gate.q, ctx.gate.delta)
     return {"time_lp_ok": g.time_lp_ok, "freq_lq_ok": g.freq_lq_ok, "joint_ok": g.joint_ok,
             "joint_unbounded": g.joint_unbounded, "time_lp_margin": g.time_lp_margin,
@@ -243,17 +248,14 @@ SECTIONS = {"periodization": periodization_section, "invariance": invariance_sec
             "suite": suite_section}
 
 
-def run_witness_suite(spec: GeneratorSpec, eps=0.5, gate: FeasibilityGate | None = None,
-                      n_max=8, grid=None, windows=DEFAULT_WINDOWS) -> dict:
+def run_witness_suite(spec: GeneratorSpec, eps=0.5, n_max=8, grid=None,
+                      windows=DEFAULT_WINDOWS) -> dict:
     """The ``suite`` section of one generator: every analysis, each tagged with
-    the statement it witnesses.  ``gate`` overrides the exponent gate built
-    from the defaults and ``eps``.  Returns a JSON-ready dict with fixed key
-    order.
+    the statement it witnesses, the exponent gate built from the defaults and
+    ``eps``.  Returns a JSON-ready dict with fixed key order.
     """
     ctx = RunContext(spec, "auto" if grid is None else grid,
                      dict(DEFAULT_PARAMETERS, eps=eps, n_max=n_max, windows=list(windows)))
-    if gate is not None:
-        ctx.gate = gate
     return suite_section(ctx)
 
 
@@ -272,6 +274,6 @@ def compare_row(ctx):
     return ([ctx.spectrum.label, prof.m, prof.M, orthonormality_defect(prof),
              ctx.criteria.group.describe()]
             + list(_per_n(ctx).values())
-            + [divergence_probe(ctx.time_source, 1, 0.0, ctx.windows).verdict,
+            + [divergence_probes(ctx.time_source, [(1, 0.0)], ctx.windows)[0].verdict,
                ctx.pointwise.sup_value,
-               str(feasibility_gates(ctx.gate).freq_lq_ok) if ctx.psi else ""])
+               str(ctx.gates.freq_lq_ok) if ctx.psi else ""])

@@ -4,8 +4,9 @@ Everything here works on the integer-periodization structure of a sampled
 spectrum: the grid is shift-aligned, so collecting the samples of
 ``|f(xi + k)|**2`` over integer k is an exact reshape, never quadrature.
 :func:`grid_criteria` forms that array once and reads every criterion from
-it; each other criterion function is a whole pass of it, so to read several
-criteria or loop over n, call ``grid_criteria(f, n_max)`` once.
+it: ``.profile`` (G), ``.translation``, ``.per_n`` (n = 2..n_max) and
+``.group``.  :func:`is_riesz_generator`, :func:`orthonormality_defect` and
+:func:`gram_coefficients` read the profile.
 
 Almost-everywhere statements become per-grid-point checks with a magnitude
 threshold (``MAGNITUDE_THRESHOLD``) and documented exclusions: builders
@@ -24,6 +25,7 @@ from .grid import GridError, SampledSpectrum
 MAGNITUDE_THRESHOLD = 1e-12
 RIESZ_THRESHOLD = 1e-6       # lower Riesz bound m above which a generator is stable
 DEFECT_TOLERANCE = 1e-12     # translation defect at or below which R-invariance is a candidate
+TOP2_BLOCK = 1 << 18         # fold values per row block of the running top-2
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,6 @@ class PeriodizationProfile:
         return out
 
 
-def periodization(f: SampledSpectrum) -> PeriodizationProfile:
-    """Integer periodization of |f|**2: a whole :func:`grid_criteria` pass."""
-    return grid_criteria(f, 1).profile
-
-
 def is_riesz_generator(profile: PeriodizationProfile) -> bool:
     """Lower Riesz bound ``m`` (over non-excluded residues) above ``RIESZ_THRESHOLD``."""
     return profile.m > RIESZ_THRESHOLD
@@ -74,16 +71,15 @@ def orthonormality_defect(profile: PeriodizationProfile) -> float:
     return float(np.max(np.abs(kept - 1.0)))
 
 
-def gram_coefficients(f, K: int):
+def gram_coefficients(profile: PeriodizationProfile, K: int):
     """Shift inner products a(k), |k| <= K: Fourier coefficients of G.
 
-    Accepts a spectrum or an already computed profile.  Excluded residues
+    ``profile`` is ``grid_criteria(f, n_max).profile``.  Excluded residues
     are in-filled by interpolation across the gap before the transform, so
     the coefficients estimate the truncation-free object (an orthonormal
     generator gives a(k) ~ delta_{k,0}).  Returns ``(ks, coefficients)``
     with ks running -K..K.
     """
-    profile = periodization(f) if isinstance(f, SampledSpectrum) else f
     S = profile.values.size
     if K >= S / 2:
         raise ValueError(f"K = {K} aliases on a profile with {S} samples; need K < S/2")
@@ -93,39 +89,20 @@ def gram_coefficients(f, K: int):
     return ks, phases @ g / S
 
 
-def translation_invariance_defect(f: SampledSpectrum):
-    """Largest product of two spectrum magnitudes one integer apart or more.
-
-    Zero (below threshold) at every residue is the grid form of the
-    translation-invariance criterion: no two integer translates of the
-    support overlap.  Returns ``(defect, witness_residue_or_None)`` from a
-    whole :func:`grid_criteria` pass.
-    """
-    return grid_criteria(f, 1).translation
-
-
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Residue-class activity for one candidate refinement n."""
+    """Residue-class activity for one candidate refinement n.
+
+    At each residue the integer offsets split into n classes mod n; the
+    criterion for translates by 1/n demands exactly one class carry energy.
+    A residue where no class is active counts as a violation only if the
+    total periodization there exceeds the threshold (an all-zero residue
+    carries no information).  Excluded residues are skipped.
+    """
 
     n: int
     violation_fraction: float
     passed: bool
-
-
-def n_invariance_report(f: SampledSpectrum, n: int) -> InvarianceReport:
-    """Check the refinement criterion for translates by 1/n.
-
-    For each residue xi the integer offsets split into n classes mod n; the
-    criterion demands exactly one class carry energy.  A residue where no
-    class is active counts as a violation only if the total periodization
-    there exceeds the threshold (an all-zero residue carries no information).
-    Excluded residues are skipped.  A whole :func:`grid_criteria` pass, which
-    sums the classes of every n' <= n: loops over n read its ``per_n``.
-    """
-    if int(n) != n or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    return grid_criteria(f, int(n)).per_n[-1]
 
 
 @dataclass(frozen=True)
@@ -159,18 +136,15 @@ class InvarianceGroup:
         return "Z"
 
 
-def detect_invariance_group(f: SampledSpectrum, n_max: int) -> InvarianceGroup:
-    """Classify the invariance group of ``f`` with refinements n <= n_max
-    (see :meth:`InvarianceGroup.classify`)."""
-    return grid_criteria(f, n_max).group
-
-
 @dataclass(frozen=True)
 class GridCriteria:
     """Every grid criterion of one spectrum, read from one fold of |f|**2."""
 
     profile: PeriodizationProfile
-    translation: tuple        # (defect, witness residue or None)
+    # (defect, witness residue or None): the largest product of two spectrum
+    # magnitudes one integer or more apart; at or below DEFECT_TOLERANCE no two
+    # integer translates of the support overlap (the translation criterion)
+    translation: tuple
     per_n: tuple              # InvarianceReport for n = 2..n_max
     group: InvarianceGroup
 
@@ -211,11 +185,20 @@ def grid_criteria(f: SampledSpectrum, n_max: int) -> GridCriteria:
         per_n.append(InvarianceReport(n=n, violation_fraction=fraction,
                                       passed=fraction == 0.0))
 
-    # the two largest |f|**2 per residue: the column maximum, then the maximum
-    # again once one occurrence of it is set to zero (every entry is >= 0)
-    first = sq.max(axis=0)
-    sq[(sq == first).argmax(axis=0), np.arange(S)] = 0.0
-    products = np.sqrt(sq.max(axis=0)) * np.sqrt(first)
+    # the two largest |f|**2 per residue, kept over blocks of rows: a block's
+    # column maximum, then its maximum again once one occurrence of the first
+    # is set to zero (every entry is >= 0), merged into the running pair
+    first, second = np.zeros(S), np.zeros(S)
+    cols = np.arange(S)
+    step = max(1, TOP2_BLOCK // S)
+    for start in range(0, 2 * Xi, step):
+        block = sq[start:start + step]
+        b1 = block.max(axis=0)
+        block[(block == b1).argmax(axis=0), cols] = 0.0
+        b2 = block.max(axis=0)
+        second = np.maximum(np.maximum(np.minimum(first, b1), second), b2)
+        first = np.maximum(first, b1)
+    products = np.sqrt(second) * np.sqrt(first)
     products[excluded] = 0.0
     i = int(np.argmax(products))
     defect = float(products[i])

@@ -15,13 +15,11 @@ from sispace import (GeneratorSpec, PsiParams, auto_grid, build_bspline,
                      l2_norm, make_grid, to_time_domain)
 from sispace.bumps import partition_defect, smooth_step
 from sispace.cli import main as cli_main
-from sispace.localization import (FeasibilityGate, divergence_probe,
-                                  divergence_probes, feasibility_gates,
+from sispace.localization import (FeasibilityGate, divergence_probes,
+                                  feasibility_gates,
                                   pointwise_freq_decay, psi_block_freq_contributions,
                                   truncation_depth_for_span)
-from sispace.spectral import (gram_coefficients, n_invariance_report,
-                              orthonormality_defect, periodization,
-                              translation_invariance_defect)
+from sispace.spectral import gram_coefficients, grid_criteria, orthonormality_defect
 
 
 def report_line(num, name, budget, t0, ok, detail=""):
@@ -58,7 +56,7 @@ def test_c02_partition_of_unity():
 def test_c03_orthonormality(psi5):
     t0 = time.perf_counter()
     _, _, spec = psi5
-    prof = periodization(spec)
+    prof = grid_criteria(spec, 1).profile
     defect = orthonormality_defect(prof)
     ks, coeffs = gram_coefficients(prof, 8)
     gram_dev = float(np.max(np.abs(coeffs - (ks == 0))))
@@ -70,14 +68,14 @@ def test_c03_orthonormality(psi5):
 def test_c04_invariance_criteria(psi5):
     t0 = time.perf_counter()
     _, _, spec = psi5
-    rep = n_invariance_report(spec, 2)
+    rep, = grid_criteria(spec, 2).per_n
     psi_ok = rep.passed and rep.violation_fraction == 0.0
 
     _, b1 = build_bspline(1, make_grid(64, 1024))
-    b_fails = all(not n_invariance_report(b1, n).passed for n in (2, 3, 4))
+    b_fails = all(not rep.passed for rep in grid_criteria(b1, 4).per_n)
 
     sinc = build_sinc(make_grid(1024, 16))
-    defect, _ = translation_invariance_defect(sinc)
+    defect, _ = grid_criteria(sinc, 1).translation
     report_line(4, "refined-invariance criteria", 60.0, t0,
                 psi_ok and b_fails and defect < 1e-14,
                 f"psi_pass={psi_ok} bspline_fails={b_fails} sinc_defect={defect:.1e}")
@@ -86,7 +84,7 @@ def test_c04_invariance_criteria(psi5):
 def test_c05_periodization_oracle():
     t0 = time.perf_counter()
     _, spec = build_bspline(1, make_grid(64, 1024))
-    prof = periodization(spec)
+    prof = grid_criteria(spec, 1).profile
     ks = np.arange(-10_000, 10_001)
     oracle = np.array([np.sum(np.sinc(r + ks) ** 4) for r in prof.residues])
     oracle += 2.0 / (3.0 * np.pi ** 4 * 10_000 ** 3)
@@ -98,7 +96,7 @@ def test_c05_periodization_oracle():
 def test_c06_bandlimited_tail_witness():
     t0 = time.perf_counter()
     sig = to_time_domain(build_sinc(make_grid(1024, 16)))
-    verdict = divergence_probe(sig, 1, 0.0, [8, 16, 32, 64, 128])
+    verdict, = divergence_probes(sig, [(1, 0.0)], [8, 16, 32, 64, 128])
     target = 4 / np.pi ** 2 * np.log(2)
     inc_ok = all(abs(i - target) / target < 0.15 for i in verdict.tail_increments)
     # independent oracle: fine quadrature of the exact integrand

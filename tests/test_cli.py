@@ -203,10 +203,11 @@ def test_read_spectrum_round_trips_grid(tmp_path):
 
 
 def test_write_windows_csv_from_verdict(tmp_path):
-    from sispace.generators import PsiParams
-    from sispace.localization import divergence_probe
+    from sispace.generators import PsiParams, PsiTimeEvaluator
+    from sispace.localization import divergence_probes
     from sispace.report import write_windows_csv
-    v = divergence_probe(PsiParams(1.0, 2.0, 2, 2), 2, 1.75, [2, 4, 8, 16])
+    v, = divergence_probes(PsiTimeEvaluator(PsiParams(1.0, 2.0, 2, 2)), [(2, 1.75)],
+                           [2, 4, 8, 16])
     write_windows_csv(tmp_path / "w.csv", v)
     lines = (tmp_path / "w.csv").read_text().strip().splitlines()
     assert lines[0] == "T,partial,increment"
@@ -290,7 +291,7 @@ def test_decay_and_suite_evaluate_the_probe_lattice_once(tmp_path, monkeypatch):
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     depth = localization.truncation_depth_for_span(1.0, windows[-1])
     probe = generators.PsiTimeEvaluator(generators.PsiParams(1.0, 2.0, 2, depth))
-    M = round(windows[-1] / localization._lattice_step(probe))
+    M = round(windows[-1] * 2 ** localization._lattice_exponent(probe))
     seams = len(windows) - 1 + M // localization.PROBE_CHUNK
     assert M + 1 <= sum(points) <= M + 1 + seams
 

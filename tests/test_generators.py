@@ -10,8 +10,8 @@ from sispace.generators import (GeneratorSpec, PsiParams, PsiTimeEvaluator,
                                 build_bspline, build_psi_spectrum,
                                 dirichlet_ratio, evaluate_psi_time,
                                 window_tables)
-from sispace.grid import (GridError, l2_norm, make_grid, to_freq_domain,
-                          to_time_domain)
+from sispace.grid import (GridError, _is_hermitian, l2_norm, make_grid,
+                          to_freq_domain, to_time_domain)
 
 
 # ---------------------------------------------------------------- parameters
@@ -134,6 +134,17 @@ def test_bspline_degree0_route_consistency_inner_window(bspline_grid):
     window = np.abs(xi) <= 4.0
     err = np.abs(transformed.values[window] - spec.values[window])
     assert err.max() < 1e-6
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3, 5])
+def test_bspline_spectrum_is_exactly_hermitian(degree):
+    # exact zeros at the nonzero integers, so the -Xi sample is real and a
+    # re-ingested B-spline spectrum takes the real inverse transform
+    _, spec = build_bspline(degree, make_grid(64, 4))
+    assert _is_hermitian(np.fft.ifftshift(spec.values))
+    assert to_time_domain(spec).values.dtype == np.float64
+    integers = (spec.grid.xi == np.rint(spec.grid.xi)) & (spec.grid.xi != 0)
+    assert np.all(spec.values[integers] == 0)
 
 
 def test_bspline_time_support(bspline_grid):

@@ -8,8 +8,8 @@ from sispace import localization
 from sispace.generators import (GeneratorSpec, PsiParams, PsiTimeEvaluator,
                                 evaluate_psi_time)
 from sispace.grid import GridError, make_grid, to_time_domain
-from sispace.localization import (FeasibilityGate, divergence_probe,
-                                  divergence_probes, feasibility_gates,
+from sispace.localization import (FeasibilityGate, divergence_probes,
+                                  feasibility_gates,
                                   pointwise_freq_decay,
                                   psi_block_freq_contributions,
                                   spectrum_envelope_exponent,
@@ -30,21 +30,21 @@ def sinc_tail_quadrature(a, b):
 
 def test_compact_support_partial_constant_in_T(bspline1):
     sig, _ = bspline1
-    vals = divergence_probe(sig, 2, 3.0, [4, 8, 16, 32]).partials
+    vals = divergence_probes(sig, [(2, 3.0)], [4, 8, 16, 32])[0].partials
     assert_allclose(vals, vals[0], rtol=0, atol=1e-15)
 
 
 def test_bspline1_squared_mass_closed_form(bspline1):
     # integral over [0, 2] of the hat squared is exactly 2/3
     sig, _ = bspline1
-    mass = divergence_probe(sig, 2, 0.0, [0.5, 1.0, 1.5, 2.0]).partials[-1]
+    mass = divergence_probes(sig, [(2, 0.0)], [0.5, 1.0, 1.5, 2.0])[0].partials[-1]
     assert abs(mass - 2.0 / 3.0) < 1e-6
 
 
 def test_partial_monotone_in_T_and_w(sinc_spectrum):
     sig = to_time_domain(sinc_spectrum)
     ts = [2.0, 4.0, 8.0, 16.0]
-    partials = divergence_probe(sig, 2, 0.0, ts).partials
+    partials = divergence_probes(sig, [(2, 0.0)], ts)[0].partials
     assert all(b >= a for a, b in zip(partials, partials[1:]))
     low, high = divergence_probes(sig, [(2, 0.25), (2, 0.75)], [1.0, 2.0, 4.0, 8.0])
     assert high.partials[-1] >= low.partials[-1]
@@ -53,7 +53,7 @@ def test_partial_monotone_in_T_and_w(sinc_spectrum):
 def test_partial_rejects_T_beyond_span(bspline1):
     sig, _ = bspline1
     with pytest.raises(GridError):
-        divergence_probe(sig, 1, 0.0, [1, 2, 3, sig.half_span + 1])
+        divergence_probes(sig, [(1, 0.0)], [1, 2, 3, sig.half_span + 1])
 
 
 def test_partial_agrees_between_routes(psi_small):
@@ -63,7 +63,8 @@ def test_partial_agrees_between_routes(psi_small):
     sig = to_time_domain(spec)
     exponents, windows = [(2, 0.0), (2, 1.0)], [1.0, 2.0, 4.0, 8.0]
     for grid_route, analytic in zip(divergence_probes(sig, exponents, windows),
-                                    divergence_probes(params, exponents, windows)):
+                                    divergence_probes(PsiTimeEvaluator(params), exponents,
+                                                      windows)):
         grid_partial, analytic_partial = grid_route.partials[-1], analytic.partials[-1]
         assert abs(grid_partial - analytic_partial) / grid_partial < 1e-3
 
@@ -76,7 +77,7 @@ def test_streamed_partials_match_symmetric_lattice(psi_small, monkeypatch):
     windows = [1.0, 2.0, 3.0, 4.0]
     exponents = [(1, 0.0), (2, 1.5), (2, 0.5)]
     verdicts = divergence_probes(evaluator, exponents, windows)
-    dx = localization._lattice_step(evaluator)
+    dx = 2.0 ** -localization._lattice_exponent(evaluator)
     M = round(windows[-1] / dx)
     assert M > 4 * 1000
     xs = np.arange(-M, M + 1) * dx
@@ -111,7 +112,7 @@ def test_probe_memory_does_not_grow_with_the_lattice(psi_small, monkeypatch):
 
 def test_sinc_probe_diverging_with_log_increments(sinc_spectrum):
     sig = to_time_domain(sinc_spectrum)
-    verdict = divergence_probe(sig, 1, 0.0, [8, 16, 32, 64, 128])
+    verdict = divergence_probes(sig, [(1, 0.0)], [8, 16, 32, 64, 128])[0]
     assert verdict.verdict == "diverging"
     for inc in verdict.tail_increments:
         assert abs(inc - LOG2_INCREMENT) / LOG2_INCREMENT < 0.15
@@ -122,7 +123,7 @@ def test_sinc_probe_diverging_with_log_increments(sinc_spectrum):
 
 def test_compact_support_probe_converging(bspline1):
     sig, _ = bspline1
-    verdict = divergence_probe(sig, 2, 3.0, [4, 8, 16, 32])
+    verdict = divergence_probes(sig, [(2, 3.0)], [4, 8, 16, 32])[0]
     assert verdict.verdict == "converging"
     assert verdict.note == "tail increments vanish"
 
@@ -130,25 +131,25 @@ def test_compact_support_probe_converging(bspline1):
 def test_probe_requires_four_windows(bspline1):
     sig, _ = bspline1
     with pytest.raises(ValueError):
-        divergence_probe(sig, 2, 0.0, [4, 8, 16])
+        divergence_probes(sig, [(2, 0.0)], [4, 8, 16])
 
 
 def test_probe_requires_p_at_least_one(bspline1):
     sig, _ = bspline1
     with pytest.raises(ValueError, match="p must be >= 1"):
-        divergence_probe(sig, 0.5, 0.0, [4, 8, 16, 32])
+        divergence_probes(sig, [(0.5, 0.0)], [4, 8, 16, 32])
 
 
 @pytest.mark.parametrize("windows", [[-4, 8, 16, 32], [4, 4, 8, 16], [8, 4, 16, 32]])
 def test_probe_rejects_bad_windows(bspline1, windows):
     sig, _ = bspline1
     with pytest.raises(ValueError, match="strictly increasing"):
-        divergence_probe(sig, 1, 0.0, windows)
+        divergence_probes(sig, [(1, 0.0)], windows)
 
 
 def test_critical_exponent_not_classified(psi_small):
     params, _, _ = psi_small
-    verdict = divergence_probe(params, 2, 1.0, [4, 8, 16, 32])
+    verdict, = divergence_probes(PsiTimeEvaluator(params), [(2, 1.0)], [4, 8, 16, 32])
     assert verdict.verdict == "inconclusive"
     assert "critical" in verdict.note
 
@@ -159,7 +160,8 @@ def test_psi_probe_pair_verdicts():
     # (the 1 +- 0.5 pair at full windows runs in the acceptance suite)
     depth = truncation_depth_for_span(1.0, 32.0)
     params = PsiParams(1.0, 2.0, 2, depth)
-    heavy, light = divergence_probes(params, [(2, 1.75), (2, 0.25)], [4, 8, 16, 32])
+    heavy, light = divergence_probes(PsiTimeEvaluator(params), [(2, 1.75), (2, 0.25)],
+                                     [4, 8, 16, 32])
     assert heavy.verdict == "diverging"
     assert light.verdict == "converging"
     assert heavy.route == "analytic" and light.route == "analytic"
@@ -168,8 +170,8 @@ def test_psi_probe_pair_verdicts():
 def test_verdict_stability_under_grid_and_window_refinement(bspline1):
     # denser sampling and denser windows do not flip the verdicts
     sig_c, _ = bspline1
-    assert divergence_probe(sig_c, 2, 3.0, [4, 8, 16, 32]).verdict == "converging"
-    assert divergence_probe(sig_c, 2, 3.0, [4, 5.66, 8, 11.3, 16, 22.6, 32]).verdict == "converging"
+    for windows in ([4, 8, 16, 32], [4, 5.66, 8, 11.3, 16, 22.6, 32]):
+        assert divergence_probes(sig_c, [(2, 3.0)], windows)[0].verdict == "converging"
 
     from sispace.generators import build_sinc
     for S in (1024, 2048):
@@ -177,12 +179,12 @@ def test_verdict_stability_under_grid_and_window_refinement(bspline1):
         sig = to_time_domain(build_sinc(g))
         for windows in ([8, 16, 32, 64, 128],
                         [8, 11.3, 16, 22.6, 32, 45.25, 64, 90.5, 128]):
-            assert divergence_probe(sig, 1, 0.0, windows).verdict == "diverging"
+            assert divergence_probes(sig, [(1, 0.0)], windows)[0].verdict == "diverging"
 
 
 def test_probe_slope_fit_log(sinc_spectrum):
     sig = to_time_domain(sinc_spectrum)
-    verdict = divergence_probe(sig, 1, 0.0, [8, 16, 32, 64, 128])
+    verdict = divergence_probes(sig, [(1, 0.0)], [8, 16, 32, 64, 128])[0]
     # logarithmic growth: slope against log T matches increment / log 2
     assert abs(verdict.fitted_slope - LOG2_INCREMENT / np.log(2)) < 0.05
 

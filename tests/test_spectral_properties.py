@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 
 from sispace.generators import PsiParams, build_psi_spectrum
 from sispace.grid import SampledSpectrum, make_grid, next_pow2
-from sispace.spectral import (MAGNITUDE_THRESHOLD, n_invariance_report, periodization,
-                              translation_invariance_defect)
+from sispace.spectral import MAGNITUDE_THRESHOLD, grid_criteria
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -59,7 +58,7 @@ def kept_residues(f):
 def test_periodization_matches_brute_force(f):
     cols = columns(f)
     expected = [math.fsum(v for _, v in cols[r]) for r in range(f.grid.samples_per_unit)]
-    np.testing.assert_allclose(periodization(f).values, expected, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(grid_criteria(f, 1).profile.values, expected, rtol=1e-12, atol=0)
 
 
 @PROPERTY
@@ -71,7 +70,7 @@ def test_translation_defect_matches_brute_force(f):
         first, second = sorted((math.sqrt(v) for _, v in cols[r]), reverse=True)[:2]
         products.append(first * second)
     expected = max(products, default=0.0)
-    assert translation_invariance_defect(f)[0] == pytest.approx(expected, rel=1e-12, abs=0)
+    assert grid_criteria(f, 1).translation[0] == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @PROPERTY
@@ -88,7 +87,7 @@ def test_n_invariance_matches_brute_force(f, n):
         total = math.fsum(norms)
         violations += active >= 2 or (active == 0 and total > MAGNITUDE_THRESHOLD)
     fraction = violations / len(kept) if kept else 0.0
-    report = n_invariance_report(f, n)
+    report = grid_criteria(f, n).per_n[-1]
     assert report.violation_fraction == fraction
     assert report.passed == (fraction == 0.0)
 
@@ -111,7 +110,8 @@ def inside_margin(draw):
 def test_periodization_is_unchanged_by_integer_shifts(case):
     # the shift only moves all-zero rows from one end of the sum to the other
     f, k = case
-    assert np.array_equal(periodization(f.shifted(k)).values, periodization(f).values)
+    assert np.array_equal(grid_criteria(f.shifted(k), 1).profile.values,
+                          grid_criteria(f, 1).profile.values)
 
 
 @settings(PROPERTY, max_examples=30)
@@ -123,6 +123,6 @@ def test_psi_passes_the_criterion_of_every_divisor_of_n(alpha, beta, n, J):
     Xi = next_pow2(params.required_half_range + 1)
     assume(Xi <= 2 ** 12)
     f = build_psi_spectrum(params, make_grid(2 ** 17 // Xi, Xi))
-    for d in range(2, n + 1):
-        if n % d == 0:
-            assert n_invariance_report(f, d).passed, d
+    for report in grid_criteria(f, n).per_n:
+        if n % report.n == 0:
+            assert report.passed, report.n
