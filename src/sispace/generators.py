@@ -118,19 +118,32 @@ class GeneratorSpec:
 
     @classmethod
     def from_json(cls, obj):
+        """The spec of a JSON object, given parsed or as its text.
+
+        Raises ``ValueError`` for anything but an object naming a known
+        variant with integers that fit (``KeyError`` for a missing field).
+        """
         if isinstance(obj, str):
-            obj = json.loads(obj)
+            try:
+                obj = json.loads(obj)
+            except RecursionError as e:
+                raise ValueError("JSON nested too deeply") from e
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
         variant = obj.get("variant")
-        if variant == "sinc":
-            return cls(kind="sinc")
-        if variant == "bspline":
-            return cls(kind="bspline", degree=int(obj["degree"]))
-        if variant == "psi":
-            params = PsiParams(alpha=float(obj["alpha"]), beta=float(obj["beta"]),
-                               n=int(obj["n"]), J=int(obj.get("J", 5)))
-            return cls(kind="psi", psi=params)
-        if variant == "custom":
-            return cls(kind="custom", path=str(obj["path"]))
+        try:
+            if variant == "sinc":
+                return cls(kind="sinc")
+            if variant == "bspline":
+                return cls(kind="bspline", degree=int(obj["degree"]))
+            if variant == "psi":
+                params = PsiParams(alpha=float(obj["alpha"]), beta=float(obj["beta"]),
+                                   n=int(obj["n"]), J=int(obj.get("J", 5)))
+                return cls(kind="psi", psi=params)
+            if variant == "custom":
+                return cls(kind="custom", path=str(obj["path"]))
+        except OverflowError as e:   # int() of an infinite float
+            raise ValueError(str(e)) from e
         raise ValueError(f"unknown generator variant {variant!r}")
 
     def to_json(self):
@@ -366,22 +379,79 @@ def _inverse_transform_table(window_values, xi_nodes, x_nodes):
     return conv * np.exp(2j * np.pi * post)
 
 
+def _not_a_knot(x, y):
+    """Coefficients of the not-a-knot cubic spline through ``(x, y)``, real or
+    complex, on at least four knots ``x``.
+
+    The end condition asks the third derivative to be continuous across the
+    second and the second-to-last knot (de Boor, *A Practical Guide to
+    Splines*, ch. IV).  The knot slopes solve one tridiagonal system, set up
+    row by row as ``scipy.interpolate.CubicSpline`` sets it up and solved by
+    the same banded LAPACK call, so every coefficient is bitwise the one that
+    class holds.  Returns ``c`` of shape ``(4, x.size - 1)``, highest power
+    first: interval ``i`` is ``c[0, i] s**3 + c[1, i] s**2 + c[2, i] s + c[3, i]``
+    with ``s = t - x[i]``.
+    """
+    # imported here, not at module level: only the analytic route needs it
+    from scipy.linalg import solve_banded
+
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    A = np.zeros((3, n))   # banded rows: upper diagonal, diagonal, lower diagonal
+    b = np.empty(n, dtype=y.dtype)
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    A[1, 0] = dx[1]
+    A[0, 1] = d
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    A[1, -1] = dx[-2]
+    A[-1, -2] = d
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True,
+                     check_finite=False).reshape(n)
+    # the cubic Hermite form of each interval from its end values and slopes
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+def _cubic(s, coeffs, i, outs, term):
+    """``c3 + c2 s + c1 s**2 + c0 s**3`` of interval ``i`` (an index or an index
+    array matching ``s``) for each ``c`` of ``coeffs``, into ``outs``.
+
+    The terms are summed left to right in place; ``term`` is scratch of
+    ``s``'s shape.  Both evaluation routes of :class:`WindowTables` go
+    through here, so they agree bitwise.
+    """
+    s2 = s * s
+    s3 = s2 * s
+    for c, out in zip(coeffs, outs):
+        np.multiply(s, c[2, i], out=out)
+        out += c[3, i]
+        out += np.multiply(s2, c[1, i], out=term)
+        out += np.multiply(s3, c[0, i], out=term)
+
+
 class WindowTables:
     """Tabulated inverse transforms of ``g0`` and ``g1`` with cubic interpolation.
 
-    Values beyond ``|x| = TABLE_X_MAX`` evaluate to 0; ``tail_bound`` records the
-    largest magnitude seen on the outer 2% of each table, which bounds the
-    truncation error committed by that convention.  ``g0_inv``/``g1_inv``
-    take arbitrary x; ``g0_inv_ascending``/``g1_inv_ascending`` take x in
+    Each table is interpolated by a not-a-knot cubic spline
+    (:func:`_not_a_knot`) whose per-interval coefficients are all that is
+    kept: ``g1``'s table is complex, and its spline is held as the splines of
+    its real and imaginary parts.  Values beyond ``|x| = TABLE_X_MAX``
+    evaluate to 0; ``tail_bound`` records the largest magnitude seen on the
+    outer 2% of each table, which bounds the truncation error committed by
+    that convention.  ``g0_inv``/``g1_inv`` take arbitrary x and search each
+    point's interval; ``g0_inv_ascending``/``g1_inv_ascending`` take x in
     ascending order and give bitwise the same values without a per-point
     interval search.
     """
 
     def __init__(self, alpha):
-        # scipy is imported here, not at module level: it is most of the
-        # package's import time, and only the analytic route needs it
-        from scipy.interpolate import CubicSpline
-
         self.alpha = alpha
         x_nodes = np.linspace(-TABLE_X_MAX, TABLE_X_MAX, TABLE_X_SAMPLES)
 
@@ -390,13 +460,12 @@ class WindowTables:
         xi1 = np.linspace(-1.0, 2.0 ** (-alpha), TABLE_QUAD_NODES)
         g1_inv = _inverse_transform_table(g1(xi1, alpha), xi1, x_nodes)
 
-        self._g0 = CubicSpline(x_nodes, g0_inv.real)
-        self._g1 = CubicSpline(x_nodes, g1_inv)
-        # per-interval cubic coefficients, highest power first, as PPoly holds them
+        # per-interval cubic coefficients, highest power first
         self._knots = x_nodes
-        self._g0_coeffs = self._g0.c
-        self._g1_coeffs = (np.ascontiguousarray(self._g1.c.real),
-                           np.ascontiguousarray(self._g1.c.imag))
+        self._g0_coeffs = _not_a_knot(x_nodes, g0_inv.real)
+        g1_coeffs = _not_a_knot(x_nodes, g1_inv)
+        self._g1_coeffs = (np.ascontiguousarray(g1_coeffs.real),
+                           np.ascontiguousarray(g1_coeffs.imag))
         edge = x_nodes.size // 50
         self.tail_bound = float(max(np.abs(g0_inv[:edge]).max(),
                                     np.abs(g0_inv[-edge:]).max(),
@@ -404,17 +473,12 @@ class WindowTables:
                                     np.abs(g1_inv[-edge:]).max()))
 
     def g0_inv(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        ok = np.abs(x) <= TABLE_X_MAX
-        out[ok] = self._g0(x[ok])
-        return out
+        return self._at_points(x, self._g0_coeffs)[0]
 
     def g1_inv(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        ok = np.abs(x) <= TABLE_X_MAX
-        out[ok] = self._g1(x[ok])
+        re, im = self._at_points(x, *self._g1_coeffs)
+        out = np.empty(re.shape, dtype=complex)
+        out.real, out.imag = re, im
         return out
 
     def g0_inv_ascending(self, x):
@@ -425,14 +489,32 @@ class WindowTables:
         """:meth:`g1_inv` for a 1-D ascending ``x``, as ``(real, imag)``."""
         return self._interval_runs(x, *self._g1_coeffs)
 
+    def _at_points(self, x, *coeffs):
+        """Each spline of ``coeffs`` at an arbitrary ``x``; points outside the
+        table stay 0.
+
+        A point on an inner knot opens that knot's interval; the last knot
+        closes the last interval.
+        """
+        x = np.asarray(x, dtype=float)
+        outs = [np.zeros(x.shape) for _ in coeffs]
+        ok = np.abs(x) <= TABLE_X_MAX
+        inside = x[ok]
+        knots = self._knots
+        i = np.minimum(np.searchsorted(knots, inside, "right") - 1, knots.size - 2)
+        values = [np.empty(inside.shape) for _ in coeffs]
+        _cubic(inside - knots[i], coeffs, i, values, np.empty(inside.shape))
+        for out, value in zip(outs, values):
+            out[ok] = value
+        return outs
+
     def _interval_runs(self, x, *coeffs):
         """Each spline of ``coeffs`` at an ascending ``x``, one knot interval at a time.
 
         The points of one interval form a contiguous run of ``x``; each run
-        is evaluated with its interval's coefficients in PPoly's order,
-        ``c3 + c2 s + c1 s**2 + c0 s**3`` with ``s`` the offset from the
-        interval's left knot, so every value is bitwise the spline's own.
-        Points outside the table stay 0.
+        is evaluated by :func:`_cubic` with its interval's coefficients, so
+        every value is bitwise that of :meth:`_at_points`.  Points outside
+        the table stay 0.
         """
         knots = self._knots
         outs = [np.zeros(x.shape) for _ in coeffs]
@@ -448,19 +530,9 @@ class WindowTables:
         bounds = [first, *np.searchsorted(x, knots[lo + 1:hi + 1], "left").tolist(), last]
         scratch = np.empty(x.shape)
         for i, a, b in zip(range(lo, hi + 1), bounds, bounds[1:]):
-            if a == b:
-                continue
-            s = x[a:b] - knots[i]
-            s2 = s * s
-            s3 = s2 * s
-            term = scratch[a:b]
-            for c, out in zip(coeffs, outs):
-                # c3 + c2 s + c1 s**2 + c0 s**3, summed left to right in place
-                value = out[a:b]
-                np.multiply(s, c[2, i], out=value)
-                value += c[3, i]
-                value += np.multiply(s2, c[1, i], out=term)
-                value += np.multiply(s3, c[0, i], out=term)
+            if a < b:
+                _cubic(x[a:b] - knots[i], coeffs, i, [out[a:b] for out in outs],
+                       scratch[a:b])
         return outs
 
 

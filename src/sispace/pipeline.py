@@ -38,12 +38,16 @@ class ConfigError(Exception):
 
 def load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"bad JSON in {path}: {e}") from e
+    except RecursionError as e:
+        raise ConfigError(f"bad JSON in {path}: nested too deeply") from e
 
 
 def resolve_grid(spec: GeneratorSpec, grid):

@@ -183,6 +183,23 @@ def test_cli_import_leaves_scipy_unloaded():
     assert res.stdout.strip() == "False"
 
 
+def test_psi_decay_analyze_leaves_scipy_interpolate_unloaded(tmp_path):
+    # the window splines need scipy.linalg's banded solve only
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
+        "analyses": ["periodization", "invariance", "decay"],
+        "parameters": {"windows": [1, 2, 4, 8]},
+    })
+    script = ("import sys\n"
+              "from sispace.cli import main\n"
+              f"code = main(['analyze', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+              "print(code, 'scipy.linalg' in sys.modules, 'scipy.interpolate' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0", "True", "False"]
+    assert (tmp_path / "out" / "windows_integrability.csv").exists()
+
+
 def test_deterministic_dumps_float_format():
     text = dumps_deterministic({"x": 1.0 / 3.0, "n": 5, "flag": True, "none": None})
     assert "0.33333333333333331" in text
@@ -360,6 +377,47 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
     argv = [arg.format(cfg=cfg) for arg in raw]
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error:") and message in err[0]
+    assert not out.exists()
+
+
+NESTED = "[" * 100_000 + "]" * 100_000
+PSI = '"variant": "psi", "alpha": 1, "beta": 2'
+
+
+@pytest.mark.parametrize("config, sidecar, message", [
+    # the config file itself
+    (b'{"generator": {"variant": "sinc"}, "output": "\xff"}', None, "is not UTF-8"),
+    (NESTED.encode(), None, "nested too deeply"),
+    # the meta.json sidecar of a custom spectrum
+    (None, b'{"label": "\xff"}', "is not UTF-8"),
+    (None, NESTED.encode(), "nested too deeply"),
+    # the generator spec
+    (b'{"generator": []}', None, "bad generator spec: expected a JSON object, got list"),
+    (b'{"generator": 5}', None, "bad generator spec: expected a JSON object, got int"),
+    (b'{"generator": "[1]"}', None, "bad generator spec: expected a JSON object, got list"),
+    (json.dumps({"generator": NESTED}).encode(), None,
+     "bad generator spec: JSON nested too deeply"),
+    (b'{"generator": {"variant": "bspline", "degree": 1e400}}', None,
+     "bad generator spec: cannot convert float infinity to integer"),
+    (f'{{"generator": {{{PSI}, "n": 1e400, "J": 2}}}}'.encode(), None,
+     "bad generator spec: cannot convert float infinity to integer"),
+    (f'{{"generator": {{{PSI}, "n": 2, "J": -1e400}}}}'.encode(), None,
+     "bad generator spec: cannot convert float infinity to integer"),
+], ids=["config-bytes", "config-nesting", "sidecar-bytes", "sidecar-nesting",
+        "spec-list", "spec-int", "spec-string-list", "spec-string-nesting",
+        "degree-overflow", "n-overflow", "J-overflow"])
+def test_unreadable_config_or_spec_exits_2_with_one_line(tmp_path, capsys, config, sidecar,
+                                                         message):
+    if sidecar is not None:
+        (tmp_path / "meta.json").write_bytes(sidecar)
+        config = json.dumps({"generator": {"variant": "custom",
+                                           "path": str(tmp_path / "spectrum.csv")}}).encode()
+    (tmp_path / "c.json").write_bytes(config)
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error:") and message in err[0]

@@ -80,14 +80,49 @@ def test_lattice_route_matches_point_route(table_cap, params, lattice):
     assert np.max(np.abs(values - reference)) <= 1e-13 * evaluate_psi_time(0.0, params)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0])
-def test_interval_runs_match_the_spline_on_every_knot_and_beyond(alpha):
-    # each knot, the points just either side of it, every interval's midpoint,
-    # and points beyond both table ends, where the values are 0
+def _knot_probes():
+    """Each knot, the points just either side of it, every interval's midpoint,
+    and points beyond both table ends, where the values are 0; ascending."""
     knots = np.linspace(-TABLE_X_MAX, TABLE_X_MAX, TABLE_X_SAMPLES)
-    x = np.sort(np.concatenate([
+    return np.sort(np.concatenate([
         knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
         (knots[1:] + knots[:-1]) / 2, [-80.0, -64.5, 64.5, 80.0]]))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.5, 1.77, 2.0])
+def test_window_splines_are_scipy_not_a_knot_splines(alpha):
+    # the oracle: scipy's CubicSpline (not-a-knot by default) on the same
+    # tables; scipy.interpolate is imported here only, never by the package
+    from scipy.interpolate import CubicSpline
+
+    tables = []
+    fit = generators._not_a_knot
+
+    def recording_fit(x, y):
+        tables.append((x, y))
+        return fit(x, y)
+
+    with mock.patch.object(generators, "_not_a_knot", recording_fit):
+        windows = generators.WindowTables(alpha)
+    (x0, y0), (x1, y1) = tables
+    g0_spline, g1_spline = CubicSpline(x0, y0), CubicSpline(x1, y1)
+    assert np.iscomplexobj(y1) and not np.iscomplexobj(y0)
+    assert np.array_equal(_bits(windows._g0_coeffs), _bits(g0_spline.c))
+    assert np.array_equal(_bits(windows._g1_coeffs[0]), _bits(g1_spline.c.real))
+    assert np.array_equal(_bits(windows._g1_coeffs[1]), _bits(g1_spline.c.imag))
+    x = _knot_probes()
+    inside = np.abs(x) <= TABLE_X_MAX
+    assert np.array_equal(_bits(windows.g0_inv(x)), _bits(np.where(inside, g0_spline(x), 0.0)))
+    assert np.array_equal(_bits(windows.g1_inv(x)), _bits(np.where(inside, g1_spline(x), 0.0)))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_interval_runs_match_the_spline_on_every_knot_and_beyond(alpha):
+    x = _knot_probes()
     windows = window_tables(alpha)
     assert np.array_equal(windows.g0_inv_ascending(x), windows.g0_inv(x))
     reference = windows.g1_inv(x)
