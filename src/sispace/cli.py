@@ -28,9 +28,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .generators import GeneratorSpec
-from .grid import GridError
+from .grid import GridError, _is_hermitian
 from .localization import GATE_RANGES, check_windows
 from .pipeline import (DECAY_PROBES, DEFAULT_PARAMETERS, SECTIONS, ConfigError,
                        RunContext, compare_header, compare_row, grid_block,
@@ -125,7 +127,8 @@ def cmd_construct(cfg: RunConfig):
     spectrum, signal = ctx.spectrum, ctx.signal
     meta = {"generator": cfg.spec.to_json(), "version": __version__,
             "grid": grid_block(ctx), "label": spectrum.label,
-            "hermitian": spectrum.hermitian, "spectrum_meta": spectrum.meta}
+            "hermitian": bool(_is_hermitian(np.fft.ifftshift(spectrum.values))),
+            "spectrum_meta": spectrum.meta}
     if cfg.spec.kind == "psi":
         p = cfg.spec.psi
         meta["beta_j"] = list(p.block_counts[:p.J])

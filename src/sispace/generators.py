@@ -17,6 +17,7 @@ geometric phase sums.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import threading
@@ -73,11 +74,27 @@ class PsiParams:
     @property
     def block_offsets(self):
         """(gamma_0, ..., gamma_{J+1}) with gamma_0 = 0."""
-        counts = self.block_counts
-        out = [0]
-        for c in counts:
-            out.append(out[-1] + c)
-        return tuple(out)
+        return tuple(itertools.accumulate(self.block_counts, initial=0))
+
+    @property
+    def blocks(self):
+        """One dict per depth j = 1..J: ``count`` copies of ``h_j`` (open support
+        ``support_lo..support_hi``), weighted ``weight``, at the centers
+        ``center_first + l*center_step``.  The builder writes this list into
+        ``meta["blocks"]``, so a re-ingested spectrum carries it too."""
+        counts, offsets = self.block_counts, self.block_offsets
+        return [{"j": j, "count": counts[j], "weight": counts[j] ** -0.5,
+                 "support_lo": lo, "support_hi": hi,
+                 "center_first": self.n * offsets[j], "center_step": self.n}
+                for j in range(1, self.J + 1) for lo, hi in [h_support(j, self.alpha)]]
+
+    @property
+    def time_scales(self):
+        """(s_0, c_1, ..., c_J): the x-scale of the central window and of
+        each depth's envelope on the analytic time route."""
+        a = self.alpha
+        return ((1.0 - 2.0 ** (-a)) / 2.0,
+                *((2.0 ** a - 1.0) / 2.0 ** (j * a + 1) for j in range(1, self.J + 1)))
 
     @property
     def required_half_range(self):
@@ -92,6 +109,13 @@ class PsiParams:
 
     def to_json(self):
         return {"alpha": self.alpha, "beta": self.beta, "n": self.n, "J": self.J}
+
+
+def _integer(value, key):
+    """``value`` as an int; ValueError unless it is an integral JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
+        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -135,10 +159,10 @@ class GeneratorSpec:
             if variant == "sinc":
                 return cls(kind="sinc")
             if variant == "bspline":
-                return cls(kind="bspline", degree=int(obj["degree"]))
+                return cls(kind="bspline", degree=_integer(obj["degree"], "degree"))
             if variant == "psi":
                 params = PsiParams(alpha=float(obj["alpha"]), beta=float(obj["beta"]),
-                                   n=int(obj["n"]), J=int(obj.get("J", 5)))
+                                   n=_integer(obj["n"], "n"), J=_integer(obj.get("J", 5), "J"))
                 return cls(kind="psi", psi=params)
             if variant == "custom":
                 return cls(kind="custom", path=str(obj["path"]))
@@ -185,9 +209,9 @@ def auto_grid(spec: GeneratorSpec):
         return make_grid(64, 1024), {"rule": "bspline-default"}
     if spec.kind == "psi":
         p = spec.psi
-        Xi = next_pow2(p.n * p.block_offsets[p.J + 1] + 2)
-        lo, hi = h_support(p.J, p.alpha)
-        narrow = hi - lo
+        Xi = next_pow2(p.required_half_range + 1)
+        last = p.blocks[-1]
+        narrow = last["support_hi"] - last["support_lo"]
         S_requested = next_pow2(math.ceil(BLOCK_SAMPLES_TARGET / narrow))
         S_cap = max(64, N_POINTS_CAP // (2 * Xi))
         S = max(64, min(S_requested, S_cap))
@@ -216,7 +240,7 @@ def build_sinc(grid: FrequencyGrid) -> SampledSpectrum:
     values[center - half + 1:center + half] = 1.0
     values[center - half] = 0.5
     values[center + half] = 0.5
-    return SampledSpectrum(grid=grid, values=values, label="sinc", hermitian=True,
+    return SampledSpectrum(grid=grid, values=values, label="sinc",
                            meta={"exclusion_halfwidth": 0.0})
 
 
@@ -258,28 +282,17 @@ def build_bspline(degree: int, grid: FrequencyGrid):
     sinc[(xi == np.rint(xi)) & (xi != 0)] = 0.0
     spectrum_values = (np.exp(-1j * np.pi * xi) * sinc) ** (degree + 1)
     spectrum = SampledSpectrum(grid=grid, values=spectrum_values,
-                               label=f"bspline{degree}", hermitian=True,
+                               label=f"bspline{degree}",
                                meta={"degree": degree, "full_frequency_support": True})
     return signal, spectrum
 
 
-def _block_layout(params: PsiParams):
-    """Per-depth placement facts for the positive-frequency blocks."""
-    counts = params.block_counts
-    offsets = params.block_offsets
-    layout = []
-    for j in range(1, params.J + 1):
-        lo, hi = h_support(j, params.alpha)
-        layout.append({
-            "j": j,
-            "count": counts[j],
-            "weight": counts[j] ** -0.5,
-            "support_lo": lo,
-            "support_hi": hi,
-            "center_first": params.n * offsets[j],
-            "center_step": params.n,
-        })
-    return layout
+def _block_copies(blk, S):
+    """The offsets ``rel`` of the samples inside a block's open support, at
+    ``S`` per unit, and ``idx[l]``, copy l's sample indices counted from xi = 0."""
+    rel = np.arange(math.floor(blk["support_lo"] * S) + 1, math.ceil(blk["support_hi"] * S))
+    bases = (blk["center_first"] + blk["center_step"] * np.arange(blk["count"])) * S
+    return rel, bases[:, None] + rel
 
 
 def build_psi_spectrum(params: PsiParams, grid: FrequencyGrid) -> SampledSpectrum:
@@ -306,17 +319,15 @@ def build_psi_spectrum(params: PsiParams, grid: FrequencyGrid) -> SampledSpectru
         values[center + idx] = vals
 
     # central block
-    lo0, hi0 = h_support(0, params.alpha)
-    idx0 = np.arange(0, int(math.floor(hi0 * S)) + 1)
+    idx0 = np.arange(0, math.floor(h_support(0, params.alpha)[1] * S) + 1)
     paint(idx0, h(idx0 / S, 0, params.alpha))
 
-    for blk in _block_layout(params):
-        lo, hi = blk["support_lo"], blk["support_hi"]
-        rel = np.arange(int(math.floor(lo * S)) + 1, int(math.ceil(hi * S)))
+    blocks = params.blocks
+    for blk in blocks:
+        rel, idx = _block_copies(blk, S)
         samples = blk["weight"] * h(rel / S, blk["j"], params.alpha)
-        for l in range(blk["count"]):
-            base = (blk["center_first"] + l * blk["center_step"]) * S
-            paint(base + rel, samples)
+        for copy in idx:
+            paint(copy, samples)
 
     # mirror: value at -xi equals value at +xi, sample by sample
     values[1:center] = values[center + 1:][::-1]
@@ -325,11 +336,10 @@ def build_psi_spectrum(params: PsiParams, grid: FrequencyGrid) -> SampledSpectru
     meta = {
         "psi": params.to_json(),
         "exclusion_halfwidth": params.exclusion_halfwidth,
-        "blocks": _block_layout(params),
+        "blocks": blocks,
     }
     return SampledSpectrum(grid=grid, values=values,
-                           label=GeneratorSpec(kind="psi", psi=params).label,
-                           hermitian=True, meta=meta)
+                           label=GeneratorSpec(kind="psi", psi=params).label, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +349,15 @@ def build_psi_spectrum(params: PsiParams, grid: FrequencyGrid) -> SampledSpectru
 TABLE_X_MAX = 64.0
 TABLE_X_SAMPLES = 4097   # spacing 1/32 over [-64, 64], includes 0
 TABLE_QUAD_NODES = 8193
+
+
+def _knot_interval(x):
+    """The table interval of each ``x`` in ``[-TABLE_X_MAX, TABLE_X_MAX]``: an
+    inner knot opens its interval, the last knot closes the last.  Knot i is
+    exactly ``i/32 - 64`` and ``32*x`` is exact: ``floor(32*x) + 2048``, no search."""
+    half = (TABLE_X_SAMPLES - 1) // 2
+    return np.minimum(np.floor(x * (half / TABLE_X_MAX)).astype(np.int64) + half,
+                      TABLE_X_SAMPLES - 2)
 
 
 def _turns(coef, q):
@@ -445,10 +464,10 @@ class WindowTables:
     its real and imaginary parts.  Values beyond ``|x| = TABLE_X_MAX``
     evaluate to 0; ``tail_bound`` records the largest magnitude seen on the
     outer 2% of each table, which bounds the truncation error committed by
-    that convention.  ``g0_inv``/``g1_inv`` take arbitrary x and search each
-    point's interval; ``g0_inv_ascending``/``g1_inv_ascending`` take x in
-    ascending order and give bitwise the same values without a per-point
-    interval search.
+    that convention.  ``g0_inv``/``g1_inv`` take arbitrary x and find each
+    point's interval by arithmetic (:func:`_knot_interval`: the knots are
+    uniform and exact); ``g0_inv_ascending``/``g1_inv_ascending`` take x in
+    ascending order and give bitwise the same values one interval at a time.
     """
 
     def __init__(self, alpha):
@@ -491,19 +510,14 @@ class WindowTables:
 
     def _at_points(self, x, *coeffs):
         """Each spline of ``coeffs`` at an arbitrary ``x``; points outside the
-        table stay 0.
-
-        A point on an inner knot opens that knot's interval; the last knot
-        closes the last interval.
-        """
+        table stay 0."""
         x = np.asarray(x, dtype=float)
         outs = [np.zeros(x.shape) for _ in coeffs]
         ok = np.abs(x) <= TABLE_X_MAX
         inside = x[ok]
-        knots = self._knots
-        i = np.minimum(np.searchsorted(knots, inside, "right") - 1, knots.size - 2)
+        i = _knot_interval(inside)
         values = [np.empty(inside.shape) for _ in coeffs]
-        _cubic(inside - knots[i], coeffs, i, values, np.empty(inside.shape))
+        _cubic(inside - self._knots[i], coeffs, i, values, np.empty(inside.shape))
         for out, value in zip(outs, values):
             out[ok] = value
         return outs
@@ -522,11 +536,7 @@ class WindowTables:
         last = np.searchsorted(x, knots[-1], "right")
         if first >= last:
             return outs
-        # a point on an inner knot opens that knot's interval; the last knot
-        # closes the last interval
-        top = knots.size - 2
-        lo = min(int(np.searchsorted(knots, x[first], "right")) - 1, top)
-        hi = min(int(np.searchsorted(knots, x[last - 1], "right")) - 1, top)
+        lo, hi = (int(i) for i in _knot_interval(x[[first, last - 1]]))
         bounds = [first, *np.searchsorted(x, knots[lo + 1:hi + 1], "left").tolist(), last]
         scratch = np.empty(x.shape)
         for i, a, b in zip(range(lo, hi + 1), bounds, bounds[1:]):
@@ -714,17 +724,16 @@ def evaluate_psi_time(x, params: PsiParams):
         factors = _PointFactors(np.atleast_1d(x), params, windows)
 
     a = params.alpha
-    counts = params.block_counts
-    offsets = params.block_offsets
-    s0 = (1.0 - 2.0 ** (-a)) / 2.0
+    s0, *envelope_scales = params.time_scales
     out = s0 * factors.central(s0)
 
-    for j in range(1, params.J + 1):
-        bj = counts[j]
-        cj = (2.0 ** a - 1.0) / 2.0 ** (j * a + 1)
-        pref = (2.0 ** a - 1.0) / 2.0 * bj ** -0.5 * 2.0 ** (-j * a)
-        # carrier at the block scale and the comb's center frequency, in turns
-        freq = (1.0 - 2.0 ** (-j * a)) / 2.0 + params.n * (offsets[j] + (bj - 1) / 2.0)
+    for blk, cj in zip(params.blocks, envelope_scales):
+        j, bj = blk["j"], blk["count"]
+        pref = (2.0 ** a - 1.0) / 2.0 * blk["weight"] * 2.0 ** (-j * a)
+        # carrier at the block scale and the comb's center frequency, in turns;
+        # the comb center is exact, so the sum rounds once
+        center = blk["center_first"] + blk["center_step"] * (bj - 1) / 2
+        freq = (1.0 - 2.0 ** (-j * a)) / 2.0 + center
         env_re, env_im = factors.envelope(cj)
         cos, sin = factors.carrier(freq)
         # out += 2 pref D (env_re cos - env_im sin), in place, in that order
@@ -746,11 +755,9 @@ class PsiTimeEvaluator:
 
     def __init__(self, params: PsiParams):
         self.params = params
-        self.max_frequency = params.n * (params.block_offsets[params.J + 1] - 1) + 0.5
-        scales = [(1.0 - 2.0 ** (-params.alpha)) / 2.0]
-        scales += [(2.0 ** params.alpha - 1.0) / 2.0 ** (j * params.alpha + 1)
-                   for j in range(1, params.J + 1)]
-        self.valid_span = TABLE_X_MAX / max(scales)
+        last = params.blocks[-1]
+        self.max_frequency = last["center_first"] + last["center_step"] * (last["count"] - 1) + 0.5
+        self.valid_span = TABLE_X_MAX / max(params.time_scales)
 
     def __call__(self, x):
         return evaluate_psi_time(x, self.params)

@@ -117,7 +117,6 @@ class SampledSpectrum:
     grid: FrequencyGrid
     values: np.ndarray
     label: str = ""
-    hermitian: bool = False
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -139,14 +138,12 @@ class SampledSpectrum:
         """
         k = int(k)
         out = np.zeros_like(self.values)
-        step = k * self.grid.samples_per_unit
-        if step >= self.grid.n_points or step <= -self.grid.n_points:
-            return SampledSpectrum(self.grid, out, self.label, self.hermitian, dict(self.meta))
-        if step >= 0:
-            out[step:] = self.values[: self.grid.n_points - step]
-        else:
+        step, n = k * self.grid.samples_per_unit, self.grid.n_points
+        if 0 <= step < n:
+            out[step:] = self.values[:n - step]
+        elif -n < step < 0:
             out[:step] = self.values[-step:]
-        return SampledSpectrum(self.grid, out, self.label, self.hermitian, dict(self.meta))
+        return SampledSpectrum(self.grid, out, self.label, dict(self.meta))
 
 
 @dataclass(frozen=True)
@@ -202,8 +199,7 @@ def to_time_domain(f: SampledSpectrum) -> SampledSignal:
 
     The values are real float64 when the samples are exactly Hermitian
     (``f(-xi) == conj(f(xi))`` at every grid pair, the sample at -Xi real),
-    as the sinc and psi spectra are; otherwise they are complex.  The
-    samples decide, not the ``hermitian`` flag.
+    as the sinc, psi and B-spline spectra are; otherwise they are complex.
     """
     # Centered in, centered out: undo the centering, run the radix-2 inverse
     # transform, recenter.  Scaling N/S = 2*Xi turns the mean into the

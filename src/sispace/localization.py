@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import h, h_support
-from .generators import DyadicLattice, PsiParams, PsiTimeEvaluator
+from .generators import DyadicLattice, PsiParams, PsiTimeEvaluator, _block_copies
 from .grid import GridError, SampledSignal, SampledSpectrum, next_pow2
 
 DEFAULT_WINDOWS = (4.0, 8.0, 16.0, 32.0, 64.0)
@@ -224,14 +224,13 @@ def psi_block_freq_contributions(params: PsiParams, q, delta):
     u, shape = _block_nodes(params, 0, BLOCK_QUAD_NODES)
     central = float(np.trapezoid(shape ** q * (1 + np.abs(u)) ** delta, u))
     out = []
-    counts, offsets = params.block_counts, params.block_offsets
-    for j in range(1, params.J + 1):
-        u, shape = _block_nodes(params, j, BLOCK_QUAD_NODES)
+    for blk in params.blocks:
+        u, shape = _block_nodes(params, blk["j"], BLOCK_QUAD_NODES)
         shape_q = shape ** q
-        centers = params.n * (offsets[j] + np.arange(counts[j]))
+        centers = blk["center_first"] + blk["center_step"] * np.arange(blk["count"])
         weights = (1.0 + centers[:, None] + u[None, :]) ** delta
         total = np.trapezoid(shape_q[None, :] * weights, u, axis=1).sum()
-        out.append((j, float(2.0 * counts[j] ** (-q / 2.0) * total)))
+        out.append((blk["j"], float(2.0 * blk["count"] ** (-q / 2.0) * total)))
     return central, out
 
 
@@ -255,16 +254,15 @@ def pointwise_freq_decay(f, s) -> PointwiseDecay:
         u, shape = _block_nodes(f, 0, POINTWISE_NODES)
         sup = float(np.max(shape * (1 + np.abs(u)) ** s))
         peaks = []
-        counts, offsets = f.block_counts, f.block_offsets
-        for j in range(1, f.J + 1):
-            u, shape = _block_nodes(f, j, POINTWISE_NODES)
-            shape = shape * counts[j] ** -0.5
+        for blk in f.blocks:
+            u, shape = _block_nodes(f, blk["j"], POINTWISE_NODES)
+            shape = shape * blk["weight"]
             # the weight is monotone in the copy center: the extreme copies bound all
             peak = 0.0
-            for l in (0, counts[j] - 1):
-                c = f.n * (offsets[j] + l)
+            for l in (0, blk["count"] - 1):
+                c = blk["center_first"] + blk["center_step"] * l
                 peak = max(peak, float(np.max(shape * (1 + np.abs(c + u)) ** s)))
-            peaks.append((j, peak))
+            peaks.append((blk["j"], peak))
             sup = max(sup, peak)
         return PointwiseDecay(s=s, sup_value=sup, per_block_peaks=tuple(peaks))
 
@@ -277,12 +275,8 @@ def pointwise_freq_decay(f, s) -> PointwiseDecay:
     S = f.grid.samples_per_unit
     center = f.grid.n_points // 2
     for blk in f.meta.get("blocks", ()):
-        rel = np.arange(int(math.floor(blk["support_lo"] * S)) + 1,
-                        int(math.ceil(blk["support_hi"] * S)))
-        bases = (blk["center_first"]
-                 + blk["center_step"] * np.arange(blk["count"])) * S
-        idx = (bases[:, None] + rel[None, :]).ravel() + center
-        peaks.append((blk["j"], float(scaled[idx].max())))
+        _, idx = _block_copies(blk, S)
+        peaks.append((blk["j"], float(scaled[center + idx].max())))
     return PointwiseDecay(s=s, sup_value=sup, per_block_peaks=tuple(peaks))
 
 

@@ -72,13 +72,14 @@ def build(spec: GeneratorSpec, grid):
     """``(spectrum, signal)`` on a grid from :func:`resolve_grid`; ``signal`` is
     None unless the builder samples it exactly (B-splines).  A custom spectrum
     is read from its CSV with the ``meta.json`` sidecar next to it, when
-    present, on its own grid when ``grid`` is None."""
+    present (and its ``label``), on its own grid when ``grid`` is None."""
     if spec.kind == "custom":
         meta_path = Path(spec.path).with_name("meta.json")
         meta = load_json(meta_path) if meta_path.exists() else {}
         try:
             return read_spectrum_csv(spec.path, grid=grid,
-                                     meta=meta.get("spectrum_meta", meta)), None
+                                     meta=meta.get("spectrum_meta", meta),
+                                     label=str(meta.get("label", "custom"))), None
         except OSError as e:
             raise ConfigError(f"cannot read custom spectrum: {e}") from e
     if spec.kind == "sinc":

@@ -199,7 +199,7 @@ def write_compare_csv(path, header, rows):
 
 
 def read_spectrum_csv(path, grid: FrequencyGrid | None = None,
-                      meta: dict | None = None) -> SampledSpectrum:
+                      meta: dict | None = None, label="custom") -> SampledSpectrum:
     """Re-ingest a spectrum written by :func:`write_spectrum_csv`.
 
     The grid is reconstructed from the sample positions unless given.
@@ -221,8 +221,4 @@ def read_spectrum_csv(path, grid: FrequencyGrid | None = None,
     values = re + 1j * im
     if np.all(im == 0.0):
         values = re
-    meta = dict(meta or {})
-    return SampledSpectrum(grid=grid, values=values,
-                           label=meta.get("label", "custom"),
-                           hermitian=bool(meta.get("hermitian", False)),
-                           meta=meta)
+    return SampledSpectrum(grid=grid, values=values, label=label, meta=dict(meta or {}))

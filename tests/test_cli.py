@@ -406,9 +406,19 @@ PSI = '"variant": "psi", "alpha": 1, "beta": 2'
      "bad generator spec: cannot convert float infinity to integer"),
     (f'{{"generator": {{{PSI}, "n": 2, "J": -1e400}}}}'.encode(), None,
      "bad generator spec: cannot convert float infinity to integer"),
+    # integer fields take integral JSON numbers only, never truncated or coerced
+    (b'{"generator": {"variant": "bspline", "degree": 2.7}}', None,
+     "bad generator spec: degree must be an integer, got 2.7"),
+    (f'{{"generator": {{{PSI}, "n": 2.5, "J": 2}}}}'.encode(), None,
+     "bad generator spec: n must be an integer, got 2.5"),
+    (f'{{"generator": {{{PSI}, "n": 2, "J": true}}}}'.encode(), None,
+     "bad generator spec: J must be an integer, got true"),
+    (b'{"generator": {"variant": "bspline", "degree": "3"}}', None,
+     'bad generator spec: degree must be an integer, got "3"'),
 ], ids=["config-bytes", "config-nesting", "sidecar-bytes", "sidecar-nesting",
         "spec-list", "spec-int", "spec-string-list", "spec-string-nesting",
-        "degree-overflow", "n-overflow", "J-overflow"])
+        "degree-overflow", "n-overflow", "J-overflow",
+        "degree-fraction", "n-fraction", "J-bool", "degree-string"])
 def test_unreadable_config_or_spec_exits_2_with_one_line(tmp_path, capsys, config, sidecar,
                                                          message):
     if sidecar is not None:
@@ -652,6 +662,22 @@ def test_construct_writes_a_real_signal_and_analyze_keeps_its_verdicts(tmp_path,
             assert a == b, where
 
 
+def test_reingested_spectrum_keeps_its_label_and_symmetry(tmp_path):
+    psi = write_config(tmp_path / "p.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 1}, "grid": "64,16"})
+    assert main(["construct", "--config", psi, "--out", str(tmp_path / "c")]) == 0
+    custom = write_config(tmp_path / "a.json", {
+        "generator": {"variant": "custom", "path": str(tmp_path / "c" / "spectrum.csv")}})
+    assert main(["construct", "--config", custom, "--out", str(tmp_path / "d")]) == 0
+    meta = json.loads((tmp_path / "d" / "meta.json").read_text())
+    assert meta["label"] == "psi(a=1 b=2 n=2 J=1)" and meta["hermitian"] is True
+    sinc = write_config(tmp_path / "s.json", {"generator": {"variant": "sinc"}})
+    assert main(["compare", "--config", custom, "--config", sinc,
+                 "--out", str(tmp_path / "cmp")]) == 0
+    rows = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["psi(a=1 b=2 n=2 J=1)", "sinc"]
+
+
 def test_off_symmetry_custom_spectrum_keeps_its_imaginary_signal(tmp_path):
     sinc = write_config(tmp_path / "s.json", {"generator": {"variant": "sinc"}, "grid": "64,4"})
     assert main(["construct", "--config", sinc, "--out", str(tmp_path / "c")]) == 0
@@ -666,3 +692,4 @@ def test_off_symmetry_custom_spectrum_keeps_its_imaginary_signal(tmp_path):
     assert main(["construct", "--config", custom, "--out", str(tmp_path / "d")]) == 0
     im = np.array(_signal_im_cells(tmp_path / "d" / "signal.csv"), dtype=float)
     assert np.max(np.abs(im)) > 1e-3
+    assert json.loads((tmp_path / "d" / "meta.json").read_text())["hermitian"] is False

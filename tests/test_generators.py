@@ -1,17 +1,20 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sispace.bumps import g0, g1, h_support
+from sispace.bumps import g0, g1, h, h_support
 from sispace.generators import (GeneratorSpec, PsiParams, PsiTimeEvaluator,
-                                _inverse_transform_table, auto_grid,
-                                build_bspline, build_psi_spectrum,
+                                _block_copies, _inverse_transform_table,
+                                auto_grid, build_bspline, build_psi_spectrum,
                                 dirichlet_ratio, evaluate_psi_time,
                                 window_tables)
 from sispace.grid import (GridError, _is_hermitian, l2_norm, make_grid,
-                          to_freq_domain, to_time_domain)
+                          next_pow2, to_freq_domain, to_time_domain)
 
 
 # ---------------------------------------------------------------- parameters
@@ -309,3 +312,32 @@ def test_evaluator_metadata(psi_small):
     ev = PsiTimeEvaluator(params)
     assert ev.max_frequency == params.n * (params.block_offsets[params.J + 1] - 1) + 0.5
     assert ev.valid_span >= 128.0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(params=st.builds(PsiParams, alpha=st.floats(0.5, 2.0), beta=st.floats(0.5, 2.5),
+                        n=st.sampled_from([2, 3]), J=st.integers(1, 3)))
+def test_block_table_describes_the_built_spectrum(params):
+    S = 64
+    grid = make_grid(S, next_pow2(params.required_half_range))
+    spectrum = build_psi_spectrum(params, grid)
+    blocks = params.blocks
+    assert spectrum.meta["blocks"] == blocks
+    for blk in blocks:
+        j = blk["j"]
+        count = params.block_counts[j]
+        assert (blk["count"], blk["weight"], blk["center_first"], blk["center_step"]) == (
+            count, count ** -0.5, params.n * params.block_offsets[j], params.n)
+        assert (blk["support_lo"], blk["support_hi"]) == h_support(j, params.alpha)
+    # rebuilt from the table alone: the central block, then every copy as weight * h_j
+    expected = np.zeros(grid.n_points // 2)
+    central = np.arange(math.floor(h_support(0, params.alpha)[1] * S) + 1)
+    expected[central] = h(central / S, 0, params.alpha)
+    for blk in blocks:
+        rel, idx = _block_copies(blk, S)
+        assert idx.shape == (blk["count"], rel.size)
+        expected[idx] = blk["weight"] * h(rel / S, blk["j"], params.alpha)
+    assert np.array_equal(spectrum.values[grid.n_points // 2:], expected)
+    last = blocks[-1]
+    assert PsiTimeEvaluator(params).max_frequency == (
+        last["center_first"] + last["center_step"] * (last["count"] - 1) + 0.5)

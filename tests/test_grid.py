@@ -192,7 +192,7 @@ def spectra(draw, kind):
     if kind != "general":
         u[:h:-1] = np.conj(u[1:h])
         u[[0, h]] = u[[0, h]].real
-    return SampledSpectrum(grid=g, values=np.fft.fftshift(u), hermitian=draw(st.booleans()))
+    return SampledSpectrum(grid=g, values=np.fft.fftshift(u))
 
 
 def complex_route(f):
@@ -229,7 +229,7 @@ def test_one_ulp_off_symmetry_takes_the_complex_route(f, data):
         u[k] = complex(np.nextafter(u[k].real, np.inf), u[k].imag)
     else:
         u[k] = np.nextafter(u[k], np.inf)
-    off = SampledSpectrum(grid=f.grid, values=np.fft.fftshift(u), hermitian=True)
+    off = SampledSpectrum(grid=f.grid, values=np.fft.fftshift(u))
     sig = to_time_domain(off)
     assert sig.values.dtype == np.complex128
     assert np.array_equal(sig.values, complex_route(off))

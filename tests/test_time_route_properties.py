@@ -114,7 +114,8 @@ def test_window_splines_are_scipy_not_a_knot_splines(alpha):
     assert np.array_equal(_bits(windows._g0_coeffs), _bits(g0_spline.c))
     assert np.array_equal(_bits(windows._g1_coeffs[0]), _bits(g1_spline.c.real))
     assert np.array_equal(_bits(windows._g1_coeffs[1]), _bits(g1_spline.c.imag))
-    x = _knot_probes()
+    # the interval is found by arithmetic: signed zeros, subnormals and non-finite points too
+    x = np.concatenate([_knot_probes(), [-0.0, -5e-324, 5e-324, np.nan, -np.inf, np.inf]])
     inside = np.abs(x) <= TABLE_X_MAX
     assert np.array_equal(_bits(windows.g0_inv(x)), _bits(np.where(inside, g0_spline(x), 0.0)))
     assert np.array_equal(_bits(windows.g1_inv(x)), _bits(np.where(inside, g1_spline(x), 0.0)))
