@@ -559,14 +559,47 @@ def dirichlet_ratio(u, count):
     sines is accurate to rounding for every r != 0; the removable
     singularity r == 0 takes the limit value ``count``.
     """
+    return _dirichlet_ratios(u, (count,))[0][()]   # [()]: a scalar u gives a scalar
+
+
+def _dirichlet_ratios(u, counts):
+    """:func:`dirichlet_ratio` of ``u`` for each of ``counts``, in one pass.
+
+    The rounding to the nearest integer m, the residue r = u - m, the parity
+    of m and sin(pi*r) are computed once.  Per count remain the numerator,
+    its divide by sin(pi*r) where that is nonzero (the limit ``count``
+    elsewhere) and, for an even count, the sign (-1)**m.
+    """
     u = np.asarray(u, dtype=float)
     m = np.round(u)
     r = u - m
-    sign = np.where((m.astype(np.int64) * (count - 1)) % 2 == 0, 1.0, -1.0)
+    odd = m.astype(np.int64) % 2 == 1
     den = np.sin(np.pi * r)
-    ratio = np.divide(np.sin(count * np.pi * r), den,
-                      out=np.full(r.shape, float(count)), where=den != 0)
-    return sign * ratio
+    nonzero = den != 0
+    numerator = np.empty(r.shape)
+    ratios = []
+    for count in counts:
+        np.sin(np.multiply(count * np.pi, r, out=numerator), out=numerator)
+        ratio = np.full(r.shape, float(count))
+        np.divide(numerator, den, out=ratio, where=nonzero)
+        if count % 2 == 0:
+            np.negative(ratio, out=ratio, where=odd)
+        ratios.append(ratio)
+    return ratios
+
+
+def _carrier(freq, x):
+    """Cosine and sine of the carrier phase ``freq * x``, reduced mod 1 turn
+    before the angle is formed."""
+    angle = 2.0 * np.pi * np.mod(freq * x, 1.0)
+    return np.cos(angle), np.sin(angle)
+
+
+def _carrier_frequency(blk, alpha):
+    """The carrier of one depth: at the block scale and the comb's center
+    frequency, in turns; the comb center is exact, so the sum rounds once."""
+    center = blk["center_first"] + blk["center_step"] * (blk["count"] - 1) / 2
+    return (1.0 - 2.0 ** (-blk["j"] * alpha)) / 2.0 + center
 
 
 # Cap on the Dirichlet tables of one lattice (J tables of 2**(e+1) floats):
@@ -577,21 +610,36 @@ CARRIER_SPLIT_BITS = 10   # lattice carrier: k = k_hi * 2**10 + k_lo
 _per_thread = threading.local()
 
 
-def _dirichlet_tables(counts, exponent):
-    """``T[q] = dirichlet_ratio(q * 2**-exponent, count)`` for ``q < 2**(exponent+1)``,
-    one table per count.
+def _dirichlet_tables(params, exponent):
+    """The tables of a lattice pass at step ``2**-exponent``, as ``(dirichlet, carrier)``.
 
-    ``dirichlet_ratio(u, count)`` has period 2 in u, so on the lattice
-    ``u = n*k*2**-exponent`` it equals ``T[(n*k) mod 2**(exponent+1)]``
-    bitwise.  Each thread keeps the last set it built: the chunks of one
-    lattice pass share it, and concurrent passes never evict each other.
+    ``dirichlet[j-1][q] = dirichlet_ratio(q * 2**-exponent, count_j)`` for
+    ``q < 2**(exponent+1)``, all J tables from one :func:`_dirichlet_ratios`
+    pass over the residues; ``dirichlet`` is None when they would exceed
+    ``DIRICHLET_TABLE_BYTES``.  ``dirichlet_ratio(u, count)`` has period 2
+    in u, so on the lattice ``u = n*k*2**-exponent`` it equals
+    ``T[(n*k) mod 2**(exponent+1)]`` bitwise.
+
+    ``carrier[j-1]`` is depth j's carrier low table: :func:`_carrier` at the
+    ``2**CARRIER_SPLIT_BITS`` points ``k_lo * 2**-exponent``.
+
+    Each thread keeps the last set it built: the pieces of one lattice pass
+    share it, and concurrent passes never evict each other.
     """
-    key = (counts, exponent)
-    cached = getattr(_per_thread, "dirichlet", None)
+    fits = params.J * (2 << exponent) * 8 <= DIRICHLET_TABLE_BYTES
+    key = (params, exponent, fits)
+    cached = getattr(_per_thread, "tables", None)
     if cached is None or cached[0] != key:
-        q = np.arange(2 << exponent) * 2.0 ** -exponent
-        cached = key, tuple(dirichlet_ratio(q, count) for count in counts)
-        _per_thread.dirichlet = cached
+        blocks = params.blocks
+        dirichlet = None
+        if fits:
+            residues = np.arange(2 << exponent) * 2.0 ** -exponent
+            dirichlet = tuple(_dirichlet_ratios(residues, [blk["count"] for blk in blocks]))
+        x_lo = np.arange(1 << CARRIER_SPLIT_BITS) * 2.0 ** -exponent
+        carrier = tuple(_carrier(_carrier_frequency(blk, params.alpha), x_lo)
+                        for blk in blocks)
+        cached = key, (dirichlet, carrier)
+        _per_thread.tables = cached
     return cached[1]
 
 
@@ -642,9 +690,8 @@ class _PointFactors:
     def dirichlet(self, j, count):
         return dirichlet_ratio(self.n * self.x, count)
 
-    def carrier(self, freq):
-        angle = 2.0 * np.pi * np.mod(freq * self.x, 1.0)
-        return np.cos(angle), np.sin(angle)
+    def carrier(self, j, freq):
+        return _carrier(freq, self.x)
 
 
 class _LatticeFactors(_PointFactors):
@@ -658,20 +705,22 @@ class _LatticeFactors(_PointFactors):
     * carrier: ``E(k) = E_hi(k_hi) * E_lo(k_lo)`` for
       ``k = k_hi * 2**CARRIER_SPLIT_BITS + k_lo``, each factor's phase
       reduced as the point route reduces ``freq * x``, so the one new
-      rounding is that complex product.
+      rounding is that complex product.  ``E_lo`` is depth j's table from
+      :func:`_dirichlet_tables`.
+
+    Every factor is a function of its point alone, so a lattice split into
+    consecutive pieces gives bitwise the values of the whole.
     """
 
     def __init__(self, lattice, params, windows):
         super().__init__(np.asarray(lattice), params, windows)
         e = lattice.exponent
-        self.dirichlet_tables = None
-        if params.J * (2 << e) * 8 <= DIRICHLET_TABLE_BYTES:
-            self.dirichlet_tables = _dirichlet_tables(params.block_counts[1:], e)
+        self.dirichlet_tables, self.carrier_lo = _dirichlet_tables(params, e)
+        if self.dirichlet_tables is not None:
             self.q = (params.n * lattice.k) & ((2 << e) - 1)
         bits = CARRIER_SPLIT_BITS
         hi = np.arange(lattice.start >> bits, ((lattice.stop - 1) >> bits) + 1) << bits
         self.x_hi = hi * 2.0 ** -e
-        self.x_lo = np.arange(1 << bits) * 2.0 ** -e
         self.span = slice(lattice.start - hi[0], lattice.start - hi[0] + lattice.size)
 
     def central(self, scale):
@@ -685,11 +734,9 @@ class _LatticeFactors(_PointFactors):
             return super().dirichlet(j, count)
         return self.dirichlet_tables[j - 1].take(self.q)
 
-    def carrier(self, freq):
-        angle_hi = 2.0 * np.pi * np.mod(freq * self.x_hi, 1.0)
-        angle_lo = 2.0 * np.pi * np.mod(freq * self.x_lo, 1.0)
-        cos_hi, sin_hi = np.cos(angle_hi)[:, None], np.sin(angle_hi)[:, None]
-        cos_lo, sin_lo = np.cos(angle_lo), np.sin(angle_lo)
+    def carrier(self, j, freq):
+        cos_hi, sin_hi = (t[:, None] for t in _carrier(freq, self.x_hi))
+        cos_lo, sin_lo = self.carrier_lo[j - 1]
         # the complex product written out (numpy's own may fuse multiply-adds)
         cos = cos_hi * cos_lo
         cos -= sin_hi * sin_lo
@@ -730,12 +777,8 @@ def evaluate_psi_time(x, params: PsiParams):
     for blk, cj in zip(params.blocks, envelope_scales):
         j, bj = blk["j"], blk["count"]
         pref = (2.0 ** a - 1.0) / 2.0 * blk["weight"] * 2.0 ** (-j * a)
-        # carrier at the block scale and the comb's center frequency, in turns;
-        # the comb center is exact, so the sum rounds once
-        center = blk["center_first"] + blk["center_step"] * (bj - 1) / 2
-        freq = (1.0 - 2.0 ** (-j * a)) / 2.0 + center
         env_re, env_im = factors.envelope(cj)
-        cos, sin = factors.carrier(freq)
+        cos, sin = factors.carrier(j, _carrier_frequency(blk, a))
         # out += 2 pref D (env_re cos - env_im sin), in place, in that order
         term = env_re * cos
         term -= env_im * sin

@@ -34,7 +34,8 @@ DEFAULT_WINDOWS = (4.0, 8.0, 16.0, 32.0, 64.0)
 DEFAULT_REL_TOL = 0.05
 LATTICE_OVERSAMPLE = 8
 MIN_PROBE_WINDOWS = 4
-PROBE_CHUNK = 1 << 16        # lattice points evaluated at once by the analytic route
+PROBE_CHUNK = 1 << 16        # most lattice points in one trapezoid segment (analytic route)
+EVAL_PIECE = 1 << 14         # most lattice points per evaluation inside a segment
 BLOCK_QUAD_NODES = 2049      # per-block nodes of the frequency-norm quadrature
 POINTWISE_NODES = 4097       # per-block nodes of the scaled-sup search
 ENVELOPE_MIN_OFFSET = 2      # first unit interval fitted by the envelope exponent
@@ -73,24 +74,29 @@ def _window_partials(source, exponents, windows):
 
     One row per ``(p, w)`` in ``exponents``, one column per window (checked
     by the caller).  ``source`` is a :class:`~sispace.grid.SampledSignal`
-    (the grid route, on its own samples) or a
+    (the grid route, on its own samples inside the widest window) or a
     :class:`~sispace.generators.PsiTimeEvaluator` (the analytic route, at a
     truncation depth that covers the windows: see
-    :func:`truncation_depth_for_span`).  The analytic route walks the half lattice
-    x = k*dx, k = 0..round(T_max/dx), dx = 2**-e, once, in pieces of at most
-    ``PROBE_CHUNK`` points that end at every window seam; each piece is
-    evaluated once, as a :class:`~sispace.generators.DyadicLattice`, and adds
-    its trapezoid to the window segment it lies in.  f is even, so a partial
-    is twice its half-lattice trapezoid.  Returns ``(partials, route)``.
+    :func:`truncation_depth_for_span`).  f is even, so the analytic route
+    walks only the half lattice x = k*dx, k = 0..round(T_max/dx), dx = 2**-e,
+    and a partial is twice its half-lattice trapezoid.  Returns
+    ``(partials, route)``.
 
-    On a lattice piece :func:`~sispace.generators.evaluate_psi_time` takes
-    the Dirichlet factor from one table per depth indexed by
-    (n*k) mod 2**(e+1) (built once per lattice while the tables stay under
-    ``generators.DIRICHLET_TABLE_BYTES`` = 16 MiB, computed directly above), the
-    window values one spline interval at a time over the ascending points,
-    and the carrier as a product of two small tables over the high and low
-    bits of k.  A piece of 2**16 points keeps its few 512 KiB temporaries
-    in a core's L2 cache.
+    The walk is cut twice.  Trapezoid segments of at most ``PROBE_CHUNK`` + 1
+    points end at every window seam; each segment's trapezoid is summed once
+    per ``(p, w)`` and added to the window it lies in, so the partials depend
+    on the segments alone.  A segment's |f| is filled by evaluation pieces of
+    at most ``EVAL_PIECE`` + 1 points, each reaching
+    :func:`~sispace.generators.evaluate_psi_time` as a
+    :class:`~sispace.generators.DyadicLattice`; every factor is evaluated
+    point by point, so the pieces change no bit, and they keep the depth
+    loop's temporaries at 128 KiB each.  On a piece the Dirichlet factor
+    comes from one table per depth indexed by (n*k) mod 2**(e+1) (built once
+    per lattice while the tables stay under
+    ``generators.DIRICHLET_TABLE_BYTES`` = 16 MiB, computed directly above),
+    the window values one spline interval at a time over the ascending
+    points, and the carrier as a product of two small tables over the high
+    and low bits of k.
     """
     if any(p < 1 for p, _ in exponents):
         raise ValueError("p must be >= 1")
@@ -99,14 +105,16 @@ def _window_partials(source, exponents, windows):
         if windows[-1] > source.half_span + 1e-9:
             raise GridError(f"window {windows[-1]} exceeds the sampled span "
                             f"{source.half_span}")
-        values = np.abs(source.values)
         mid = source.grid.n_points // 2
-        xs_abs = np.abs(np.arange(values.size) - mid) * dx
         ks = [min(int(round(T / dx)), mid) for T in windows]
+        top = max(ks)
+        lo, hi = mid - top, min(mid + top + 1, source.values.size)
+        values = np.abs(source.values[lo:hi])
+        weight = 1.0 + np.abs(np.arange(lo, hi) - mid) * dx
         partials = np.empty((len(exponents), len(windows)))
         for row, (p, w) in enumerate(exponents):
-            integrand = values ** p * (1.0 + xs_abs) ** w
-            partials[row] = [np.trapezoid(integrand[mid - k:mid + k + 1], dx=dx) for k in ks]
+            integrand = _weighted(values, p, weight, w)
+            partials[row] = [np.trapezoid(integrand[top - k:top + k + 1], dx=dx) for k in ks]
         return partials, "grid"
     if not isinstance(source, PsiTimeEvaluator):
         raise TypeError("expected SampledSignal or PsiTimeEvaluator")
@@ -119,13 +127,24 @@ def _window_partials(source, exponents, windows):
     segments = np.zeros((len(exponents), len(windows)))
     stops = sorted({0, *ks, *range(0, ks[-1], PROBE_CHUNK)})
     for a, b in zip(stops, stops[1:]):
-        lattice = DyadicLattice(a, b + 1, exponent)
-        values = np.abs(source(lattice))
-        xs = np.asarray(lattice)
+        values = np.empty(b + 1 - a)
+        for c in range(a, b, EVAL_PIECE):
+            # a last piece of one point would cost a whole call: it joins the one before
+            stop = c + EVAL_PIECE if c + EVAL_PIECE < b else b + 1
+            values[c - a:stop - a] = source(DyadicLattice(c, stop, exponent))
+        np.abs(values, out=values)
+        weight = 1.0 + np.asarray(DyadicLattice(a, b + 1, exponent))
         seg = next(i for i, k in enumerate(ks) if k >= b)
         for row, (p, w) in enumerate(exponents):
-            segments[row, seg] += np.trapezoid(values ** p * (1.0 + xs) ** w, dx=dx)
+            segments[row, seg] += np.trapezoid(_weighted(values, p, weight, w), dx=dx)
     return 2.0 * np.cumsum(segments, axis=1), "analytic"
+
+
+def _weighted(values, p, weight, w):
+    """``values**p * weight**w`` with one temporary besides the result."""
+    out = values ** p
+    out *= weight ** w
+    return out
 
 
 @dataclass(frozen=True)

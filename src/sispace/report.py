@@ -22,7 +22,6 @@ import contextlib
 import json
 import math
 import os
-import secrets
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +88,7 @@ def staged_paths(*paths):
     files are removed and the paths are left as they were.
     """
     paths = [Path(p) for p in paths]
-    tmps = [p.with_name(f".{p.name}.{secrets.token_hex(8)}.tmp") for p in paths]
+    tmps = [p.with_name(f".{p.name}.{os.urandom(8).hex()}.tmp") for p in paths]
     try:
         yield tmps
         for tmp, path in zip(tmps, paths):

@@ -1,11 +1,13 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sispace import localization
+from sispace import generators, localization
 from sispace.generators import (GeneratorSpec, PsiParams, PsiTimeEvaluator,
+                                build_bspline, build_psi_spectrum,
                                 evaluate_psi_time)
 from sispace.grid import GridError, make_grid, to_time_domain
 from sispace.localization import (FeasibilityGate, divergence_probes,
@@ -16,6 +18,7 @@ from sispace.localization import (FeasibilityGate, divergence_probes,
                                   truncation_depth_for_span,
                                   weighted_freq_norm)
 from sispace.pipeline import run_witness_suite
+from sispace.report import read_spectrum_csv, write_spectrum_csv
 
 LOG2_INCREMENT = 4 / np.pi ** 2 * np.log(2)  # per-doubling growth of the sinc tail
 
@@ -106,6 +109,48 @@ def test_probe_memory_does_not_grow_with_the_lattice(psi_small, monkeypatch):
     traced_peak([2, 4, 8, 16])   # window tables and first-call allocations
     base = traced_peak([2, 4, 8, 16])
     assert traced_peak([2, 4, 8, 32]) < 1.1 * base
+
+
+def test_lattice_pass_peak_memory(monkeypatch):
+    # psi(1, 2, 3, J=5) to T = 32: 2**20 + 1 half-lattice points at dx = 2**-15
+    # and 2.5 MiB of Dirichlet tables; evaluating whole 2**16-point segments
+    # peaks at 11.1 MiB
+    evaluator = PsiTimeEvaluator(PsiParams(1.0, 2.0, 3, 5))
+    generators.window_tables(1.0)   # built once per process, not per pass
+    monkeypatch.setattr(generators, "_per_thread", threading.local())  # the pass builds its tables
+    tracemalloc.start()
+    try:
+        divergence_probes(evaluator, [(1, 0.0), (2, 1.5), (2, 0.5)], [2, 4, 8, 16, 32])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+def _whole_array_partials(signal, exponents, windows):
+    """The grid-route partials with |f|**p (1+|x|)**w formed on every sample."""
+    dx = signal.time_spacing
+    values = np.abs(signal.values)
+    mid = signal.grid.n_points // 2
+    xs_abs = np.abs(np.arange(values.size) - mid) * dx
+    ks = [min(int(round(T / dx)), mid) for T in windows]
+    return [[np.trapezoid((values ** p * (1.0 + xs_abs) ** w)[mid - k:mid + k + 1], dx=dx)
+             for k in ks] for p, w in exponents]
+
+
+def test_grid_partials_are_the_whole_array_formula(sinc_spectrum, bspline_grid, tmp_path):
+    write_spectrum_csv(tmp_path / "s.csv",
+                       build_psi_spectrum(PsiParams(1.0, 2.0, 2, 2), make_grid(64, 64)))
+    signals = [to_time_domain(sinc_spectrum), build_bspline(3, bspline_grid)[0],
+               to_time_domain(read_spectrum_csv(tmp_path / "s.csv"))]
+    exponents = [(1, 0.0), (2, 1.5), (2, 0.5)]
+    for signal in signals:
+        span = signal.half_span
+        for windows in ([span / 64, span / 32, span / 16, span / 8], [1.0, 2.0, 4.0, span]):
+            partials, route = localization._window_partials(signal, exponents, windows)
+            assert route == "grid"
+            reference = np.array(_whole_array_partials(signal, exponents, windows))
+            assert partials.tobytes() == reference.tobytes()
 
 
 # ------------------------------------------------------------ divergence probe

@@ -12,8 +12,12 @@
   given as an array bitwise, and the whole value within 1e-13 of max|f| =
   f(0) (the spectrum is nonnegative), with the Dirichlet tables in use and
   with them switched off by a zero size cap.
+* A lattice cut into consecutive pieces evaluates bitwise as the whole, so
+  the probe pass may size its pieces freely; and the Dirichlet tables, built
+  for all depths in one pass, are bitwise the per-count ratio.
 """
 
+import threading
 from unittest import mock
 
 import numpy as np
@@ -24,7 +28,7 @@ from hypothesis import strategies as st
 from sispace import generators
 from sispace.generators import (TABLE_X_MAX, TABLE_X_SAMPLES, DyadicLattice,
                                 GeneratorSpec, PsiParams, PsiTimeEvaluator,
-                                auto_grid, build_psi_spectrum,
+                                auto_grid, build_psi_spectrum, dirichlet_ratio,
                                 evaluate_psi_time, window_tables)
 from sispace.grid import make_grid, to_time_domain
 
@@ -78,6 +82,58 @@ def test_lattice_route_matches_point_route(table_cap, params, lattice):
         reference = evaluate_psi_time(x, params)
     assert values.shape == (lattice.size,)
     assert np.max(np.abs(values - reference)) <= 1e-13 * evaluate_psi_time(0.0, params)
+
+
+@st.composite
+def split_lattices(draw):
+    """A lattice and up to four cuts strictly inside it, each anywhere or at
+    or next to a carrier-table row boundary (a multiple of
+    ``2**CARRIER_SPLIT_BITS``)."""
+    lattice = draw(lattices().filter(lambda lattice: lattice.size >= 2))
+    row = 1 << generators.CARRIER_SPLIT_BITS
+    picks = draw(st.lists(st.tuples(st.integers(lattice.start + 1, lattice.stop - 1),
+                                    st.sampled_from([None, -1, 0, 1])), max_size=4))
+    cuts = {k if near is None else k - k % row + near for k, near in picks}
+    return lattice, sorted(k for k in cuts if lattice.start < k < lattice.stop)
+
+
+@pytest.mark.parametrize("table_cap", [0, generators.DIRICHLET_TABLE_BYTES])
+@PROPERTY
+@given(params=small_params, split=split_lattices())
+def test_lattice_pieces_evaluate_as_the_whole(table_cap, params, split):
+    lattice, cuts = split
+    bounds = [lattice.start, *cuts, lattice.stop]
+    with mock.patch.object(generators, "DIRICHLET_TABLE_BYTES", table_cap):
+        whole = evaluate_psi_time(lattice, params)
+        pieces = [evaluate_psi_time(DyadicLattice(a, b, lattice.exponent), params)
+                  for a, b in zip(bounds, bounds[1:])]
+    assert _bits(np.concatenate(pieces)).tobytes() == _bits(whole).tobytes()
+
+
+def _dirichlet_per_count(u, count):
+    """The ratio computed for one count on its own: the sign from the parity
+    of ``m*(count - 1)``, applied by a multiplication."""
+    m = np.round(u)
+    r = u - m
+    sign = np.where((m.astype(np.int64) * (count - 1)) % 2 == 0, 1.0, -1.0)
+    den = np.sin(np.pi * r)
+    ratio = np.divide(np.sin(count * np.pi * r), den,
+                      out=np.full(r.shape, float(count)), where=den != 0)
+    return sign * ratio
+
+
+@pytest.mark.parametrize("exponent", [8, 11, 15])
+def test_shared_dirichlet_tables_are_the_per_count_ratio(exponent, monkeypatch):
+    monkeypatch.setattr(generators, "_per_thread", threading.local())
+    params = PsiParams(1.0, 1.5, 2, 4)
+    counts = params.block_counts[1:]
+    assert {count % 2 for count in counts} == {0, 1}
+    tables, carrier = generators._dirichlet_tables(params, exponent)
+    assert len(tables) == len(carrier) == params.J
+    u = np.arange(2 << exponent) * 2.0 ** -exponent
+    for table, count in zip(tables, counts, strict=True):
+        assert _bits(table).tobytes() == _bits(dirichlet_ratio(u, count)).tobytes()
+        assert _bits(table).tobytes() == _bits(_dirichlet_per_count(u, count)).tobytes()
 
 
 def _knot_probes():
