@@ -3,13 +3,11 @@
 __version__ = "0.1.0"
 
 from .bumps import g0, g1, h, h_support, partition_defect, smooth_step
-from .generators import (DyadicLattice, GeneratorSpec, PsiParams,
-                         PsiTimeEvaluator, auto_grid, build_bspline,
-                         build_psi_spectrum, build_sinc, dirichlet_ratio,
-                         evaluate_psi_time, window_tables)
+from .generators import (DyadicLattice, GeneratorSpec, PsiParams, auto_grid,
+                         build_bspline, build_psi_spectrum, build_sinc,
+                         dirichlet_ratio, evaluate_psi_time, window_tables)
 from .grid import (FrequencyGrid, GridError, SampledSignal, SampledSpectrum,
-                   l2_norm, make_grid, next_pow2, to_freq_domain,
-                   to_time_domain)
+                   l2_norm, next_pow2, to_freq_domain, to_time_domain)
 from .localization import (FeasibilityGate, GateReport, GrowthVerdict,
                            PointwiseDecay, divergence_probes,
                            feasibility_gates, pointwise_freq_decay,
@@ -24,11 +22,11 @@ from .spectral import (GridCriteria, InvarianceGroup, InvarianceReport,
 __all__ = [
     "__version__",
     "smooth_step", "g0", "g1", "h", "h_support", "partition_defect",
-    "DyadicLattice", "GeneratorSpec", "PsiParams", "PsiTimeEvaluator", "auto_grid",
+    "DyadicLattice", "GeneratorSpec", "PsiParams", "auto_grid",
     "build_bspline", "build_psi_spectrum", "build_sinc", "dirichlet_ratio",
     "evaluate_psi_time", "window_tables",
     "FrequencyGrid", "GridError", "SampledSignal", "SampledSpectrum",
-    "l2_norm", "make_grid", "next_pow2", "to_freq_domain", "to_time_domain",
+    "l2_norm", "next_pow2", "to_freq_domain", "to_time_domain",
     "FeasibilityGate", "GateReport", "GrowthVerdict", "PointwiseDecay",
     "divergence_probes", "feasibility_gates",
     "pointwise_freq_decay", "psi_block_freq_contributions", "run_witness_suite",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bumps import g0, g1, h, h_support
 from .grid import (FrequencyGrid, GridError, SampledSignal, SampledSpectrum,
-                   make_grid, next_pow2)
+                   next_pow2)
 
 MAX_BSPLINE_DEGREE = 25
 
@@ -95,6 +95,19 @@ class PsiParams:
         a = self.alpha
         return ((1.0 - 2.0 ** (-a)) / 2.0,
                 *((2.0 ** a - 1.0) / 2.0 ** (j * a + 1) for j in range(1, self.J + 1)))
+
+    @property
+    def max_frequency(self):
+        """The largest carrier present: the outermost copy's center plus half
+        a block width.  The probe lattices are sized from it."""
+        last = self.blocks[-1]
+        return last["center_first"] + last["center_step"] * (last["count"] - 1) + 0.5
+
+    @property
+    def valid_span(self):
+        """How far in x the analytic route's window tables reach, given the
+        block scalings."""
+        return TABLE_X_MAX / max(self.time_scales)
 
     @property
     def required_half_range(self):
@@ -202,11 +215,11 @@ def auto_grid(spec: GeneratorSpec):
     """
     if spec.kind == "sinc":
         # Long time span for the slowly decaying tail; 1 unit of spectrum.
-        return make_grid(1024, 16), {"rule": "sinc-default"}
+        return FrequencyGrid(1024, 16), {"rule": "sinc-default"}
     if spec.kind == "bspline":
         # Wide half-range so the integer-periodization tail of the powerlaw
         # spectrum falls below 1e-11; compact time support needs little span.
-        return make_grid(64, 1024), {"rule": "bspline-default"}
+        return FrequencyGrid(64, 1024), {"rule": "bspline-default"}
     if spec.kind == "psi":
         p = spec.psi
         Xi = next_pow2(p.required_half_range + 1)
@@ -222,7 +235,7 @@ def auto_grid(spec: GeneratorSpec):
             "requested_samples_per_unit": S_requested,
             "narrowest_block_samples": S * narrow,
         }
-        return make_grid(S, Xi), info
+        return FrequencyGrid(S, Xi), info
     raise ValueError("custom generators carry their own grid")
 
 
@@ -719,9 +732,9 @@ class _LatticeFactors(_PointFactors):
         if self.dirichlet_tables is not None:
             self.q = (params.n * lattice.k) & ((2 << e) - 1)
         bits = CARRIER_SPLIT_BITS
-        hi = np.arange(lattice.start >> bits, ((lattice.stop - 1) >> bits) + 1) << bits
-        self.x_hi = hi * 2.0 ** -e
-        self.span = slice(lattice.start - hi[0], lattice.start - hi[0] + lattice.size)
+        first = lattice.start >> bits << bits
+        self.x_hi = np.arange(first, lattice.stop, 1 << bits) * 2.0 ** -e
+        self.span = slice(lattice.start - first, lattice.start - first + lattice.size)
 
     def central(self, scale):
         return self.windows.g0_inv_ascending(scale * self.x)
@@ -785,22 +798,3 @@ def evaluate_psi_time(x, params: PsiParams):
         term *= 2.0 * pref * factors.dirichlet(j, bj)
         out += term
     return out[0] if scalar else out
-
-
-class PsiTimeEvaluator:
-    """Callable analytic route with its sampling metadata.
-
-    ``max_frequency`` is the largest carrier present (outermost copy plus
-    half a block width); quadrature lattices for localization probes are
-    sized from it.  ``valid_span`` is how far in x the window tables reach
-    given the block scalings.
-    """
-
-    def __init__(self, params: PsiParams):
-        self.params = params
-        last = params.blocks[-1]
-        self.max_frequency = last["center_first"] + last["center_step"] * (last["count"] - 1) + 0.5
-        self.valid_span = TABLE_X_MAX / max(params.time_scales)
-
-    def __call__(self, x):
-        return evaluate_psi_time(x, self.params)

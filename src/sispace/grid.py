@@ -16,6 +16,7 @@ floating error and the discrete Parseval identity is exact.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,12 +40,19 @@ def next_pow2(n):
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform frequency grid ``xi_i = i/S`` for ``i in [-Xi*S, Xi*S)``."""
+    """Uniform frequency grid ``xi_i = i/S`` for ``i in [-Xi*S, Xi*S)``; both
+    fields integral numbers, kept as ``int`` (GridError for 64.9, True, "64")."""
 
     samples_per_unit: int
     half_range: int
 
     def __post_init__(self):
+        for name in ("samples_per_unit", "half_range"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                    or isinstance(value, float) and value.is_integer()):
+                raise GridError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         S, Xi = self.samples_per_unit, self.half_range
         if S < 2:
             raise GridError("samples_per_unit must be >= 2 (narrow transition bands "
@@ -91,11 +99,6 @@ class FrequencyGrid:
         if not 0 <= pos < self.n_points:
             raise GridError(f"{xi} lies outside [-{self.half_range}, {self.half_range})")
         return pos
-
-
-def make_grid(S, Xi):
-    """Build a :class:`FrequencyGrid`; rejects non-power-of-two sizes."""
-    return FrequencyGrid(samples_per_unit=int(S), half_range=int(Xi))
 
 
 def _freeze(a):

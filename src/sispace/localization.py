@@ -13,10 +13,11 @@ classify the trend of the tail increments W(T_{i+1}) - W(T_i):
 * ``inconclusive`` -- anything else, including the deliberately
                       unclassified critical exponent (p = 2, weight 1).
 
-For the banded generators the analytic route is trusted only while the
-windows stay inside the last block's envelope scale; callers should deepen
-the truncation via :func:`truncation_depth_for_span` before probing wide
-windows, otherwise the probe reports the truncation, not the object.
+Both sides probe a sampled signal or spectrum, or a banded generator's own
+:class:`~sispace.generators.PsiParams` (the analytic route).  That route is
+trusted only while the windows stay inside the last block's envelope scale;
+deepen the truncation via :func:`truncation_depth_for_span` before probing
+wide windows, otherwise the probe reports the truncation, not the object.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import h, h_support
-from .generators import DyadicLattice, PsiParams, PsiTimeEvaluator, _block_copies
+from .generators import DyadicLattice, PsiParams, _block_copies, evaluate_psi_time
 from .grid import GridError, SampledSignal, SampledSpectrum, next_pow2
 
 DEFAULT_WINDOWS = (4.0, 8.0, 16.0, 32.0, 64.0)
@@ -64,9 +65,9 @@ def check_windows(windows):
     return windows
 
 
-def _lattice_exponent(evaluator: PsiTimeEvaluator):
+def _lattice_exponent(params: PsiParams):
     """e of the probe lattice step ``dx = 2**-e``."""
-    return next_pow2(int(max(256, LATTICE_OVERSAMPLE * evaluator.max_frequency))).bit_length() - 1
+    return next_pow2(int(max(256, LATTICE_OVERSAMPLE * params.max_frequency))).bit_length() - 1
 
 
 def _window_partials(source, exponents, windows):
@@ -74,9 +75,9 @@ def _window_partials(source, exponents, windows):
 
     One row per ``(p, w)`` in ``exponents``, one column per window (checked
     by the caller).  ``source`` is a :class:`~sispace.grid.SampledSignal`
-    (the grid route, on its own samples inside the widest window) or a
-    :class:`~sispace.generators.PsiTimeEvaluator` (the analytic route, at a
-    truncation depth that covers the windows: see
+    (the grid route, on its own samples inside the widest window) or the
+    :class:`~sispace.generators.PsiParams` of the generator itself (the
+    analytic route, at a truncation depth that covers the windows: see
     :func:`truncation_depth_for_span`).  f is even, so the analytic route
     walks only the half lattice x = k*dx, k = 0..round(T_max/dx), dx = 2**-e,
     and a partial is twice its half-lattice trapezoid.  Returns
@@ -116,8 +117,8 @@ def _window_partials(source, exponents, windows):
             integrand = _weighted(values, p, weight, w)
             partials[row] = [np.trapezoid(integrand[top - k:top + k + 1], dx=dx) for k in ks]
         return partials, "grid"
-    if not isinstance(source, PsiTimeEvaluator):
-        raise TypeError("expected SampledSignal or PsiTimeEvaluator")
+    if not isinstance(source, PsiParams):
+        raise TypeError("expected SampledSignal or PsiParams")
     exponent = _lattice_exponent(source)
     dx = 2.0 ** -exponent
     if windows[-1] > source.valid_span:
@@ -131,7 +132,7 @@ def _window_partials(source, exponents, windows):
         for c in range(a, b, EVAL_PIECE):
             # a last piece of one point would cost a whole call: it joins the one before
             stop = c + EVAL_PIECE if c + EVAL_PIECE < b else b + 1
-            values[c - a:stop - a] = source(DyadicLattice(c, stop, exponent))
+            values[c - a:stop - a] = evaluate_psi_time(DyadicLattice(c, stop, exponent), source)
         np.abs(values, out=values)
         weight = 1.0 + np.asarray(DyadicLattice(a, b + 1, exponent))
         seg = next(i for i, k in enumerate(ks) if k >= b)

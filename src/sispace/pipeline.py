@@ -14,9 +14,9 @@ from dataclasses import asdict, replace
 from functools import cached_property
 from pathlib import Path
 
-from .generators import (GeneratorSpec, PsiTimeEvaluator, auto_grid,
-                         build_bspline, build_psi_spectrum, build_sinc)
-from .grid import FrequencyGrid, GridError, make_grid, to_time_domain
+from .generators import (GeneratorSpec, _integer, auto_grid, build_bspline,
+                         build_psi_spectrum, build_sinc)
+from .grid import FrequencyGrid, GridError, to_time_domain
 from .localization import (DEFAULT_WINDOWS, FeasibilityGate, divergence_probes,
                            feasibility_gates, pointwise_freq_decay,
                            psi_block_freq_contributions,
@@ -60,12 +60,12 @@ def resolve_grid(spec: GeneratorSpec, grid):
     if grid == "auto":
         return (None, {"rule": "from-file"}) if spec.kind == "custom" else auto_grid(spec)
     try:
-        fields = (grid.split(",") if isinstance(grid, str)
+        fields = ([int(v) for v in grid.split(",")] if isinstance(grid, str)
                   else (grid["S"], grid["Xi"]) if isinstance(grid, dict) else grid)
-        S, Xi = (int(v) for v in fields)
-    except (KeyError, IndexError, TypeError, ValueError) as e:
+        S, Xi = (_integer(v, "grid") for v in fields)
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad grid {grid!r}; expected S,Xi or auto") from e
-    return make_grid(S, Xi), {"rule": "explicit"}
+    return FrequencyGrid(S, Xi), {"rule": "explicit"}
 
 
 def build(spec: GeneratorSpec, grid):
@@ -136,12 +136,12 @@ class RunContext:
 
     @cached_property
     def time_source(self):
-        """The probes' source: the sampled signal, or for psi one analytic
-        evaluator truncated deep enough for its envelope to cover the windows."""
+        """The probes' source: the sampled signal, or for psi the generator
+        truncated deep enough for its envelope to cover the windows."""
         if not self.psi:
             return self.signal
         depth = truncation_depth_for_span(self.psi.alpha, max(self.windows))
-        return PsiTimeEvaluator(replace(self.psi, J=max(self.psi.J, depth)))
+        return replace(self.psi, J=max(self.psi.J, depth))
 
     @cached_property
     def decay_verdicts(self):
@@ -197,7 +197,7 @@ def invariance_section(ctx):
 
 
 def decay_section(ctx):
-    block = {"probe_truncation": ctx.time_source.params.J} if ctx.psi else {}
+    block = {"probe_truncation": ctx.time_source.J} if ctx.psi else {}
     block["windows"] = ctx.windows
     block.update((name, asdict(v)) for name, v in ctx.decay_verdicts.items())
     return block
@@ -279,6 +279,6 @@ def compare_row(ctx):
     return ([ctx.spectrum.label, prof.m, prof.M, orthonormality_defect(prof),
              ctx.criteria.group.describe()]
             + list(_per_n(ctx).values())
-            + [divergence_probes(ctx.time_source, [(1, 0.0)], ctx.windows)[0].verdict,
+            + [ctx.decay_verdicts["integrability"].verdict,
                ctx.pointwise.sup_value,
                str(ctx.gates.freq_lq_ok) if ctx.psi else ""])

@@ -202,7 +202,8 @@ def read_spectrum_csv(path, grid: FrequencyGrid | None = None,
     """Re-ingest a spectrum written by :func:`write_spectrum_csv`.
 
     The grid is reconstructed from the sample positions unless given.
-    ValueError unless there are at least two rows, all of them finite.
+    ValueError unless there are at least two rows, all of them finite, and
+    (rebuilding the grid) the first two xi a finite positive step apart.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3), ndmin=2)
     if data.shape[0] < 2:
@@ -211,7 +212,9 @@ def read_spectrum_csv(path, grid: FrequencyGrid | None = None,
         raise ValueError(f"{path} holds non-finite samples")
     xi, re, im = data[:, 0], data[:, 1], data[:, 2]
     if grid is None:
-        spacing = xi[1] - xi[0]
+        spacing = float(xi[1]) - float(xi[0])   # as Python floats an overflow is inf, no warning
+        if not 0 < spacing < math.inf:
+            raise ValueError(f"{path} has xi spacing {spacing}; need a finite positive one")
         S = int(round(1.0 / spacing))
         Xi = int(round(-xi[0]))
         grid = FrequencyGrid(samples_per_unit=S, half_range=Xi)

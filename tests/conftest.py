@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from sispace import (GeneratorSpec, PsiParams, auto_grid, build_bspline,
-                     build_psi_spectrum, build_sinc, make_grid)
+from sispace import (FrequencyGrid, GeneratorSpec, PsiParams, auto_grid,
+                     build_bspline, build_psi_spectrum, build_sinc)
 
 
 def pytest_configure(config):
@@ -15,7 +15,7 @@ def pytest_configure(config):
 
 @pytest.fixture(scope="session")
 def sinc_grid():
-    return make_grid(1024, 16)
+    return FrequencyGrid(1024, 16)
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +25,7 @@ def sinc_spectrum(sinc_grid):
 
 @pytest.fixture(scope="session")
 def bspline_grid():
-    return make_grid(64, 1024)
+    return FrequencyGrid(64, 1024)
 
 
 @pytest.fixture(scope="session")

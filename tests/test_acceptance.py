@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from sispace import (GeneratorSpec, PsiParams, auto_grid, build_bspline,
-                     build_psi_spectrum, build_sinc, evaluate_psi_time,
-                     l2_norm, make_grid, to_time_domain)
+from sispace import (FrequencyGrid, GeneratorSpec, PsiParams, auto_grid,
+                     build_bspline, build_psi_spectrum, build_sinc,
+                     evaluate_psi_time, l2_norm, to_time_domain)
 from sispace.bumps import partition_defect, smooth_step
 from sispace.cli import main as cli_main
 from sispace.localization import (FeasibilityGate, divergence_probes,
@@ -71,10 +71,10 @@ def test_c04_invariance_criteria(psi5):
     rep, = grid_criteria(spec, 2).per_n
     psi_ok = rep.passed and rep.violation_fraction == 0.0
 
-    _, b1 = build_bspline(1, make_grid(64, 1024))
+    _, b1 = build_bspline(1, FrequencyGrid(64, 1024))
     b_fails = all(not rep.passed for rep in grid_criteria(b1, 4).per_n)
 
-    sinc = build_sinc(make_grid(1024, 16))
+    sinc = build_sinc(FrequencyGrid(1024, 16))
     defect, _ = grid_criteria(sinc, 1).translation
     report_line(4, "refined-invariance criteria", 60.0, t0,
                 psi_ok and b_fails and defect < 1e-14,
@@ -83,7 +83,7 @@ def test_c04_invariance_criteria(psi5):
 
 def test_c05_periodization_oracle():
     t0 = time.perf_counter()
-    _, spec = build_bspline(1, make_grid(64, 1024))
+    _, spec = build_bspline(1, FrequencyGrid(64, 1024))
     prof = grid_criteria(spec, 1).profile
     ks = np.arange(-10_000, 10_001)
     oracle = np.array([np.sum(np.sinc(r + ks) ** 4) for r in prof.residues])
@@ -95,7 +95,7 @@ def test_c05_periodization_oracle():
 
 def test_c06_bandlimited_tail_witness():
     t0 = time.perf_counter()
-    sig = to_time_domain(build_sinc(make_grid(1024, 16)))
+    sig = to_time_domain(build_sinc(FrequencyGrid(1024, 16)))
     verdict, = divergence_probes(sig, [(1, 0.0)], [8, 16, 32, 64, 128])
     target = 4 / np.pi ** 2 * np.log(2)
     inc_ok = all(abs(i - target) / target < 0.15 for i in verdict.tail_increments)
@@ -110,12 +110,11 @@ def test_c06_bandlimited_tail_witness():
 
 
 def test_c07_second_moment_pair():
-    from sispace import PsiTimeEvaluator
     t0 = time.perf_counter()
     windows = [4, 8, 16, 32, 64]
     depth = truncation_depth_for_span(1.0, max(windows))
-    evaluator = PsiTimeEvaluator(PsiParams(1.0, 2.0, 2, depth))
-    heavy, light = divergence_probes(evaluator, [(2, 1.5), (2, 0.5)], windows)
+    params = PsiParams(1.0, 2.0, 2, depth)
+    heavy, light = divergence_probes(params, [(2, 1.5), (2, 0.5)], windows)
     report_line(7, "second-moment divergence/convergence pair", 120.0, t0,
                 heavy.verdict == "diverging" and light.verdict == "converging",
                 f"w=1.5:{heavy.verdict} w=0.5:{light.verdict} (depth {depth})")
@@ -162,9 +161,9 @@ def test_c10_route_cross_check_and_parseval():
     route_err = float(np.max(np.abs(ana - sig.values[m + grid.n_points // 2])))
 
     parseval_worst = 0.0
-    builtins = [build_sinc(make_grid(1024, 16)),
-                build_bspline(1, make_grid(64, 1024))[1],
-                build_bspline(3, make_grid(64, 1024))[1],
+    builtins = [build_sinc(FrequencyGrid(1024, 16)),
+                build_bspline(1, FrequencyGrid(64, 1024))[1],
+                build_bspline(3, FrequencyGrid(64, 1024))[1],
                 spec]
     p5 = PsiParams(1.0, 2.0, 2, 5)
     g5, _ = auto_grid(GeneratorSpec(kind="psi", psi=p5))

@@ -210,9 +210,9 @@ def test_deterministic_dumps_float_format():
 
 def test_read_spectrum_round_trips_grid(tmp_path):
     from sispace.generators import build_sinc
-    from sispace.grid import make_grid
+    from sispace.grid import FrequencyGrid
     from sispace.report import write_spectrum_csv
-    g = make_grid(64, 4)
+    g = FrequencyGrid(64, 4)
     spec = build_sinc(g)
     write_spectrum_csv(tmp_path / "s.csv", spec)
     back = read_spectrum_csv(tmp_path / "s.csv")
@@ -222,11 +222,10 @@ def test_read_spectrum_round_trips_grid(tmp_path):
 
 
 def test_write_windows_csv_from_verdict(tmp_path):
-    from sispace.generators import PsiParams, PsiTimeEvaluator
+    from sispace.generators import PsiParams
     from sispace.localization import divergence_probes
     from sispace.report import write_windows_csv
-    v, = divergence_probes(PsiTimeEvaluator(PsiParams(1.0, 2.0, 2, 2)), [(2, 1.75)],
-                           [2, 4, 8, 16])
+    v, = divergence_probes(PsiParams(1.0, 2.0, 2, 2), [(2, 1.75)], [2, 4, 8, 16])
     write_windows_csv(tmp_path / "w.csv", v)
     lines = (tmp_path / "w.csv").read_text().strip().splitlines()
     assert lines[0] == "T,partial,increment"
@@ -291,16 +290,34 @@ def test_custom_spectrum_runs_suite(tmp_path):
     assert suite["invariance"]["invariance_group"] == "R-candidate"
 
 
-def test_decay_and_suite_evaluate_the_probe_lattice_once(tmp_path, monkeypatch):
-    from sispace import generators, localization
+def count_probe_points(monkeypatch):
+    """The sizes of the evaluations the decay probes make, as they are made."""
+    from sispace import localization
     points = []
-    evaluate = generators.evaluate_psi_time
+    evaluate = localization.evaluate_psi_time
 
     def counting_evaluate(x, params):
         points.append(np.size(x))
         return evaluate(x, params)
 
-    monkeypatch.setattr(generators, "evaluate_psi_time", counting_evaluate)
+    monkeypatch.setattr(localization, "evaluate_psi_time", counting_evaluate)
+    return points
+
+
+def probe_lattice_bounds(params, windows):
+    """Fewest and most points one lattice pass evaluates: M + 1, plus one per seam."""
+    from dataclasses import replace
+
+    from sispace import localization
+    depth = localization.truncation_depth_for_span(params.alpha, windows[-1])
+    probe = replace(params, J=max(params.J, depth))
+    M = round(windows[-1] * 2 ** localization._lattice_exponent(probe))
+    return M + 1, M + 1 + len(windows) - 1 + M // localization.PROBE_CHUNK
+
+
+def test_decay_and_suite_evaluate_the_probe_lattice_once(tmp_path, monkeypatch):
+    from sispace.generators import PsiParams
+    points = count_probe_points(monkeypatch)
     windows = [2, 4, 8, 16]
     cfg = write_config(tmp_path / "c.json", {
         "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
@@ -308,30 +325,23 @@ def test_decay_and_suite_evaluate_the_probe_lattice_once(tmp_path, monkeypatch):
         "parameters": {"windows": windows},
     })
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    depth = localization.truncation_depth_for_span(1.0, windows[-1])
-    probe = generators.PsiTimeEvaluator(generators.PsiParams(1.0, 2.0, 2, depth))
-    M = round(windows[-1] * 2 ** localization._lattice_exponent(probe))
-    seams = len(windows) - 1 + M // localization.PROBE_CHUNK
-    assert M + 1 <= sum(points) <= M + 1 + seams
+    fewest, most = probe_lattice_bounds(PsiParams(1.0, 2.0, 2, 2), windows)
+    assert fewest <= sum(points) <= most
 
 
-def test_analyze_decay_builds_one_evaluator(tmp_path, monkeypatch):
-    from sispace.generators import PsiTimeEvaluator
-    built = []
-    init = PsiTimeEvaluator.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(PsiTimeEvaluator, "__init__", counting_init)
-    cfg = write_config(tmp_path / "c.json", {
-        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
-        "analyses": ["decay"],
-        "parameters": {"windows": [2, 4, 8, 16]},
-    })
-    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert len(built) == 1
+def test_compare_evaluates_each_probe_lattice_once(tmp_path, monkeypatch):
+    # each row reads its context's one decay pass
+    from sispace.generators import PsiParams
+    from sispace.localization import DEFAULT_WINDOWS
+    points = count_probe_points(monkeypatch)
+    psis = [PsiParams(2.0, 1.0, 2, 2), PsiParams(2.0, 2.0, 3, 2)]
+    cfgs = [write_config(tmp_path / f"psi{i}.json",
+                         {"generator": {"variant": "psi", **params.to_json()}})
+            for i, params in enumerate(psis)]
+    cfgs.append(write_config(tmp_path / "sinc.json", {"generator": {"variant": "sinc"}}))
+    assert main(["compare", *cfgs, "--out", str(tmp_path / "cmp")]) == 0
+    bounds = [probe_lattice_bounds(params, DEFAULT_WINDOWS) for params in psis]
+    assert sum(lo for lo, _ in bounds) <= sum(points) <= sum(hi for _, hi in bounds)
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -367,6 +377,10 @@ def test_analyze_decay_builds_one_evaluator(tmp_path, monkeypatch):
     # the ranges hold for every subcommand's config, read or not
     ({"command": "construct", "parameters": {"p": 3}}, "bad parameter p = 3: must lie in [1, 2)"),
     ({"command": "compare", "parameters": {"eps": 0}}, "bad parameter eps = 0: must be > 0"),
+    # a grid holds integers, never truncated or coerced
+    ({"grid": [64.9, 4.2]}, "bad grid"),
+    ({"grid": {"S": "64", "Xi": True}}, "bad grid"),
+    ({"grid": [math.inf, 4]}, "bad grid"),
 ])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
     extra = dict(extra)
@@ -436,20 +450,23 @@ def test_unreadable_config_or_spec_exits_2_with_one_line(tmp_path, capsys, confi
     assert not out.exists()
 
 
-@pytest.mark.parametrize("corrupt", ["one row", "nan", "inf"])
+@pytest.mark.parametrize("corrupt", ["one row", "nan", "inf", "repeated xi", "huge xi"])
 def test_malformed_custom_spectrum_exits_3_with_one_line(tmp_path, capsys, corrupt):
     from sispace.generators import build_sinc
-    from sispace.grid import make_grid
+    from sispace.grid import FrequencyGrid
     from sispace.report import write_spectrum_csv
     path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(path, build_sinc(make_grid(32, 2)))
-    lines = path.read_text().splitlines()
+    write_spectrum_csv(path, build_sinc(FrequencyGrid(32, 2)))
+    rows = [line.split(",") for line in path.read_text().splitlines()]
     if corrupt == "one row":
-        lines = lines[:2]
+        rows = rows[:2]
+    elif corrupt == "repeated xi":   # spacing 0
+        rows[2][1] = rows[1][1]
+    elif corrupt == "huge xi":       # spacing overflows to inf
+        rows[1][1], rows[2][1] = "-1e308", "1e308"
     else:
-        index, xi, _, im = lines[5].split(",")
-        lines[5] = ",".join((index, xi, corrupt, im))
-    path.write_text("\n".join(lines) + "\n")
+        rows[5][2] = corrupt
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
     cfg = write_config(tmp_path / "c.json", {
         "generator": {"variant": "custom", "path": str(path)},
         "analyses": ["periodization", "invariance"],
@@ -458,7 +475,7 @@ def test_malformed_custom_spectrum_exits_3_with_one_line(tmp_path, capsys, corru
     assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert err[0].startswith("numeric precondition violated:")
+    assert err[0].startswith("numeric precondition violated:") and str(path) in err[0]
     assert not out.exists()
 
 

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sispace.bumps import g0, g1, h, h_support
-from sispace.generators import (GeneratorSpec, PsiParams, PsiTimeEvaluator,
-                                _block_copies, _inverse_transform_table,
-                                auto_grid, build_bspline, build_psi_spectrum,
+from sispace.generators import (GeneratorSpec, PsiParams, _block_copies,
+                                _inverse_transform_table, auto_grid,
+                                build_bspline, build_psi_spectrum,
                                 dirichlet_ratio, evaluate_psi_time,
                                 window_tables)
-from sispace.grid import (GridError, _is_hermitian, l2_norm, make_grid,
+from sispace.grid import (FrequencyGrid, GridError, _is_hermitian, l2_norm,
                           next_pow2, to_freq_domain, to_time_domain)
 
 
@@ -143,7 +143,7 @@ def test_bspline_degree0_route_consistency_inner_window(bspline_grid):
 def test_bspline_spectrum_is_exactly_hermitian(degree):
     # exact zeros at the nonzero integers, so the -Xi sample is real and a
     # re-ingested B-spline spectrum takes the real inverse transform
-    _, spec = build_bspline(degree, make_grid(64, 4))
+    _, spec = build_bspline(degree, FrequencyGrid(64, 4))
     assert _is_hermitian(np.fft.ifftshift(spec.values))
     assert to_time_domain(spec).values.dtype == np.float64
     integers = (spec.grid.xi == np.rint(spec.grid.xi)) & (spec.grid.xi != 0)
@@ -187,7 +187,7 @@ def test_psi_block_supports_disjoint(psi_small):
 def test_psi_grid_too_small_names_requirement():
     params = PsiParams(1.0, 2.0, 2, 4)
     with pytest.raises(GridError, match=str(params.required_half_range)):
-        build_psi_spectrum(params, make_grid(64, 32))
+        build_psi_spectrum(params, FrequencyGrid(64, 32))
 
 
 def test_psi_support_inside_band_structure(psi_small):
@@ -309,9 +309,8 @@ def test_evaluate_scalar_input(psi_small):
 
 def test_evaluator_metadata(psi_small):
     params, _, _ = psi_small
-    ev = PsiTimeEvaluator(params)
-    assert ev.max_frequency == params.n * (params.block_offsets[params.J + 1] - 1) + 0.5
-    assert ev.valid_span >= 128.0
+    assert params.max_frequency == params.n * (params.block_offsets[params.J + 1] - 1) + 0.5
+    assert params.valid_span >= 128.0
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -319,7 +318,7 @@ def test_evaluator_metadata(psi_small):
                         n=st.sampled_from([2, 3]), J=st.integers(1, 3)))
 def test_block_table_describes_the_built_spectrum(params):
     S = 64
-    grid = make_grid(S, next_pow2(params.required_half_range))
+    grid = FrequencyGrid(S, next_pow2(params.required_half_range))
     spectrum = build_psi_spectrum(params, grid)
     blocks = params.blocks
     assert spectrum.meta["blocks"] == blocks
@@ -339,5 +338,5 @@ def test_block_table_describes_the_built_spectrum(params):
         expected[idx] = blk["weight"] * h(rel / S, blk["j"], params.alpha)
     assert np.array_equal(spectrum.values[grid.n_points // 2:], expected)
     last = blocks[-1]
-    assert PsiTimeEvaluator(params).max_frequency == (
+    assert params.max_frequency == (
         last["center_first"] + last["center_step"] * (last["count"] - 1) + 0.5)

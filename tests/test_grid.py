@@ -1,35 +1,51 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sispace.grid import (GridError, SampledSignal, SampledSpectrum, l2_norm,
-                          make_grid, next_pow2, to_freq_domain,
+from sispace.grid import (FrequencyGrid, GridError, SampledSignal,
+                          SampledSpectrum, l2_norm, next_pow2, to_freq_domain,
                           to_time_domain)
 
 
-def test_make_grid_basic():
-    g = make_grid(64, 32)
+def test_frequency_grid_basic():
+    g = FrequencyGrid(64, 32)
     assert g.n_points == 4096
     assert g.spacing == 1.0 / 64
     assert g.xi[0] == -32.0
     assert g.xi[-1] == 32.0 - 1.0 / 64
 
 
-def test_make_grid_rejects_non_pow2():
+def test_frequency_grid_rejects_non_pow2():
     with pytest.raises(GridError):
-        make_grid(64, 33)
+        FrequencyGrid(64, 33)
 
 
-@pytest.mark.parametrize("S,Xi", [(1, 8), (0, 8), (64, 1)])
-def test_make_grid_rejects_small(S, Xi):
+@pytest.mark.parametrize("S,Xi", [
+    (1, 8), (0, 8), (64, 1),
+    # fields are integral numbers, never truncated or coerced
+    pytest.param(64.9, 32, id="fraction"), pytest.param(64, True, id="bool"),
+    pytest.param("64", 32, id="string"), pytest.param(64, math.inf, id="inf"),
+    pytest.param(64, math.nan, id="nan"),
+])
+def test_frequency_grid_rejects_bad_fields(S, Xi):
     with pytest.raises(GridError):
-        make_grid(S, Xi)
+        FrequencyGrid(S, Xi)
+
+
+@pytest.mark.parametrize("S,Xi", [(64.0, 32), (np.int64(64), np.float64(32.0))],
+                         ids=["float", "numpy"])
+def test_frequency_grid_keeps_integral_numbers_as_int(S, Xi):
+    g = FrequencyGrid(S, Xi)
+    assert (type(g.samples_per_unit), type(g.half_range)) == (int, int)
+    assert g == FrequencyGrid(64, 32)
 
 
 def test_index_of_exact():
-    g = make_grid(64, 32)
+    g = FrequencyGrid(64, 32)
     assert g.index_of(0.0) == 2048
     assert g.index_of(1.0) - g.index_of(0.0) == 64
     assert g.index_of(-32.0) == 0
@@ -40,7 +56,7 @@ def test_index_of_exact():
 
 
 def test_time_axis_duality():
-    g = make_grid(64, 32)
+    g = FrequencyGrid(64, 32)
     assert g.time_spacing == 1.0 / 64
     assert g.time_half_span == 32.0
     # time span times frequency span equals the point count
@@ -48,14 +64,14 @@ def test_time_axis_duality():
 
 
 def test_values_are_immutable():
-    g = make_grid(16, 4)
+    g = FrequencyGrid(16, 4)
     f = SampledSpectrum(grid=g, values=np.zeros(g.n_points))
     with pytest.raises(ValueError):
         f.values[0] = 1.0
 
 
 def test_length_mismatch_rejected():
-    g = make_grid(16, 4)
+    g = FrequencyGrid(16, 4)
     with pytest.raises(GridError):
         SampledSpectrum(grid=g, values=np.zeros(g.n_points - 1))
     with pytest.raises(GridError):
@@ -64,7 +80,7 @@ def test_length_mismatch_rejected():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_non_finite_spectrum_rejected(bad):
-    g = make_grid(16, 4)
+    g = FrequencyGrid(16, 4)
     values = np.zeros(g.n_points, dtype=type(bad))
     values[5] = bad
     with pytest.raises(GridError, match="must be finite"):
@@ -72,7 +88,7 @@ def test_non_finite_spectrum_rejected(bad):
 
 
 def test_shift_exactness(rng):
-    g = make_grid(16, 8)
+    g = FrequencyGrid(16, 8)
     values = np.zeros(g.n_points)
     inner = slice(g.n_points // 2 - 16, g.n_points // 2 + 16)
     values[inner] = rng.standard_normal(32)
@@ -83,7 +99,7 @@ def test_shift_exactness(rng):
 
 
 def test_shift_moves_support_to_zero():
-    g = make_grid(16, 8)
+    g = FrequencyGrid(16, 8)
     values = np.zeros(g.n_points)
     values[g.index_of(0.0)] = 1.0
     f = SampledSpectrum(grid=g, values=values)
@@ -93,7 +109,7 @@ def test_shift_moves_support_to_zero():
 
 
 def test_indicator_transforms_to_sinc():
-    g = make_grid(64, 32)
+    g = FrequencyGrid(64, 32)
     values = np.zeros(g.n_points)
     center, half = g.n_points // 2, 32
     values[center - half + 1:center + half] = 1.0
@@ -109,13 +125,13 @@ def test_indicator_transforms_to_sinc():
 
 
 def test_zero_spectrum_transforms_to_zero():
-    g = make_grid(16, 4)
+    g = FrequencyGrid(16, 4)
     sig = to_time_domain(SampledSpectrum(grid=g, values=np.zeros(g.n_points)))
     assert np.all(sig.values == 0)
 
 
 def test_round_trip_identity_on_random_hermitian(rng):
-    g = make_grid(32, 16)
+    g = FrequencyGrid(32, 16)
     n = g.n_points
     values = np.zeros(n, dtype=complex)
     # Hermitian-symmetric with margin-supported values
@@ -133,7 +149,7 @@ def test_round_trip_identity_on_random_hermitian(rng):
 
 def test_l2_norm_indicator_endpoint_convention():
     # with the 1/2 endpoint samples the quadrature mass is 1 - 1/(2S)
-    g = make_grid(64, 32)
+    g = FrequencyGrid(64, 32)
     values = np.zeros(g.n_points)
     center, half = g.n_points // 2, 32
     values[center - half + 1:center + half] = 1.0
@@ -144,7 +160,7 @@ def test_l2_norm_indicator_endpoint_convention():
 
 
 def test_l2_norm_zero():
-    g = make_grid(16, 4)
+    g = FrequencyGrid(16, 4)
     assert l2_norm(SampledSpectrum(grid=g, values=np.zeros(g.n_points))) == 0.0
 
 
@@ -158,7 +174,7 @@ def test_parseval_exact_for_margin_supported(rng):
     # spectra push mass to the time-array edges, where the trapezoid
     # half-weights would show)
     from sispace.bumps import g0
-    g = make_grid(32, 16)
+    g = FrequencyGrid(32, 16)
     values = np.zeros(g.n_points, dtype=complex)
     inner = slice(g.n_points // 2 - 200, g.n_points // 2 + 200)
     u = np.linspace(-1, 1, 400)
@@ -182,7 +198,7 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 def spectra(draw, kind):
     """A random spectrum on a small grid: ``real-even``, ``hermitian`` (complex,
     ``f(-xi) == conj(f(xi))`` exactly, the -Xi sample real) or ``general``."""
-    g = make_grid(draw(st.sampled_from([2, 4, 8, 16])), draw(st.sampled_from([2, 4, 8])))
+    g = FrequencyGrid(draw(st.sampled_from([2, 4, 8, 16])), draw(st.sampled_from([2, 4, 8])))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n, h = g.n_points, g.n_points // 2
     # uncentered: u[k] sits at xi = k/S, u[N-k] at -k/S

@@ -6,10 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sispace import generators, localization
-from sispace.generators import (GeneratorSpec, PsiParams, PsiTimeEvaluator,
-                                build_bspline, build_psi_spectrum,
-                                evaluate_psi_time)
-from sispace.grid import GridError, make_grid, to_time_domain
+from sispace.generators import (GeneratorSpec, PsiParams, build_bspline,
+                                build_psi_spectrum, evaluate_psi_time)
+from sispace.grid import FrequencyGrid, GridError, to_time_domain
 from sispace.localization import (FeasibilityGate, divergence_probes,
                                   feasibility_gates,
                                   pointwise_freq_decay,
@@ -66,8 +65,7 @@ def test_partial_agrees_between_routes(psi_small):
     sig = to_time_domain(spec)
     exponents, windows = [(2, 0.0), (2, 1.0)], [1.0, 2.0, 4.0, 8.0]
     for grid_route, analytic in zip(divergence_probes(sig, exponents, windows),
-                                    divergence_probes(PsiTimeEvaluator(params), exponents,
-                                                      windows)):
+                                    divergence_probes(params, exponents, windows)):
         grid_partial, analytic_partial = grid_route.partials[-1], analytic.partials[-1]
         assert abs(grid_partial - analytic_partial) / grid_partial < 1e-3
 
@@ -76,11 +74,10 @@ def test_streamed_partials_match_symmetric_lattice(psi_small, monkeypatch):
     # 1000-point chunks put a chunk seam inside every window segment
     monkeypatch.setattr(localization, "PROBE_CHUNK", 1000)
     params, _, _ = psi_small
-    evaluator = PsiTimeEvaluator(params)
     windows = [1.0, 2.0, 3.0, 4.0]
     exponents = [(1, 0.0), (2, 1.5), (2, 0.5)]
-    verdicts = divergence_probes(evaluator, exponents, windows)
-    dx = 2.0 ** -localization._lattice_exponent(evaluator)
+    verdicts = divergence_probes(params, exponents, windows)
+    dx = 2.0 ** -localization._lattice_exponent(params)
     M = round(windows[-1] / dx)
     assert M > 4 * 1000
     xs = np.arange(-M, M + 1) * dx
@@ -95,13 +92,13 @@ def test_streamed_partials_match_symmetric_lattice(psi_small, monkeypatch):
 
 def test_probe_memory_does_not_grow_with_the_lattice(psi_small, monkeypatch):
     monkeypatch.setattr(localization, "PROBE_CHUNK", 1 << 12)
-    evaluator = PsiTimeEvaluator(psi_small[0])
+    params = psi_small[0]
     exponents = [(1, 0.0), (2, 1.5), (2, 0.5)]
 
     def traced_peak(windows):
         tracemalloc.start()
         try:
-            divergence_probes(evaluator, exponents, windows)
+            divergence_probes(params, exponents, windows)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -115,12 +112,12 @@ def test_lattice_pass_peak_memory(monkeypatch):
     # psi(1, 2, 3, J=5) to T = 32: 2**20 + 1 half-lattice points at dx = 2**-15
     # and 2.5 MiB of Dirichlet tables; evaluating whole 2**16-point segments
     # peaks at 11.1 MiB
-    evaluator = PsiTimeEvaluator(PsiParams(1.0, 2.0, 3, 5))
+    params = PsiParams(1.0, 2.0, 3, 5)
     generators.window_tables(1.0)   # built once per process, not per pass
     monkeypatch.setattr(generators, "_per_thread", threading.local())  # the pass builds its tables
     tracemalloc.start()
     try:
-        divergence_probes(evaluator, [(1, 0.0), (2, 1.5), (2, 0.5)], [2, 4, 8, 16, 32])
+        divergence_probes(params, [(1, 0.0), (2, 1.5), (2, 0.5)], [2, 4, 8, 16, 32])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -140,7 +137,7 @@ def _whole_array_partials(signal, exponents, windows):
 
 def test_grid_partials_are_the_whole_array_formula(sinc_spectrum, bspline_grid, tmp_path):
     write_spectrum_csv(tmp_path / "s.csv",
-                       build_psi_spectrum(PsiParams(1.0, 2.0, 2, 2), make_grid(64, 64)))
+                       build_psi_spectrum(PsiParams(1.0, 2.0, 2, 2), FrequencyGrid(64, 64)))
     signals = [to_time_domain(sinc_spectrum), build_bspline(3, bspline_grid)[0],
                to_time_domain(read_spectrum_csv(tmp_path / "s.csv"))]
     exponents = [(1, 0.0), (2, 1.5), (2, 0.5)]
@@ -194,7 +191,7 @@ def test_probe_rejects_bad_windows(bspline1, windows):
 
 def test_critical_exponent_not_classified(psi_small):
     params, _, _ = psi_small
-    verdict, = divergence_probes(PsiTimeEvaluator(params), [(2, 1.0)], [4, 8, 16, 32])
+    verdict, = divergence_probes(params, [(2, 1.0)], [4, 8, 16, 32])
     assert verdict.verdict == "inconclusive"
     assert "critical" in verdict.note
 
@@ -205,8 +202,7 @@ def test_psi_probe_pair_verdicts():
     # (the 1 +- 0.5 pair at full windows runs in the acceptance suite)
     depth = truncation_depth_for_span(1.0, 32.0)
     params = PsiParams(1.0, 2.0, 2, depth)
-    heavy, light = divergence_probes(PsiTimeEvaluator(params), [(2, 1.75), (2, 0.25)],
-                                     [4, 8, 16, 32])
+    heavy, light = divergence_probes(params, [(2, 1.75), (2, 0.25)], [4, 8, 16, 32])
     assert heavy.verdict == "diverging"
     assert light.verdict == "converging"
     assert heavy.route == "analytic" and light.route == "analytic"
@@ -220,7 +216,7 @@ def test_verdict_stability_under_grid_and_window_refinement(bspline1):
 
     from sispace.generators import build_sinc
     for S in (1024, 2048):
-        g = make_grid(S, 16)
+        g = FrequencyGrid(S, 16)
         sig = to_time_domain(build_sinc(g))
         for windows in ([8, 16, 32, 64, 128],
                         [8, 11.3, 16, 22.6, 32, 45.25, 64, 90.5, 128]):

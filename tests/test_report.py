@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from sispace import report
 from sispace.generators import build_sinc
-from sispace.grid import SampledSignal, make_grid
+from sispace.grid import FrequencyGrid, SampledSignal
 from sispace.report import (CSV_BLOCK_ROWS, NON_FINITE, _fmt_float, _write_csv,
                             dumps_deterministic, write_periodization_csv,
                             write_report, write_signal_csv, write_spectrum_csv,
@@ -83,7 +83,7 @@ def test_edge_values_across_block_lengths(tmp_path, n_rows):
 
 
 def test_public_writers_match_reference(tmp_path):
-    spec = build_sinc(make_grid(32, 4))
+    spec = build_sinc(FrequencyGrid(32, 4))
     write_spectrum_csv(tmp_path / "s.csv", spec)
     values = np.asarray(spec.values, dtype=complex)
     assert (tmp_path / "s.csv").read_text() == reference_csv(
@@ -131,7 +131,7 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, old):
     monkeypatch.setattr(report, "open", lambda *a, **k: FailingFile(open(*a, **k)),
                         raising=False)
     with pytest.raises(OSError, match="No space left"):
-        write_spectrum_csv(path, build_sinc(make_grid(8, 2)))
+        write_spectrum_csv(path, build_sinc(FrequencyGrid(8, 2)))
     assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["spectrum.csv"])
     if old is not None:
         assert path.read_text() == old
@@ -142,7 +142,7 @@ def test_non_finite_sample_raises_before_any_file_exists(tmp_path, monkeypatch, 
     opened = []
     monkeypatch.setattr(report, "open", lambda *a, **k: opened.append(a) or open(*a, **k),
                         raising=False)
-    grid = make_grid(8, 2)
+    grid = FrequencyGrid(8, 2)
     values = np.ones(grid.n_points, dtype=complex)
     values[-1] = complex(0.0, bad)
     # a SampledSpectrum rejects such values itself; a SampledSignal reaches the writer

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from sispace import spectral
 from sispace.generators import build_sinc
-from sispace.grid import GridError, SampledSpectrum, make_grid
+from sispace.grid import FrequencyGrid, GridError, SampledSpectrum
 from sispace.spectral import (gram_coefficients, grid_criteria, is_riesz_generator,
                               orthonormality_defect)
 
@@ -69,7 +69,7 @@ def test_riesz_verdicts(bspline1, sinc_spectrum):
     _, spec = bspline1
     assert is_riesz_generator(grid_criteria(spec, 1).profile)
     assert is_riesz_generator(grid_criteria(sinc_spectrum, 1).profile)
-    g = make_grid(16, 8)
+    g = FrequencyGrid(16, 8)
     zero = SampledSpectrum(grid=g, values=np.zeros(g.n_points))
     prof = grid_criteria(zero, 1).profile
     assert (prof.m, prof.M) == (0.0, 0.0)
@@ -154,7 +154,7 @@ def test_translation_defect_with_tied_column_maxima(monkeypatch, block):
     # row block and across blocks (block = fold values per block, S = 4)
     monkeypatch.setattr(spectral, "TOP2_BLOCK", block)
     rng = np.random.default_rng(7)
-    g = make_grid(4, 8)
+    g = FrequencyGrid(4, 8)
     for _ in range(20):
         f = SampledSpectrum(grid=g, values=rng.integers(0, 4, g.n_points).astype(float))
         sq = np.sort((f.values ** 2).reshape(16, 4), axis=0)
@@ -165,7 +165,7 @@ def test_translation_defect_with_tied_column_maxima(monkeypatch, block):
 
 def test_translation_defect_adds_no_full_grid_array():
     # the top-2 works in row blocks: nothing beyond the fold grows with the grid
-    g = make_grid(512, 1024)
+    g = FrequencyGrid(512, 1024)
     f = build_sinc(g)
     tracemalloc.start()
     try:

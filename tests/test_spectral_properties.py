@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sispace.generators import PsiParams, build_psi_spectrum
-from sispace.grid import SampledSpectrum, make_grid, next_pow2
+from sispace.grid import FrequencyGrid, SampledSpectrum, next_pow2
 from sispace.spectral import MAGNITUDE_THRESHOLD, grid_criteria
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -35,7 +35,7 @@ def spectra(draw):
     values[rng.random(N) >= draw(st.sampled_from([0.02, 0.1, 0.5, 1.0]))] = 0.0
     hw = draw(st.sampled_from([None, 0.0, 0.2]))
     meta = {} if hw is None else {"exclusion_halfwidth": hw}
-    return SampledSpectrum(make_grid(S, Xi), values, meta=meta)
+    return SampledSpectrum(FrequencyGrid(S, Xi), values, meta=meta)
 
 
 def columns(f):
@@ -122,7 +122,7 @@ def test_psi_passes_the_criterion_of_every_divisor_of_n(alpha, beta, n, J):
     params = PsiParams(alpha, beta, n, J)
     Xi = next_pow2(params.required_half_range + 1)
     assume(Xi <= 2 ** 12)
-    f = build_psi_spectrum(params, make_grid(2 ** 17 // Xi, Xi))
+    f = build_psi_spectrum(params, FrequencyGrid(2 ** 17 // Xi, Xi))
     for report in grid_criteria(f, n).per_n:
         if n % report.n == 0:
             assert report.passed, report.n

@@ -27,10 +27,10 @@ from hypothesis import strategies as st
 
 from sispace import generators
 from sispace.generators import (TABLE_X_MAX, TABLE_X_SAMPLES, DyadicLattice,
-                                GeneratorSpec, PsiParams, PsiTimeEvaluator,
-                                auto_grid, build_psi_spectrum, dirichlet_ratio,
+                                GeneratorSpec, PsiParams, auto_grid,
+                                build_psi_spectrum, dirichlet_ratio,
                                 evaluate_psi_time, window_tables)
-from sispace.grid import make_grid, to_time_domain
+from sispace.grid import FrequencyGrid, to_time_domain
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -43,9 +43,9 @@ small_params = st.builds(PsiParams,
 @given(params=small_params, seed=st.integers(0, 2 ** 32 - 1))
 def test_time_routes_agree(params, seed):
     auto, _ = auto_grid(GeneratorSpec(kind="psi", psi=params))
-    grid = make_grid(2 * auto.samples_per_unit, auto.half_range)
+    grid = FrequencyGrid(2 * auto.samples_per_unit, auto.half_range)
     signal = to_time_domain(build_psi_spectrum(params, grid))
-    span = min(PsiTimeEvaluator(params).valid_span, grid.time_half_span)
+    span = min(params.valid_span, grid.time_half_span)
     reach = int(span * 2 * grid.half_range)
     m = np.random.default_rng(seed).integers(-reach, reach, 64)
     analytic = evaluate_psi_time(m * grid.time_spacing, params)
@@ -197,3 +197,11 @@ def test_dyadic_lattice_as_array():
         np.asarray(lattice, copy=False)
     with pytest.raises(ValueError):
         DyadicLattice(5, 4, 2)
+
+
+@pytest.mark.parametrize("table_cap", [0, generators.DIRICHLET_TABLE_BYTES])
+@pytest.mark.parametrize("start", [0, 5, 1024])   # 0 and 1024 start a carrier row
+def test_empty_lattice_evaluates_to_an_empty_array(start, table_cap):
+    with mock.patch.object(generators, "DIRICHLET_TABLE_BYTES", table_cap):
+        values = evaluate_psi_time(DyadicLattice(start, start, 10), PsiParams(1.0, 2.0, 2, 2))
+    assert values.dtype == np.float64 and values.shape == (0,)
