@@ -637,7 +637,8 @@ def _dirichlet_tables(params, exponent):
     ``2**CARRIER_SPLIT_BITS`` points ``k_lo * 2**-exponent``.
 
     Each thread keeps the last set it built: the pieces of one lattice pass
-    share it, and concurrent passes never evict each other.
+    share it, and concurrent passes never evict each other.  The probe pass
+    drops it when it is done.
     """
     fits = params.J * (2 << exponent) * 8 <= DIRICHLET_TABLE_BYTES
     key = (params, exponent, fits)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bumps import h, h_support
+from . import generators
 from .generators import DyadicLattice, PsiParams, _block_copies, evaluate_psi_time
 from .grid import GridError, SampledSignal, SampledSpectrum, next_pow2
 
@@ -89,15 +90,11 @@ def _window_partials(source, exponents, windows):
     on the segments alone.  A segment's |f| is filled by evaluation pieces of
     at most ``EVAL_PIECE`` + 1 points, each reaching
     :func:`~sispace.generators.evaluate_psi_time` as a
-    :class:`~sispace.generators.DyadicLattice`; every factor is evaluated
-    point by point, so the pieces change no bit, and they keep the depth
-    loop's temporaries at 128 KiB each.  On a piece the Dirichlet factor
-    comes from one table per depth indexed by (n*k) mod 2**(e+1) (built once
-    per lattice while the tables stay under
-    ``generators.DIRICHLET_TABLE_BYTES`` = 16 MiB, computed directly above),
-    the window values one spline interval at a time over the ascending
-    points, and the carrier as a product of two small tables over the high
-    and low bits of k.
+    :class:`~sispace.generators.DyadicLattice`, on which every factor comes
+    from per-lattice tables, bitwise as point by point (see
+    ``generators._LatticeFactors``): the pieces change no bit, and they keep
+    the depth loop's temporaries at 128 KiB each.  The pass drops this
+    thread's tables when it is done.
     """
     if any(p < 1 for p, _ in exponents):
         raise ValueError("p must be >= 1")
@@ -138,6 +135,7 @@ def _window_partials(source, exponents, windows):
         seg = next(i for i, k in enumerate(ks) if k >= b)
         for row, (p, w) in enumerate(exponents):
             segments[row, seg] += np.trapezoid(_weighted(values, p, weight, w), dx=dx)
+    generators._per_thread.tables = None   # 2.5 MiB at e = 15, J = 5 that no later call reads
     return 2.0 * np.cumsum(segments, axis=1), "analytic"
 
 
