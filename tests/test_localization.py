@@ -124,6 +124,12 @@ def test_lattice_pass_peak_memory(monkeypatch):
     assert peak < 8 << 20
 
 
+def test_probe_pass_drops_its_tables(psi_small):
+    # the lattice tables outlive no pass: the next step's allocations reuse them
+    divergence_probes(psi_small[0], [(1, 0.0)], [1.0, 2.0, 3.0, 4.0])
+    assert getattr(generators._per_thread, "tables", None) is None
+
+
 def _whole_array_partials(signal, exponents, windows):
     """The grid-route partials with |f|**p (1+|x|)**w formed on every sample."""
     dx = signal.time_spacing
