@@ -17,11 +17,14 @@ replaces its three files only once all of them are written, and ``analyze``
 removes the report and CSV tables of an earlier run that it did not write
 again.
 ``SISPACE_THREADS`` caps the worker pool used by ``compare``.
+
+The command line is read against the ``_FLAGS`` table: each subcommand takes
+the flags listed for it, spelled in full, as ``--flag value`` or
+``--flag=value``; anything else is a config error.
 """
 
 from __future__ import annotations
 
-import argparse
 import concurrent.futures
 import os
 import sys
@@ -198,59 +201,90 @@ def cmd_compare(cfgs, out_dir, n_max=4):
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """A malformed command line is a config error, not a usage exit."""
-
-    def error(self, message):
-        raise ConfigError(message)
+_COMMANDS = ("construct", "analyze", "compare")
 
 
-def _parser():
-    p = _Parser(prog="sispace",
-                description="construct and analyze generators of "
-                            "principal shift-invariant spaces")
-    p.add_argument("--version", action="version", version=f"sispace {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
-    parsers = {name: sub.add_parser(name) for name in ("construct", "analyze", "compare")}
-    for sp in parsers.values():
-        sp.add_argument("--config", action="append", default=[],
-                        help="config JSON file (repeatable for compare)")
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--grid", default=None, help="S,Xi or auto")
-        sp.add_argument("configs", nargs="*", help="config JSON files (positional)")
-    for name in ("analyze", "compare"):
-        parsers[name].add_argument("--n-max", type=int, default=None, dest="n_max")
-    analyze = parsers["analyze"]
-    analyze.add_argument("--format", default=None, help="comma list: json,csv")
-    analyze.add_argument("--eps", type=float, default=None)
-    analyze.add_argument("--windows", default=None, help="comma list of window sizes")
-    analyze.add_argument("--analyses", default=None, help="comma list of analyses")
-    return p
+def _comma_list(text):
+    return text.split(",") if text else None
+
+
+# every flag: (key of the parsed value, the commands that take it, its converter);
+# --config is repeatable, any other flag keeps its last value
+_FLAGS = {
+    "--config": ("config", _COMMANDS, str),
+    "--out": ("out", _COMMANDS, str),
+    "--grid": ("grid", _COMMANDS, str),
+    "--n-max": ("n_max", ("analyze", "compare"), int),
+    "--format": ("formats", ("analyze",), _comma_list),
+    "--eps": ("eps", ("analyze",), float),
+    "--windows": ("windows", ("analyze",), _comma_list),
+    "--analyses": ("analyses", ("analyze",), _comma_list),
+}
+
+
+def _usage(command):
+    if command not in _COMMANDS:
+        return f"usage: sispace [-h] [--version] {{{','.join(_COMMANDS)}}} ..."
+    flags = "".join(f" [{flag} {key.upper()}]"
+                    for flag, (key, commands, _) in _FLAGS.items() if command in commands)
+    return f"usage: sispace {command} [-h]{flags} [CONFIG ...]"
+
+
+def _parse_args(argv):
+    """``(command, config paths, overrides)`` from a command line, flags as
+    ``--flag value`` or ``--flag=value``; ConfigError if it is malformed."""
+    if not argv or argv[0] not in _COMMANDS:
+        given = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise ConfigError(f"{given}; choose from {', '.join(_COMMANDS)}")
+    command, configs, positional, overrides = argv[0], [], [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positional.append(token)
+            continue
+        flag, has_value, value = token.partition("=")
+        key, commands, convert = _FLAGS.get(flag, (None, (), None))
+        if command not in commands:
+            raise ConfigError(f"unrecognized arguments: {token}")
+        if not has_value:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ConfigError(f"argument {flag}: expected one argument")
+        try:
+            value = convert(value)
+        except ValueError:
+            raise ConfigError(f"argument {flag}: invalid {convert.__name__} value: "
+                              f"{value!r}") from None
+        if key == "config":
+            configs.append(value)
+        else:
+            overrides[key] = value
+    return command, configs + positional, overrides
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(_usage(argv[0]))
+        return EXIT_OK
+    if argv[:1] == ["--version"]:
+        print(f"sispace {__version__}")
+        return EXIT_OK
     try:
-        args = _parser().parse_args(argv)
-        paths = list(args.config) + list(args.configs)
+        command, paths, overrides = _parse_args(argv)
         if not paths:
             raise ConfigError("no config given (use --config FILE.json)")
-        if len(paths) > 1 and args.command != "compare":
-            raise ConfigError(f"{args.command} takes one config, got {len(paths)}")
-        # a subcommand's namespace holds only the flags it takes
-        overrides = {key: getattr(args, key, None) for key in ("out", "grid", "eps", "n_max")}
-        for key, flag in (("formats", "format"), ("windows", "windows"),
-                          ("analyses", "analyses")):
-            if getattr(args, flag, None):
-                overrides[key] = getattr(args, flag).split(",")
+        if len(paths) > 1 and command != "compare":
+            raise ConfigError(f"{command} takes one config, got {len(paths)}")
         cfgs = [RunConfig(load_json(p), overrides) for p in paths]
-        if args.command == "construct":
+        if command == "construct":
             return cmd_construct(cfgs[0])
-        if args.command == "analyze":
+        if command == "analyze":
             return cmd_analyze(cfgs[0])
         if len(cfgs) < 2:
             raise ConfigError("compare needs at least 2 configs")
-        return cmd_compare(cfgs, args.out or cfgs[0].output,
-                           n_max=args.n_max or 4)
+        return cmd_compare(cfgs, overrides.get("out") or cfgs[0].output,
+                           n_max=overrides.get("n_max") or 4)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -411,6 +411,38 @@ def _inverse_transform_table(window_values, xi_nodes, x_nodes):
     return conv * np.exp(2j * np.pi * post)
 
 
+def _tridiagonal_solve(dl, d, du, b):
+    """Solve the tridiagonal system with sub-, main and super-diagonal ``dl``,
+    ``d``, ``du`` (float arrays) for the real right-hand side ``b``.
+
+    Forward elimination and back substitution (the Thomas algorithm), in
+    Python floats, operation for operation as LAPACK ``dgtsv`` computes when
+    it swaps no rows, so the solution is bitwise ``dgtsv``'s, signed zeros
+    included.  ``dgtsv`` swaps rows where ``|d_i| < |dl_i|`` at step ``i``;
+    there, or on a zero pivot, this raises ValueError instead of answering
+    differently.
+    """
+    dl, d, du, b = dl.tolist(), d.tolist(), du.tolist(), b.tolist()
+    n = len(d)
+    for i in range(n - 1):
+        if not (abs(d[i]) >= abs(dl[i]) and d[i] != 0):
+            raise ValueError(f"tridiagonal solve needs a row swap or meets a zero "
+                             f"pivot at row {i}")
+        f = dl[i] / d[i]
+        d[i + 1] -= f * du[i]
+        b[i + 1] -= f * b[i]
+    if d[-1] == 0:
+        raise ValueError(f"tridiagonal solve meets a zero pivot at row {n - 1}")
+    b[-1] /= d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    # gtsv also subtracts its row-swap fill-in times b[i + 2]; without swaps
+    # that entry is 0.0, but subtracting 0.0 * b[i + 2] still turns a -0.0
+    # into +0.0 where b[i + 2] is negative, so the term stays
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - 0.0 * b[i + 2]) / d[i]
+    return np.array(b)
+
+
 def _not_a_knot(x, y):
     """Coefficients of the not-a-knot cubic spline through ``(x, y)``, real or
     complex, on at least four knots ``x``.
@@ -418,34 +450,41 @@ def _not_a_knot(x, y):
     The end condition asks the third derivative to be continuous across the
     second and the second-to-last knot (de Boor, *A Practical Guide to
     Splines*, ch. IV).  The knot slopes solve one tridiagonal system, set up
-    row by row as ``scipy.interpolate.CubicSpline`` sets it up and solved by
-    the same banded LAPACK call, so every coefficient is bitwise the one that
-    class holds.  Returns ``c`` of shape ``(4, x.size - 1)``, highest power
-    first: interval ``i`` is ``c[0, i] s**3 + c[1, i] s**2 + c[2, i] s + c[3, i]``
-    with ``s = t - x[i]``.
+    row by row as the tests' oracle ``CubicSpline`` sets it up and solved by
+    :func:`_tridiagonal_solve` (the real and imaginary parts of a complex
+    ``y`` separately: the matrix is real), so every coefficient is bitwise
+    the one that class holds.  That class solves a complex system in complex
+    arithmetic (``zgtsv``), which on other tridiagonal systems can give a
+    zero the other sign than the split solve; on the window tables' uniform
+    knots the tests find every coefficient equal.  Returns ``c`` of shape
+    ``(4, x.size - 1)``, highest power first: interval ``i`` is
+    ``c[0, i] s**3 + c[1, i] s**2 + c[2, i] s + c[3, i]`` with ``s = t - x[i]``.
     """
-    # imported here, not at module level: only the analytic route needs it
-    from scipy.linalg import solve_banded
-
     n = x.size
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    A = np.zeros((3, n))   # banded rows: upper diagonal, diagonal, lower diagonal
+    d = np.empty(n)
+    du = np.empty(n - 1)
+    dl = np.empty(n - 1)
     b = np.empty(n, dtype=y.dtype)
-    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    A[0, 2:] = dx[:-1]
-    A[-1, :-2] = dx[1:]
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    du[1:] = dx[:-1]
+    dl[:-1] = dx[1:]
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d = x[2] - x[0]
-    A[1, 0] = dx[1]
-    A[0, 1] = d
-    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    A[1, -1] = dx[-2]
-    A[-1, -2] = d
-    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True,
-                     check_finite=False).reshape(n)
+    span = x[2] - x[0]
+    d[0] = dx[1]
+    du[0] = span
+    b[0] = ((dx[0] + 2 * span) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / span
+    span = x[-1] - x[-3]
+    d[-1] = dx[-2]
+    dl[-1] = span
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * span + dx[-1]) * dx[-2] * slope[-1]) / span
+    if np.iscomplexobj(b):
+        s = np.empty(n, dtype=b.dtype)
+        s.real = _tridiagonal_solve(dl, d, du, b.real)
+        s.imag = _tridiagonal_solve(dl, d, du, b.imag)
+    else:
+        s = _tridiagonal_solve(dl, d, du, b)
     # the cubic Hermite form of each interval from its end values and slopes
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))

@@ -202,8 +202,11 @@ def read_spectrum_csv(path, grid: FrequencyGrid | None = None,
     """Re-ingest a spectrum written by :func:`write_spectrum_csv`.
 
     The grid is reconstructed from the sample positions unless given.
-    ValueError unless there are at least two rows, all of them finite, and
-    (rebuilding the grid) the first two xi a finite positive step apart.
+    ValueError unless there are at least two rows, all of them finite,
+    (rebuilding the grid) the first two xi a finite positive step apart, and
+    every xi the grid's (exact for a file :func:`write_spectrum_csv` wrote:
+    ``S`` is a power of two); the error names the first row, counted from 1
+    after the header, whose xi is not.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3), ndmin=2)
     if data.shape[0] < 2:
@@ -220,6 +223,11 @@ def read_spectrum_csv(path, grid: FrequencyGrid | None = None,
         grid = FrequencyGrid(samples_per_unit=S, half_range=Xi)
     if data.shape[0] != grid.n_points:
         raise ValueError(f"{path} holds {data.shape[0]} samples, grid wants {grid.n_points}")
+    off_grid = np.flatnonzero(xi != grid.xi)
+    if off_grid.size:
+        i = int(off_grid[0])
+        raise ValueError(f"{path} row {i + 1} has xi = {float(xi[i])!r}, "
+                         f"not the grid's {float(grid.xi[i])!r}")
     values = re + 1j * im
     if np.all(im == 0.0):
         values = re

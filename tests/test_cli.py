@@ -175,31 +175,64 @@ def test_console_script_version():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported only when window tables are built; hashlib (with
-    # OpenSSL) by nothing the CLI needs: temp names come from os.urandom
+    # nothing the CLI imports needs scipy; hashlib (with OpenSSL) is not
+    # needed either, temp names come from os.urandom; and the command line is
+    # read from a flag table, with no argparse and so no gettext or locale
+    modules = ("scipy", "hashlib", "argparse", "gettext", "locale")
     res = subprocess.run([sys.executable, "-c",
                           "import sys, sispace.cli; "
-                          "print('scipy' in sys.modules, 'hashlib' in sys.modules)"],
+                          f"print(*(m in sys.modules for m in {modules!r}))"],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "False"]
+    assert res.stdout.split() == ["False"] * len(modules)
 
 
-def test_psi_decay_analyze_leaves_scipy_interpolate_unloaded(tmp_path):
-    # the window splines need scipy.linalg's banded solve only
+def test_psi_analyze_runs_with_scipy_blocked(tmp_path):
+    # a None entry in sys.modules makes every import of scipy fail
     cfg = write_config(tmp_path / "c.json", {
         "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
-        "analyses": ["periodization", "invariance", "decay"],
+        "analyses": ["periodization", "invariance", "decay", "pointwise", "gates", "suite"],
         "parameters": {"windows": [1, 2, 4, 8]},
     })
+    out = tmp_path / "out"
     script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
               "from sispace.cli import main\n"
-              f"code = main(['analyze', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}])\n"
-              "print(code, 'scipy.linalg' in sys.modules, 'scipy.interpolate' in sys.modules)\n")
+              f"sys.exit(main(['analyze', '--config', {cfg!r}, '--out', {str(out)!r}]))\n")
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["0", "True", "False"]
-    assert (tmp_path / "out" / "windows_integrability.csv").exists()
+    for name in ("report.json", "run_meta.json", "periodization.csv",
+                 "windows_integrability.csv", "windows_second_moment_heavy.csv",
+                 "windows_second_moment_light.csv"):
+        assert (out / name).stat().st_size > 0, name
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["analyze", "--config", "{cfg}", "--n-max=5", "--out", "{out}"], 0, None, None),
+    (["analyze", "--conf", "{cfg}"], 2, "err", "unrecognized arguments: --conf"),
+    (["analyze", "--config"], 2, "err", "argument --config: expected one argument"),
+    (["analyze", "--config", "{cfg}", "--out"], 2, "err",
+     "argument --out: expected one argument"),
+    (["analyse", "--config", "{cfg}"], 2, "err", "unknown command 'analyse'"),
+    ([], 2, "err", "no command given"),
+    (["-h"], 0, "out", "usage: sispace [-h] [--version] {construct,analyze,compare}"),
+    (["compare", "--help"], 0, "out", "usage: sispace compare [-h] [--config CONFIG]"),
+], ids=["n-max-equals", "abbreviated-flag", "missing-config-value", "missing-out-value",
+        "unknown-command", "bare", "help", "compare-help"])
+def test_command_line_exit_codes(tmp_path, capsys, argv, code, stream, text):
+    cfg = write_config(tmp_path / "c.json", {"generator": {"variant": "sinc"},
+                                             "grid": "64,4", "analyses": ["invariance"]})
+    out = tmp_path / "out"
+    assert main([arg.format(cfg=cfg, out=out) for arg in argv]) == code
+    captured = capsys.readouterr()
+    if stream is None:
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["parameters"]["n_max"] == 5
+        return
+    lines = getattr(captured, stream).strip().splitlines()
+    assert len(lines) == 1 and text in lines[0]
+    if code == 2:
+        assert lines[0].startswith("config error:") and not captured.out
 
 
 def test_deterministic_dumps_float_format():
@@ -450,7 +483,8 @@ def test_unreadable_config_or_spec_exits_2_with_one_line(tmp_path, capsys, confi
     assert not out.exists()
 
 
-@pytest.mark.parametrize("corrupt", ["one row", "nan", "inf", "repeated xi", "huge xi"])
+@pytest.mark.parametrize("corrupt", ["one row", "nan", "inf", "repeated xi", "huge xi",
+                                     "off-grid xi"])
 def test_malformed_custom_spectrum_exits_3_with_one_line(tmp_path, capsys, corrupt):
     from sispace.generators import build_sinc
     from sispace.grid import FrequencyGrid
@@ -464,6 +498,8 @@ def test_malformed_custom_spectrum_exits_3_with_one_line(tmp_path, capsys, corru
         rows[2][1] = rows[1][1]
     elif corrupt == "huge xi":       # spacing overflows to inf
         rows[1][1], rows[2][1] = "-1e308", "1e308"
+    elif corrupt == "off-grid xi":   # the first two xi rebuild the grid; row 10 is off it
+        rows[10][1] = "123.5"
     else:
         rows[5][2] = corrupt
     path.write_text("".join(",".join(row) + "\n" for row in rows))
@@ -476,6 +512,8 @@ def test_malformed_custom_spectrum_exits_3_with_one_line(tmp_path, capsys, corru
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("numeric precondition violated:") and str(path) in err[0]
+    if corrupt == "off-grid xi":
+        assert "row 10 has xi = 123.5" in err[0]
     assert not out.exists()
 
 

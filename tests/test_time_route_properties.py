@@ -15,6 +15,11 @@
 * A lattice cut into consecutive pieces evaluates bitwise as the whole, so
   the probe pass may size its pieces freely; and the Dirichlet tables, built
   for all depths in one pass, are bitwise the per-count ratio.
+* The window splines' in-repo tridiagonal sweep gives bitwise the
+  coefficients of scipy's ``CubicSpline`` (the oracle, imported by the tests
+  only) on uniform knots, for random real and complex values; on any system
+  that needs no row swap it is bitwise LAPACK ``dgtsv``, signed zeros
+  included.
 """
 
 import threading
@@ -24,6 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sispace import generators
 from sispace.generators import (TABLE_X_MAX, TABLE_X_SAMPLES, DyadicLattice,
@@ -175,6 +181,50 @@ def test_window_splines_are_scipy_not_a_knot_splines(alpha):
     inside = np.abs(x) <= TABLE_X_MAX
     assert np.array_equal(_bits(windows.g0_inv(x)), _bits(np.where(inside, g0_spline(x), 0.0)))
     assert np.array_equal(_bits(windows.g1_inv(x)), _bits(np.where(inside, g1_spline(x), 0.0)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(data=st.data(), n=st.integers(4, 64) | st.just(TABLE_X_SAMPLES),
+       is_complex=st.booleans())
+def test_not_a_knot_sweep_is_scipy_cubic_spline(data, n, is_complex):
+    from scipy.interpolate import CubicSpline
+
+    x = np.arange(n) / 32 - 64   # the window tables' knots, or their first n
+    values = hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3))
+    y = data.draw(values)
+    if is_complex:
+        y = y.astype(complex)
+        y.imag = data.draw(values)
+    c, expected = generators._not_a_knot(x, y), CubicSpline(x, y).c
+    assert c.dtype == expected.dtype
+    assert np.array_equal(_bits(c), _bits(expected))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data(), n=st.integers(3, 8))
+def test_tridiagonal_sweep_is_lapack_gtsv(data, n):
+    # |d| >= 4 against |dl| <= 1 keeps every pivot ahead of the entry below
+    # it, so gtsv swaps no rows; the small value sets make signed zeros common
+    from scipy.linalg import solve_banded
+
+    def draw(values, size):
+        return np.array(data.draw(st.lists(st.sampled_from(values), min_size=size,
+                                           max_size=size)))
+
+    d = draw([4.0, 5.0, -4.0], n)
+    dl, du = draw([1.0, -1.0, 0.0, -0.0], n - 1), draw([1.0, -1.0, 0.0, -0.0], n - 1)
+    b = draw([-0.0, 0.0, -1.0, 1.0, 2.0, -3.0], n)
+    banded = np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]])
+    expected = solve_banded((1, 1), banded, b, check_finite=False)
+    assert np.array_equal(_bits(generators._tridiagonal_solve(dl, d, du, b)), _bits(expected))
+
+
+def test_not_a_knot_sweep_refuses_a_row_swap():
+    # after the first step the pivot is dx[0] + dx[1] = 2 and the sub-diagonal
+    # entry below it dx[2] = 10: gtsv would swap rows 1 and 2
+    x = np.array([0.0, 1.0, 2.0, 12.0, 13.0])
+    with pytest.raises(ValueError, match="row swap"):
+        generators._not_a_knot(x, np.arange(5.0))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
