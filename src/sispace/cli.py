@@ -16,7 +16,6 @@ file goes through :func:`~sispace.report.atomic_writer`.  ``construct``
 replaces its three files only once all of them are written, and ``analyze``
 removes the report and CSV tables of an earlier run that it did not write
 again.
-``SISPACE_THREADS`` caps the worker pool used by ``compare``.
 
 The command line is read against the ``_FLAGS`` table: each subcommand takes
 the flags listed for it, spelled in full, as ``--flag value`` or
@@ -25,8 +24,6 @@ the flags listed for it, spelled in full, as ``--flag value`` or
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 import sys
 import time
 from pathlib import Path
@@ -52,11 +49,12 @@ ANALYZE_OUTPUTS = ("report.json", "periodization.csv",
                    *(f"windows_{name}.csv" for name in DECAY_PROBES))
 
 # checked when the config is read, before any work and whichever subcommand
-# reads it: the gate exponents (the config's "eps" is the gate's epsilon) and
-# n_max; each test is written so that NaN fails it
+# reads it: the gate exponents (the config's "eps" is the gate's epsilon),
+# n_max and K; each test is written so that NaN fails it
 PARAMETER_RANGES = {
     **{"eps" if name == "epsilon" else name: rule for name, rule in GATE_RANGES.items()},
     "n_max": (lambda v: v >= 2, "must be >= 2"),
+    "K": (lambda v: v >= 0, "must be >= 0"),
 }
 
 
@@ -187,13 +185,7 @@ def cmd_analyze(cfg: RunConfig):
 def cmd_compare(cfgs, out_dir, n_max=4):
     # every generator is probed with the same fixed parameters, not its config's
     parameters = dict(DEFAULT_PARAMETERS, n_max=n_max)
-    try:
-        cap = max(1, int(os.environ.get("SISPACE_THREADS", "")))
-    except ValueError:
-        cap = None
-    with concurrent.futures.ThreadPoolExecutor(max_workers=cap or min(4, len(cfgs))) as ex:
-        rows = list(ex.map(lambda cfg: compare_row(RunContext(cfg.spec, cfg.grid_spec,
-                                                              parameters)), cfgs))
+    rows = [compare_row(RunContext(cfg.spec, cfg.grid_spec, parameters)) for cfg in cfgs]
     # created only once every row has succeeded, as in analyze and construct
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,6 +64,14 @@ class PsiParams:
             raise ValueError("J must be an integer >= 1")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "J", int(self.J))
+        try:   # every block count, time scale and the narrowest block width
+            lo, hi = h_support(self.J, self.alpha)
+            ok = all(0 < v < math.inf for v in (*self.block_counts, *self.time_scales, hi - lo))
+        except OverflowError:   # 2.0 ** t beyond float range
+            ok = False
+        if not ok:
+            raise ValueError(f"alpha = {self.alpha:g}, beta = {self.beta:g} and J = {self.J} "
+                             "put the block table out of float range")
 
     @property
     def block_counts(self):
@@ -654,46 +661,45 @@ def _carrier_frequency(blk, alpha):
     return (1.0 - 2.0 ** (-blk["j"] * alpha)) / 2.0 + center
 
 
-# Cap on the Dirichlet tables of one lattice (J tables of 2**(e+1) floats):
-# 2.5 MiB at e = 15, J = 5, and 12 MiB at e = 17, J = 6.
+# Cap on the Dirichlet tables of one lattice (J tables of 2**e + 1 floats):
+# 1.25 MiB at e = 15, J = 5, and 6 MiB at e = 17, J = 6.
 DIRICHLET_TABLE_BYTES = 16 << 20
 CARRIER_SPLIT_BITS = 10   # lattice carrier: k = k_hi * 2**10 + k_lo
 
-_per_thread = threading.local()
+_tables = None   # (key, tables) of the last lattice pass; the probe pass empties it
 
 
 def _dirichlet_tables(params, exponent):
     """The tables of a lattice pass at step ``2**-exponent``, as ``(dirichlet, carrier)``.
 
     ``dirichlet[j-1][q] = dirichlet_ratio(q * 2**-exponent, count_j)`` for
-    ``q < 2**(exponent+1)``, all J tables from one :func:`_dirichlet_ratios`
+    ``q <= 2**exponent``, all J tables from one :func:`_dirichlet_ratios`
     pass over the residues; ``dirichlet`` is None when they would exceed
-    ``DIRICHLET_TABLE_BYTES``.  ``dirichlet_ratio(u, count)`` has period 2
-    in u, so on the lattice ``u = n*k*2**-exponent`` it equals
-    ``T[(n*k) mod 2**(exponent+1)]`` bitwise.
+    ``DIRICHLET_TABLE_BYTES``.  The ratio has period 2 in u and is even about
+    u = 1 bit for bit (u -> 2 - u keeps the nearest integer's parity and
+    negates the residue exactly), so on the lattice ``u = n*k*2**-exponent``
+    it is ``T[min(q, 2**(exponent+1) - q)]``, ``q = (n*k) mod 2**(exponent+1)``.
 
     ``carrier[j-1]`` is depth j's carrier low table: :func:`_carrier` at the
     ``2**CARRIER_SPLIT_BITS`` points ``k_lo * 2**-exponent``.
 
-    Each thread keeps the last set it built: the pieces of one lattice pass
-    share it, and concurrent passes never evict each other.  The probe pass
+    The pieces of one lattice pass share the last set built; the probe pass
     drops it when it is done.
     """
-    fits = params.J * (2 << exponent) * 8 <= DIRICHLET_TABLE_BYTES
+    global _tables
+    fits = params.J * ((1 << exponent) + 1) * 8 <= DIRICHLET_TABLE_BYTES
     key = (params, exponent, fits)
-    cached = getattr(_per_thread, "tables", None)
-    if cached is None or cached[0] != key:
+    if _tables is None or _tables[0] != key:
         blocks = params.blocks
         dirichlet = None
         if fits:
-            residues = np.arange(2 << exponent) * 2.0 ** -exponent
+            residues = np.arange((1 << exponent) + 1) * 2.0 ** -exponent
             dirichlet = tuple(_dirichlet_ratios(residues, [blk["count"] for blk in blocks]))
         x_lo = np.arange(1 << CARRIER_SPLIT_BITS) * 2.0 ** -exponent
         carrier = tuple(_carrier(_carrier_frequency(blk, params.alpha), x_lo)
                         for blk in blocks)
-        cached = key, (dirichlet, carrier)
-        _per_thread.tables = cached
-    return cached[1]
+        _tables = key, (dirichlet, carrier)
+    return _tables[1]
 
 
 @dataclass(frozen=True)
@@ -770,7 +776,8 @@ class _LatticeFactors(_PointFactors):
         e = lattice.exponent
         self.dirichlet_tables, self.carrier_lo = _dirichlet_tables(params, e)
         if self.dirichlet_tables is not None:
-            self.q = (params.n * lattice.k) & ((2 << e) - 1)
+            q = (params.n * lattice.k) & ((2 << e) - 1)
+            self.q = np.minimum(q, (2 << e) - q)   # the ratio is even about u = 1
         bits = CARRIER_SPLIT_BITS
         first = lattice.start >> bits << bits
         self.x_hi = np.arange(first, lattice.stop, 1 << bits) * 2.0 ** -e

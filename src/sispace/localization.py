@@ -93,8 +93,8 @@ def _window_partials(source, exponents, windows):
     :class:`~sispace.generators.DyadicLattice`, on which every factor comes
     from per-lattice tables, bitwise as point by point (see
     ``generators._LatticeFactors``): the pieces change no bit, and they keep
-    the depth loop's temporaries at 128 KiB each.  The pass drops this
-    thread's tables when it is done.
+    the depth loop's temporaries at 128 KiB each.  The pass drops the
+    lattice tables when it is done.
     """
     if any(p < 1 for p, _ in exponents):
         raise ValueError("p must be >= 1")
@@ -135,7 +135,7 @@ def _window_partials(source, exponents, windows):
         seg = next(i for i, k in enumerate(ks) if k >= b)
         for row, (p, w) in enumerate(exponents):
             segments[row, seg] += np.trapezoid(_weighted(values, p, weight, w), dx=dx)
-    generators._per_thread.tables = None   # 2.5 MiB at e = 15, J = 5 that no later call reads
+    generators._tables = None   # 1.25 MiB at e = 15, J = 5 that no later call reads
     return 2.0 * np.cumsum(segments, axis=1), "analytic"
 
 

@@ -74,7 +74,7 @@ def build(spec: GeneratorSpec, grid):
     is read from its CSV with the ``meta.json`` sidecar next to it, when
     present (and its ``label``), on its own grid when ``grid`` is None."""
     if spec.kind == "custom":
-        meta_path = Path(spec.path).with_name("meta.json")
+        meta_path = Path(spec.path).parent / "meta.json"   # "." and "/" have no name
         meta = load_json(meta_path) if meta_path.exists() else {}
         try:
             return read_spectrum_csv(spec.path, grid=grid,

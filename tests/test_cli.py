@@ -120,6 +120,29 @@ def test_compare_rows(tmp_path):
     assert p_row[4] == "(1/2)Z"
 
 
+def test_compare_maps_its_rows_on_the_calling_thread(tmp_path, monkeypatch):
+    import threading
+
+    from sispace import cli
+    threads = []
+    row = cli.compare_row
+
+    def recording_row(ctx):
+        threads.append(threading.get_ident())
+        return row(ctx)
+
+    monkeypatch.setattr(cli, "compare_row", recording_row)
+    cfgs = [write_config(tmp_path / f"{name}.json", {"generator": gen, "grid": "64,16"})
+            for name, gen in (("s", {"variant": "sinc"}),
+                              ("b", {"variant": "bspline", "degree": 1}),
+                              ("c", {"variant": "sinc"}))]
+    args = ["compare", "--out", str(tmp_path / "cmp")]
+    for c in cfgs:
+        args += ["--config", c]
+    assert main(args) == 0
+    assert threads == [threading.get_ident()] * len(cfgs)
+
+
 def test_compare_duplicate_configs_identical(tmp_path):
     c = write_config(tmp_path / "c.json", {"generator": {"variant": "bspline", "degree": 1},
                                            "grid": [64, 256]})
@@ -414,6 +437,17 @@ def test_compare_evaluates_each_probe_lattice_once(tmp_path, monkeypatch):
     ({"grid": [64.9, 4.2]}, "bad grid"),
     ({"grid": {"S": "64", "Xi": True}}, "bad grid"),
     ({"grid": [math.inf, 4]}, "bad grid"),
+    # a psi whose block table leaves float range: 2**alpha and 2**beta overflow
+    ({"generator": {"variant": "psi", "alpha": 1e300, "beta": 2, "n": 2, "J": 2}},
+     "bad generator spec: alpha = 1e+300, beta = 2 and J = 2 put the block table out of"),
+    ({"generator": {"variant": "psi", "alpha": 1, "beta": 1e300, "n": 2, "J": 2}},
+     "bad generator spec: alpha = 1, beta = 1e+300 and J = 2 put the block table out of"),
+    ({"parameters": {"K": -3}}, "bad parameter K = -3: must be >= 0"),
+    # a custom path with no name fails as a named directory does
+    ({"generator": {"variant": "custom", "path": "."}},
+     "cannot read custom spectrum: [Errno 21] Is a directory: '.'"),
+    ({"generator": {"variant": "custom", "path": "/"}},
+     "cannot read custom spectrum: [Errno 21] Is a directory: '/'"),
 ])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
     extra = dict(extra)
@@ -527,6 +561,20 @@ def test_unallocatable_grid_exits_3_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("numeric precondition violated:")
+    assert not out.exists()
+
+
+def test_probe_deepened_beyond_the_block_table_exits_3_with_one_line(tmp_path, capsys):
+    # the config's J = 2 is fine; a window of 1e300 deepens the probe to J = 997,
+    # where 2**(J*beta) leaves float range
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
+        "analyses": ["decay"], "parameters": {"windows": [1, 2, 4, 1e300]}})
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["numeric precondition violated: alpha = 1, beta = 2 and J = 997 put the "
+                   "block table out of float range"]
     assert not out.exists()
 
 

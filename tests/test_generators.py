@@ -62,6 +62,19 @@ def test_params_validation():
         PsiParams(1.0, 2.0, 2, 0)
 
 
+@pytest.mark.parametrize("alpha, beta, J", [
+    (1.0, 1e300, 2),    # 2**beta overflows: block counts
+    (1.0, 2.0, 600),    # 2**(J*beta) overflows: block counts
+    (1e300, 2.0, 2),    # 2**alpha overflows: time scales
+    (1e-300, 2.0, 2),   # 2**-alpha rounds to 1: time scales vanish
+    (1.0, 2.0, 55),     # 2**-(J*alpha) vanishes next to 1: narrowest block width 0
+])
+def test_params_reject_a_block_table_beyond_float_range(alpha, beta, J):
+    with pytest.raises(ValueError, match="put the block table out of float range"):
+        PsiParams(alpha, beta, 2, J)
+    PsiParams(1.0, 2.0, 2, 54)   # the deepest J still in range at alpha = 1
+
+
 def test_spec_json_round_trip():
     for obj in ({"variant": "sinc"},
                 {"variant": "bspline", "degree": 3},

@@ -1,4 +1,3 @@
-import threading
 import tracemalloc
 
 import numpy as np
@@ -110,24 +109,25 @@ def test_probe_memory_does_not_grow_with_the_lattice(psi_small, monkeypatch):
 
 def test_lattice_pass_peak_memory(monkeypatch):
     # psi(1, 2, 3, J=5) to T = 32: 2**20 + 1 half-lattice points at dx = 2**-15
-    # and 2.5 MiB of Dirichlet tables; evaluating whole 2**16-point segments
-    # peaks at 11.1 MiB
+    # and 1.25 MiB of Dirichlet tables (half a period each); the pass peaks at
+    # 4.25 MiB, at 5.76 MiB with full-period tables and at 11.1 MiB evaluating
+    # whole 2**16-point segments
     params = PsiParams(1.0, 2.0, 3, 5)
     generators.window_tables(1.0)   # built once per process, not per pass
-    monkeypatch.setattr(generators, "_per_thread", threading.local())  # the pass builds its tables
+    monkeypatch.setattr(generators, "_tables", None)  # the pass builds its tables
     tracemalloc.start()
     try:
         divergence_probes(params, [(1, 0.0), (2, 1.5), (2, 0.5)], [2, 4, 8, 16, 32])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 << 20
+    assert peak < 5 << 20
 
 
 def test_probe_pass_drops_its_tables(psi_small):
     # the lattice tables outlive no pass: the next step's allocations reuse them
     divergence_probes(psi_small[0], [(1, 0.0)], [1.0, 2.0, 3.0, 4.0])
-    assert getattr(generators._per_thread, "tables", None) is None
+    assert generators._tables is None
 
 
 def _whole_array_partials(signal, exponents, windows):

@@ -22,7 +22,6 @@
   included.
 """
 
-import threading
 from unittest import mock
 
 import numpy as np
@@ -130,16 +129,21 @@ def _dirichlet_per_count(u, count):
 
 @pytest.mark.parametrize("exponent", [8, 11, 15])
 def test_shared_dirichlet_tables_are_the_per_count_ratio(exponent, monkeypatch):
-    monkeypatch.setattr(generators, "_per_thread", threading.local())
+    monkeypatch.setattr(generators, "_tables", None)
     params = PsiParams(1.0, 1.5, 2, 4)
     counts = params.block_counts[1:]
     assert {count % 2 for count in counts} == {0, 1}
     tables, carrier = generators._dirichlet_tables(params, exponent)
     assert len(tables) == len(carrier) == params.J
-    u = np.arange(2 << exponent) * 2.0 ** -exponent
+    # each table covers half a period, q <= 2**exponent: the ratio is even about u = 1
+    period = 2 << exponent
+    q = np.arange(period)
+    u = q * 2.0 ** -exponent
     for table, count in zip(tables, counts, strict=True):
-        assert _bits(table).tobytes() == _bits(dirichlet_ratio(u, count)).tobytes()
-        assert _bits(table).tobytes() == _bits(_dirichlet_per_count(u, count)).tobytes()
+        assert table.size == (1 << exponent) + 1
+        gathered = table[np.minimum(q, period - q)]
+        assert _bits(gathered).tobytes() == _bits(dirichlet_ratio(u, count)).tobytes()
+        assert _bits(gathered).tobytes() == _bits(_dirichlet_per_count(u, count)).tobytes()
 
 
 def _knot_probes():
