@@ -6,16 +6,17 @@ The CLI reads and validates the config (:class:`RunConfig`), then hands a
 projects one context per generator into a ``compare.csv`` row, and
 ``construct`` writes the spectrum and signal of one context.
 
-Exit codes: 0 success, 2 config error, 3 numeric precondition violation
-(e.g. grid too small, or too large to allocate), 4 I/O failure.  ``analyze``
-writes a deterministic ``report.json`` (same config + same version =>
-byte-identical bytes) plus CSV tables; wall-clock timings go to a separate
-``run_meta.json`` so they never perturb the report.  Each subcommand creates
-its output directory only after its computation has succeeded, and every
-file goes through :func:`~sispace.report.atomic_writer`.  ``construct``
-replaces its three files only once all of them are written, and ``analyze``
-removes the report and CSV tables of an earlier run that it did not write
-again.
+Exit codes: 0 success, 2 config error (the analysis parameters are read
+against ``localization.PARAMETERS``), 3 numeric precondition violation (e.g.
+grid too small, or too large to allocate, or a float overflow), 4 I/O
+failure.  ``analyze`` writes a deterministic ``report.json`` (same config +
+same version => byte-identical bytes) plus CSV tables; wall-clock timings go
+to a separate ``run_meta.json`` so they never perturb the report.  Each
+subcommand creates its output directory only after its computation has
+succeeded, and every file goes through
+:func:`~sispace.report.atomic_writer`.  ``construct`` replaces its three
+files only once all of them are written, and ``analyze`` removes the report
+and CSV tables of an earlier run that it did not write again.
 
 The command line is read against the ``_FLAGS`` table: each subcommand takes
 the flags listed for it, spelled in full, as ``--flag value`` or
@@ -33,10 +34,10 @@ import numpy as np
 from . import __version__
 from .generators import GeneratorSpec
 from .grid import GridError, _is_hermitian
-from .localization import GATE_RANGES, check_windows
-from .pipeline import (DECAY_PROBES, DEFAULT_PARAMETERS, SECTIONS, ConfigError,
-                       RunContext, compare_header, compare_row, grid_block,
-                       load_json)
+from .localization import PARAMETERS
+from .pipeline import (DECAY_PROBES, SECTIONS, ConfigError, RunContext,
+                       compare_header, compare_row, grid_block, load_json,
+                       typed_parameters)
 from .report import (staged_paths, write_compare_csv, write_periodization_csv,
                      write_report, write_signal_csv, write_spectrum_csv,
                      write_windows_csv)
@@ -48,15 +49,6 @@ ANALYSES = tuple(SECTIONS)
 ANALYZE_OUTPUTS = ("report.json", "periodization.csv",
                    *(f"windows_{name}.csv" for name in DECAY_PROBES))
 
-# checked when the config is read, before any work and whichever subcommand
-# reads it: the gate exponents (the config's "eps" is the gate's epsilon),
-# n_max and K; each test is written so that NaN fails it
-PARAMETER_RANGES = {
-    **{"eps" if name == "epsilon" else name: rule for name, rule in GATE_RANGES.items()},
-    "n_max": (lambda v: v >= 2, "must be >= 2"),
-    "K": (lambda v: v >= 0, "must be >= 0"),
-}
-
 
 def _config_list(key, value):
     if not isinstance(value, list):
@@ -67,8 +59,9 @@ def _config_list(key, value):
 class RunConfig:
     """Validated run description (generator, grid, analyses, parameters).
 
-    ``parameters`` holds the typed analysis parameters; the report echoes
-    them as written in the config.
+    ``parameters`` holds the typed analysis parameters of
+    :func:`~sispace.pipeline.typed_parameters`; the report echoes them as
+    written in the config.
     """
 
     def __init__(self, obj, overrides=None):
@@ -88,28 +81,18 @@ class RunConfig:
         if bad:
             raise ConfigError(f"unknown analyses {bad}; choose from {ANALYSES}")
         self.analyses = list(analyses)
+        # checked when the config is read, before any work and whichever
+        # subcommand reads it; command-line values win
         given = obj.get("parameters", {})
         if not isinstance(given, dict):
             raise ConfigError("parameters must be a JSON object")
-        if "J" in given:
-            raise ConfigError("parameters.J is not supported; set generator.J instead")
-        self._echoed = {**DEFAULT_PARAMETERS, **given}
-        overridden = [key for key in ("eps", "n_max", "windows")
-                      if overrides.get(key) is not None]
-        self._echoed.update({key: overrides[key] for key in overridden})
-        self.parameters = {}
-        for key, default in DEFAULT_PARAMETERS.items():
-            value = self._echoed[key]
-            try:
-                self.parameters[key] = (check_windows(value) if key == "windows"
-                                        else type(default)(value))
-            except (TypeError, ValueError, OverflowError) as e:
-                raise ConfigError(f"bad parameter {key} = {value!r}: {e}") from e
-        for key, (ok, rule) in PARAMETER_RANGES.items():
-            if not ok(self.parameters[key]):
-                raise ConfigError(f"bad parameter {key} = {self._echoed[key]!r}: {rule}")
-        # command-line values are echoed typed, as they were parsed
-        self._echoed.update({key: self.parameters[key] for key in overridden})
+        overridden = {key: overrides[key] for key in ("eps", "n_max", "windows")
+                      if overrides.get(key) is not None}
+        self.parameters = typed_parameters({**given, **overridden})
+        # the report echoes the config's values as written, and the command
+        # line's typed, as they were parsed
+        self._echoed = {**{name: row.default for name, row in PARAMETERS.items()},
+                        **given, **overridden}
         self.output = overrides.get("out") or obj.get("output", ".")
         self.formats = _config_list("formats", overrides.get("formats")
                                     or obj.get("formats", ["json", "csv"]))
@@ -182,14 +165,14 @@ def cmd_analyze(cfg: RunConfig):
     return EXIT_OK
 
 
-def cmd_compare(cfgs, out_dir, n_max=4):
+def cmd_compare(cfgs, out_dir, n_max):
     # every generator is probed with the same fixed parameters, not its config's
-    parameters = dict(DEFAULT_PARAMETERS, n_max=n_max)
+    parameters = typed_parameters({"n_max": n_max})
     rows = [compare_row(RunContext(cfg.spec, cfg.grid_spec, parameters)) for cfg in cfgs]
     # created only once every row has succeeded, as in analyze and construct
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_compare_csv(out / "compare.csv", compare_header(n_max), rows)
+    write_compare_csv(out / "compare.csv", compare_header(parameters["n_max"]), rows)
     return EXIT_OK
 
 
@@ -198,6 +181,14 @@ _COMMANDS = ("construct", "analyze", "compare")
 
 def _comma_list(text):
     return text.split(",") if text else None
+
+
+def _float_list(text):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad parameter windows = {text!r}: expected comma-separated "
+                          "numbers") from None
 
 
 # every flag: (key of the parsed value, the commands that take it, its converter);
@@ -209,7 +200,7 @@ _FLAGS = {
     "--n-max": ("n_max", ("analyze", "compare"), int),
     "--format": ("formats", ("analyze",), _comma_list),
     "--eps": ("eps", ("analyze",), float),
-    "--windows": ("windows", ("analyze",), _comma_list),
+    "--windows": ("windows", ("analyze",), _float_list),
     "--analyses": ("analyses", ("analyze",), _comma_list),
 }
 
@@ -263,24 +254,27 @@ def main(argv=None):
         print(f"sispace {__version__}")
         return EXIT_OK
     try:
-        command, paths, overrides = _parse_args(argv)
-        if not paths:
-            raise ConfigError("no config given (use --config FILE.json)")
-        if len(paths) > 1 and command != "compare":
-            raise ConfigError(f"{command} takes one config, got {len(paths)}")
-        cfgs = [RunConfig(load_json(p), overrides) for p in paths]
-        if command == "construct":
-            return cmd_construct(cfgs[0])
-        if command == "analyze":
-            return cmd_analyze(cfgs[0])
-        if len(cfgs) < 2:
-            raise ConfigError("compare needs at least 2 configs")
-        return cmd_compare(cfgs, overrides.get("out") or cfgs[0].output,
-                           n_max=overrides.get("n_max") or 4)
+        # a float overflow, invalid operation or division by zero raises instead of
+        # warning, so it ends in one stderr line; underflow is benign
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            command, paths, overrides = _parse_args(argv)
+            if not paths:
+                raise ConfigError("no config given (use --config FILE.json)")
+            if len(paths) > 1 and command != "compare":
+                raise ConfigError(f"{command} takes one config, got {len(paths)}")
+            cfgs = [RunConfig(load_json(p), overrides) for p in paths]
+            if command == "construct":
+                return cmd_construct(cfgs[0])
+            if command == "analyze":
+                return cmd_analyze(cfgs[0])
+            if len(cfgs) < 2:
+                raise ConfigError("compare needs at least 2 configs")
+            return cmd_compare(cfgs, overrides.get("out") or cfgs[0].output,
+                               overrides.get("n_max", 4))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GridError, ValueError, MemoryError) as e:
+    except (GridError, ValueError, MemoryError, ArithmeticError) as e:
         print(f"numeric precondition violated: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as e:

@@ -138,6 +138,14 @@ def _integer(value, key):
     return int(value)
 
 
+def _number(value, key):
+    """``value`` as a float; ValueError unless it is a JSON number (never a bool
+    or a string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Which generator to build: sinc, bspline(degree), psi(params), custom."""
@@ -181,12 +189,13 @@ class GeneratorSpec:
             if variant == "bspline":
                 return cls(kind="bspline", degree=_integer(obj["degree"], "degree"))
             if variant == "psi":
-                params = PsiParams(alpha=float(obj["alpha"]), beta=float(obj["beta"]),
+                params = PsiParams(alpha=_number(obj["alpha"], "alpha"),
+                                   beta=_number(obj["beta"], "beta"),
                                    n=_integer(obj["n"], "n"), J=_integer(obj.get("J", 5), "J"))
                 return cls(kind="psi", psi=params)
             if variant == "custom":
                 return cls(kind="custom", path=str(obj["path"]))
-        except OverflowError as e:   # int() of an infinite float
+        except OverflowError as e:   # int() of an infinite float, float() of a huge int
             raise ValueError(str(e)) from e
         raise ValueError(f"unknown generator variant {variant!r}")
 

@@ -22,14 +22,17 @@ wide windows, otherwise the probe reports the truncation, not the object.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .bumps import h, h_support
 from . import generators
-from .generators import DyadicLattice, PsiParams, _block_copies, evaluate_psi_time
+from .generators import (DyadicLattice, PsiParams, _block_copies, _integer, _number,
+                         evaluate_psi_time)
 from .grid import GridError, SampledSignal, SampledSpectrum, next_pow2
 
 DEFAULT_WINDOWS = (4.0, 8.0, 16.0, 32.0, 64.0)
@@ -54,15 +57,52 @@ def truncation_depth_for_span(alpha, span):
     return max(1, math.ceil(math.log2(need) / alpha))
 
 
+def _windows(value, key):
+    """``value`` as a list of floats; ValueError unless it is a list or tuple of
+    numbers."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list of numbers, got {json.dumps(value)}")
+    return [_number(T, f"each of {key}") for T in value]
+
+
+class Parameter(NamedTuple):
+    """An analysis parameter: default, converter ``convert(value, name)``, range
+    test (written so that NaN fails it) and the rule the test states."""
+
+    default: object
+    convert: Callable
+    ok: Callable
+    rule: str
+
+
+# every analysis parameter of a run: "eps" is the gate's epsilon and the
+# 1 +- eps of the second-moment probes, "s" the pointwise frequency scaling,
+# "n_max" the largest 1/n invariance step tested, "K" the largest Gram
+# coefficient index, "windows" the decay probes' windows
+PARAMETERS = {
+    "eps": Parameter(0.5, _number, lambda v: v > 0, "must be > 0"),
+    "gamma": Parameter(0.0, _number, lambda v: v >= 0, "must be >= 0"),
+    "delta": Parameter(0.2, _number, lambda v: v > 0, "must be > 0"),
+    "p": Parameter(1.0, _number, lambda v: 1 <= v < 2, "must lie in [1, 2)"),
+    "q": Parameter(1.0, _number, lambda v: v >= 1, "must be >= 1"),
+    "n_max": Parameter(8, _integer, lambda v: v >= 2, "must be >= 2"),
+    "K": Parameter(8, _integer, lambda v: v >= 0, "must be >= 0"),
+    "s": Parameter(0.5, _number, lambda v: v >= 0, "must be >= 0"),
+    "windows": Parameter(
+        DEFAULT_WINDOWS, _windows,
+        lambda v: (len(v) >= MIN_PROBE_WINDOWS and all(0 < T < math.inf for T in v)
+                   and all(b > a for a, b in zip(v, v[1:]))),
+        f"need at least {MIN_PROBE_WINDOWS} windows, finite, positive and strictly increasing"),
+}
+
+
 def check_windows(windows):
-    """``windows`` as floats; ValueError unless there are at least
-    ``MIN_PROBE_WINDOWS`` of them and they are finite, positive and strictly increasing."""
-    windows = [float(T) for T in windows]
-    if len(windows) < MIN_PROBE_WINDOWS:
-        raise ValueError(f"need at least {MIN_PROBE_WINDOWS} windows")
-    if not (all(0 < T < math.inf for T in windows)
-            and all(b > a for a, b in zip(windows, windows[1:]))):
-        raise ValueError("windows must be finite, positive and strictly increasing")
+    """``windows`` as floats; ValueError unless it is a list of at least
+    ``MIN_PROBE_WINDOWS`` numbers, finite, positive and strictly increasing."""
+    row = PARAMETERS["windows"]
+    windows = row.convert(windows, "windows")
+    if not row.ok(windows):
+        raise ValueError(row.rule)
     return windows
 
 
@@ -313,35 +353,27 @@ def spectrum_envelope_exponent(f: SampledSpectrum):
 # parameter gates
 # ---------------------------------------------------------------------------
 
-# allowed range of each gate exponent, each test written so that NaN fails
-# it; FeasibilityGate checks its fields and the CLI its config against it
-GATE_RANGES = {
-    "gamma": (lambda v: v >= 0, "must be >= 0"),
-    "delta": (lambda v: v > 0, "must be > 0"),
-    "p": (lambda v: 1 <= v < 2, "must lie in [1, 2)"),
-    "q": (lambda v: v >= 1, "must be >= 1"),
-    "epsilon": (lambda v: v > 0, "must be > 0"),
-}
-
-
 @dataclass(frozen=True)
 class FeasibilityGate:
-    """Exponent bundle for the localization trade-off inequalities."""
+    """Exponent bundle for the localization trade-off inequalities; each
+    exponent takes its default and its range from ``PARAMETERS`` (the gate's
+    ``epsilon`` is the row ``eps``)."""
 
     alpha: float
     beta: float
-    gamma: float = 0.0
-    delta: float = 0.2
-    p: float = 1.0
-    q: float = 1.0
-    epsilon: float = 0.5
+    gamma: float = PARAMETERS["gamma"].default
+    delta: float = PARAMETERS["delta"].default
+    p: float = PARAMETERS["p"].default
+    q: float = PARAMETERS["q"].default
+    epsilon: float = PARAMETERS["eps"].default
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must be positive")
-        for name, (ok, rule) in GATE_RANGES.items():
-            if not ok(getattr(self, name)):
-                raise ValueError(f"{name} {rule}")
+        for field in ("gamma", "delta", "p", "q", "epsilon"):
+            row = PARAMETERS["eps" if field == "epsilon" else field]
+            if not row.ok(getattr(self, field)):
+                raise ValueError(f"{field} {row.rule}")
 
 
 @dataclass(frozen=True)

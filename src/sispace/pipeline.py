@@ -17,7 +17,7 @@ from pathlib import Path
 from .generators import (GeneratorSpec, _integer, auto_grid, build_bspline,
                          build_psi_spectrum, build_sinc)
 from .grid import FrequencyGrid, GridError, to_time_domain
-from .localization import (DEFAULT_WINDOWS, FeasibilityGate, divergence_probes,
+from .localization import (PARAMETERS, FeasibilityGate, divergence_probes,
                            feasibility_gates, pointwise_freq_decay,
                            psi_block_freq_contributions,
                            spectrum_envelope_exponent,
@@ -28,12 +28,31 @@ from .spectral import (MAGNITUDE_THRESHOLD, RIESZ_THRESHOLD, gram_coefficients,
 
 # the decay probes: the L^1 trend, then for psi the |x|^{1 +- eps} second-moment pair
 DECAY_PROBES = ("integrability", "second_moment_heavy", "second_moment_light")
-DEFAULT_PARAMETERS = {"eps": 0.5, "gamma": 0.0, "delta": 0.2, "p": 1.0, "q": 1.0,
-                      "n_max": 8, "K": 8, "s": 0.5, "windows": list(DEFAULT_WINDOWS)}
 
 
 class ConfigError(Exception):
     pass
+
+
+def typed_parameters(given):
+    """Every row of ``PARAMETERS``: its value in the dict ``given`` or its
+    default, converted and range-checked; ConfigError for a bad value or an
+    unknown key."""
+    if "J" in given:
+        raise ConfigError("parameters.J is not supported; set generator.J instead")
+    unknown = [key for key in given if key not in PARAMETERS]
+    if unknown:
+        raise ConfigError(f"unknown parameters {unknown}; choose from {tuple(PARAMETERS)}")
+    typed = {}
+    for name, row in PARAMETERS.items():
+        value = given.get(name, row.default)
+        try:
+            typed[name] = row.convert(value, name)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConfigError(f"bad parameter {name} = {value!r}: {e}") from e
+        if not row.ok(typed[name]):
+            raise ConfigError(f"bad parameter {name} = {value!r}: {row.rule}")
+    return typed
 
 
 def load_json(path):
@@ -253,14 +272,16 @@ SECTIONS = {"periodization": periodization_section, "invariance": invariance_sec
             "suite": suite_section}
 
 
-def run_witness_suite(spec: GeneratorSpec, eps=0.5, n_max=8, grid=None,
-                      windows=DEFAULT_WINDOWS) -> dict:
+def run_witness_suite(spec: GeneratorSpec, eps=None, n_max=None, grid=None,
+                      windows=None) -> dict:
     """The ``suite`` section of one generator: every analysis, each tagged with
-    the statement it witnesses, the exponent gate built from the defaults and
-    ``eps``.  Returns a JSON-ready dict with fixed key order.
+    the statement it witnesses, the parameters not given taken from the
+    defaults of ``PARAMETERS``.  Returns a JSON-ready dict with fixed key order;
+    ConfigError for a parameter out of its range.
     """
+    given = {"eps": eps, "n_max": n_max, "windows": windows}
     ctx = RunContext(spec, "auto" if grid is None else grid,
-                     dict(DEFAULT_PARAMETERS, eps=eps, n_max=n_max, windows=list(windows)))
+                     typed_parameters({k: v for k, v in given.items() if v is not None}))
     return suite_section(ctx)
 
 

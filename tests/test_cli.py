@@ -448,6 +448,23 @@ def test_compare_evaluates_each_probe_lattice_once(tmp_path, monkeypatch):
      "cannot read custom spectrum: [Errno 21] Is a directory: '.'"),
     ({"generator": {"variant": "custom", "path": "/"}},
      "cannot read custom spectrum: [Errno 21] Is a directory: '/'"),
+    # each parameter is read by its PARAMETERS row: integers are never truncated,
+    # numbers never come from strings or booleans
+    ({"parameters": {"n_max": 4.7}}, "bad parameter n_max = 4.7: n_max must be an integer"),
+    ({"parameters": {"K": 2.9}}, "bad parameter K = 2.9: K must be an integer"),
+    ({"parameters": {"n_max": "8"}}, "bad parameter n_max = '8': n_max must be an integer"),
+    ({"parameters": {"eps": "0.25"}}, "bad parameter eps = '0.25': eps must be a number"),
+    ({"parameters": {"eps": True}}, "bad parameter eps = True: eps must be a number, got true"),
+    ({"generator": {"variant": "psi", "alpha": "1", "beta": 2, "n": 2, "J": 2}},
+     'bad generator spec: alpha must be a number, got "1"'),
+    ({"generator": {"variant": "psi", "alpha": True, "beta": 2, "n": 2, "J": 2}},
+     "bad generator spec: alpha must be a number, got true"),
+    ({"parameters": {"windows": "1234"}},
+     "bad parameter windows = '1234': windows must be a list of numbers"),
+    ({"parameters": {"windows": [True, 2, 3, 4]}},
+     "bad parameter windows = [True, 2, 3, 4]: each of windows must be a number, got true"),
+    ({"parameters": {"epsilon": 0.3}}, "unknown parameters ['epsilon']; choose from ('eps',"),
+    ({"parameters": {"s": math.nan}}, "bad parameter s = nan: must be >= 0"),
 ])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
     extra = dict(extra)
@@ -463,6 +480,24 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error:") and message in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("analysis, parameters, message", [
+    ("gates", {"delta": 1e300}, "overflow encountered in power"),
+    ("pointwise", {"s": math.inf}, "invalid value encountered in multiply"),
+    ("decay", {"eps": 1e10, "windows": [1, 2, 4, 8]}, "overflow encountered in power"),
+])
+def test_float_overflow_exits_3_with_one_line(tmp_path, capsys, analysis, parameters,
+                                              message):
+    # in range, yet a weight (1 + |x|)**w leaves float range: numpy raises, never warns
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
+        "analyses": [analysis], "parameters": parameters})
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"numeric precondition violated: {message}"]
     assert not out.exists()
 
 

@@ -15,7 +15,7 @@ from sispace.localization import (FeasibilityGate, divergence_probes,
                                   spectrum_envelope_exponent,
                                   truncation_depth_for_span,
                                   weighted_freq_norm)
-from sispace.pipeline import run_witness_suite
+from sispace.pipeline import ConfigError, run_witness_suite
 from sispace.report import read_spectrum_csv, write_spectrum_csv
 
 LOG2_INCREMENT = 4 / np.pi ** 2 * np.log(2)  # per-doubling growth of the sinc tail
@@ -398,3 +398,15 @@ def test_suite_psi_small():
     assert report["decay"]["integrability"]["verdict"] == "converging"
     assert report["decay"]["probe_truncation"] == 6
     assert report["gates"]["freq_lq_ok"] is False
+
+
+@pytest.mark.parametrize("parameters, message", [
+    ({"eps": float("nan")}, "bad parameter eps = nan: must be > 0"),
+    ({"n_max": 1}, "bad parameter n_max = 1: must be >= 2"),
+    ({"windows": [2, 4, 8]}, "bad parameter windows = [2, 4, 8]: need at least 4 windows"),
+])
+def test_suite_checks_its_parameters(parameters, message):
+    # the library entry reads its parameters by the same table as the CLI
+    with pytest.raises(ConfigError) as info:
+        run_witness_suite(GeneratorSpec(kind="sinc"), **parameters)
+    assert str(info.value).startswith(message)
