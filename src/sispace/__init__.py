@@ -3,9 +3,9 @@
 __version__ = "0.1.0"
 
 from .bumps import g0, g1, h, h_support, partition_defect, smooth_step
-from .generators import (DyadicLattice, GeneratorSpec, PsiParams, auto_grid,
-                         build_bspline, build_psi_spectrum, build_sinc,
-                         dirichlet_ratio, evaluate_psi_time, window_tables)
+from .generators import (GeneratorSpec, PsiParams, auto_grid, build_bspline,
+                         build_psi_spectrum, build_sinc, dirichlet_ratio,
+                         evaluate_psi_time, window_tables)
 from .grid import (FrequencyGrid, GridError, SampledSignal, SampledSpectrum,
                    l2_norm, next_pow2, to_freq_domain, to_time_domain)
 from .localization import (FeasibilityGate, GateReport, GrowthVerdict,
@@ -22,7 +22,7 @@ from .spectral import (GridCriteria, InvarianceGroup, InvarianceReport,
 __all__ = [
     "__version__",
     "smooth_step", "g0", "g1", "h", "h_support", "partition_defect",
-    "DyadicLattice", "GeneratorSpec", "PsiParams", "auto_grid",
+    "GeneratorSpec", "PsiParams", "auto_grid",
     "build_bspline", "build_psi_spectrum", "build_sinc", "dirichlet_ratio",
     "evaluate_psi_time", "window_tables",
     "FrequencyGrid", "GridError", "SampledSignal", "SampledSpectrum",

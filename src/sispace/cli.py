@@ -93,7 +93,10 @@ class RunConfig:
         # line's typed, as they were parsed
         self._echoed = {**{name: row.default for name, row in PARAMETERS.items()},
                         **given, **overridden}
-        self.output = overrides.get("out") or obj.get("output", ".")
+        output = obj.get("output", ".")
+        if not isinstance(output, str):
+            raise ConfigError(f"output must be a path string, got {output!r}")
+        self.output = overrides.get("out") or output
         self.formats = _config_list("formats", overrides.get("formats")
                                     or obj.get("formats", ["json", "csv"]))
         for f in self.formats:
@@ -119,7 +122,6 @@ def cmd_construct(cfg: RunConfig):
         meta["gamma_j"] = list(p.block_offsets[:p.J])
         meta["required_half_range"] = p.required_half_range
     out = Path(cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
     # all three are written before any replaces an earlier run's file:
     # analyze reads meta.json as the sidecar of whatever spectrum.csv is there
     with staged_paths(out / "spectrum.csv", out / "signal.csv",
@@ -139,9 +141,9 @@ def cmd_analyze(cfg: RunConfig):
             t0 = time.perf_counter()
             analyses[name] = SECTIONS[name](ctx)
             timings[name] = time.perf_counter() - t0
-    # created only once every analysis has succeeded: a failed run leaves no directory
+    # the first file written creates the directory, once every analysis has
+    # succeeded and that file's values are checked: a failed run leaves none
     out = Path(cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
     written = set()
     if "json" in cfg.formats:
         write_report(out / "report.json", {"config": cfg.echo(), "version": __version__,
@@ -169,10 +171,8 @@ def cmd_compare(cfgs, out_dir, n_max):
     # every generator is probed with the same fixed parameters, not its config's
     parameters = typed_parameters({"n_max": n_max})
     rows = [compare_row(RunContext(cfg.spec, cfg.grid_spec, parameters)) for cfg in cfgs]
-    # created only once every row has succeeded, as in analyze and construct
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_compare_csv(out / "compare.csv", compare_header(parameters["n_max"]), rows)
+    # created by the write, once every row has succeeded, as in analyze and construct
+    write_compare_csv(Path(out_dir) / "compare.csv", compare_header(parameters["n_max"]), rows)
     return EXIT_OK
 
 

@@ -226,8 +226,10 @@ def auto_grid(spec: GeneratorSpec):
 
     For the banded family: half-range fits every block with margin, and the
     per-unit sampling targets ``BLOCK_SAMPLES_TARGET`` samples across the
-    narrowest block, capped so N never exceeds ``N_POINTS_CAP`` (the achieved
-    sampling is reported either way).
+    narrowest block, capped at ``max(64, N_POINTS_CAP // (2 * Xi))`` per unit
+    (the achieved sampling is reported either way).  The cap is on the
+    sampling only, so N exceeds ``N_POINTS_CAP`` once the half-range passes
+    ``N_POINTS_CAP / 128``: 2**25 points at the README family's J = 8.
     """
     if spec.kind == "sinc":
         # Long time span for the slowly decaying tail; 1 unit of spectrum.
@@ -675,72 +677,6 @@ def _carrier_frequency(blk, alpha):
 DIRICHLET_TABLE_BYTES = 16 << 20
 CARRIER_SPLIT_BITS = 10   # lattice carrier: k = k_hi * 2**10 + k_lo
 
-_tables = None   # (key, tables) of the last lattice pass; the probe pass empties it
-
-
-def _dirichlet_tables(params, exponent):
-    """The tables of a lattice pass at step ``2**-exponent``, as ``(dirichlet, carrier)``.
-
-    ``dirichlet[j-1][q] = dirichlet_ratio(q * 2**-exponent, count_j)`` for
-    ``q <= 2**exponent``, all J tables from one :func:`_dirichlet_ratios`
-    pass over the residues; ``dirichlet`` is None when they would exceed
-    ``DIRICHLET_TABLE_BYTES``.  The ratio has period 2 in u and is even about
-    u = 1 bit for bit (u -> 2 - u keeps the nearest integer's parity and
-    negates the residue exactly), so on the lattice ``u = n*k*2**-exponent``
-    it is ``T[min(q, 2**(exponent+1) - q)]``, ``q = (n*k) mod 2**(exponent+1)``.
-
-    ``carrier[j-1]`` is depth j's carrier low table: :func:`_carrier` at the
-    ``2**CARRIER_SPLIT_BITS`` points ``k_lo * 2**-exponent``.
-
-    The pieces of one lattice pass share the last set built; the probe pass
-    drops it when it is done.
-    """
-    global _tables
-    fits = params.J * ((1 << exponent) + 1) * 8 <= DIRICHLET_TABLE_BYTES
-    key = (params, exponent, fits)
-    if _tables is None or _tables[0] != key:
-        blocks = params.blocks
-        dirichlet = None
-        if fits:
-            residues = np.arange((1 << exponent) + 1) * 2.0 ** -exponent
-            dirichlet = tuple(_dirichlet_ratios(residues, [blk["count"] for blk in blocks]))
-        x_lo = np.arange(1 << CARRIER_SPLIT_BITS) * 2.0 ** -exponent
-        carrier = tuple(_carrier(_carrier_frequency(blk, params.alpha), x_lo)
-                        for blk in blocks)
-        _tables = key, (dirichlet, carrier)
-    return _tables[1]
-
-
-@dataclass(frozen=True)
-class DyadicLattice:
-    """The ascending points ``k * 2**-exponent`` for ``k = start .. stop-1``.
-
-    ``np.asarray(lattice)`` gives them as float64, each exact.
-    :func:`evaluate_psi_time` recognises the type and takes each factor of
-    its sum from tables built on the lattice's dyadic structure.
-    """
-
-    start: int
-    stop: int
-    exponent: int
-
-    def __post_init__(self):
-        if not (self.start <= self.stop and self.exponent >= 0):
-            raise ValueError("a lattice needs start <= stop and exponent >= 0")
-
-    @property
-    def size(self):
-        return self.stop - self.start
-
-    @property
-    def k(self):
-        return np.arange(self.start, self.stop)
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("a DyadicLattice has no array to view; it is built on request")
-        return (self.k * 2.0 ** -self.exponent).astype(dtype or float, copy=False)
-
 
 class _PointFactors:
     """The factors of the analytic sum at arbitrary points ``x``."""
@@ -763,34 +699,39 @@ class _PointFactors:
 
 
 class _LatticeFactors(_PointFactors):
-    """The same factors on a :class:`DyadicLattice`.
+    """The same factors at the ascending points ``k * 2**-e``, ``k = start ..
+    stop-1``, of a :class:`_LatticeEvaluator`'s lattice, from its tables:
 
     * windows: one run of points per spline interval
       (:meth:`WindowTables.g0_inv_ascending`), bitwise equal;
-    * Dirichlet ratio: gathered from :func:`_dirichlet_tables` while one
-      lattice's tables fit in ``DIRICHLET_TABLE_BYTES``, else computed
-      directly; bitwise equal either way;
+    * Dirichlet ratio: gathered from the evaluator's tables while they fit in
+      ``DIRICHLET_TABLE_BYTES``, else computed directly; bitwise equal either
+      way;
     * carrier: ``E(k) = E_hi(k_hi) * E_lo(k_lo)`` for
       ``k = k_hi * 2**CARRIER_SPLIT_BITS + k_lo``, each factor's phase
       reduced as the point route reduces ``freq * x``, so the one new
-      rounding is that complex product.  ``E_lo`` is depth j's table from
-      :func:`_dirichlet_tables`.
+      rounding is that complex product.  ``E_lo`` is the evaluator's table.
 
     Every factor is a function of its point alone, so a lattice split into
-    consecutive pieces gives bitwise the values of the whole.
+    consecutive pieces gives bitwise the values of the whole.  As an array
+    it is its points, which :func:`evaluate_psi_time` is given.
     """
 
-    def __init__(self, lattice, params, windows):
-        super().__init__(np.asarray(lattice), params, windows)
+    def __init__(self, start, stop, lattice):
         e = lattice.exponent
-        self.dirichlet_tables, self.carrier_lo = _dirichlet_tables(params, e)
+        k = np.arange(start, stop)
+        super().__init__(k * 2.0 ** -e, lattice.params, lattice.windows)
+        self.dirichlet_tables, self.carrier_lo = lattice.dirichlet, lattice.carrier_lo
         if self.dirichlet_tables is not None:
-            q = (params.n * lattice.k) & ((2 << e) - 1)
+            q = (self.n * k) & ((2 << e) - 1)
             self.q = np.minimum(q, (2 << e) - q)   # the ratio is even about u = 1
         bits = CARRIER_SPLIT_BITS
-        first = lattice.start >> bits << bits
-        self.x_hi = np.arange(first, lattice.stop, 1 << bits) * 2.0 ** -e
-        self.span = slice(lattice.start - first, lattice.start - first + lattice.size)
+        first = start >> bits << bits
+        self.x_hi = np.arange(first, stop, 1 << bits) * 2.0 ** -e
+        self.span = slice(start - first, stop - first)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.x, dtype=dtype, copy=copy)
 
     def central(self, scale):
         return self.windows.g0_inv_ascending(scale * self.x)
@@ -814,31 +755,44 @@ class _LatticeFactors(_PointFactors):
         return cos.ravel()[self.span], sin.ravel()[self.span]
 
 
-def evaluate_psi_time(x, params: PsiParams):
-    """Time-domain values of the banded generator by the analytic route.
+class _LatticeEvaluator:
+    """The banded generator on the lattice ``k * 2**-exponent``, evaluated
+    piece by piece: ``evaluator(start, stop)`` gives the values at
+    ``k = start .. stop-1``, through :func:`evaluate_psi_time`.
 
-    Sums the inverse transforms of the individual blocks: a central window
-    term plus, per depth j, an envelope ``g1_inv`` at the block scale, a
-    carrier phase at the block center frequency, and the closed-form
-    geometric sum over the ``beta_j`` copies (Dirichlet ratio).  The window
-    ``g1`` is real, so each mirror term is the complex conjugate of its
-    direct term and the pair sums to ``2 Re``; the values returned are real,
-    for every x.
+    The tables are built once, here, and live as long as the evaluator:
 
-    ``x`` is any array of points, or a :class:`DyadicLattice`.  Both run the
-    one sum below; on a lattice each factor comes from tables instead of
-    per-point work (see :class:`_LatticeFactors`): windows and Dirichlet
-    ratios are bitwise those of the same points given as an array, the
-    carrier differs by the rounding of one complex product.
+    * ``dirichlet[j-1][q] = dirichlet_ratio(q * 2**-exponent, count_j)`` for
+      ``q <= 2**exponent``, all J tables from one :func:`_dirichlet_ratios`
+      pass over the residues; None when they would exceed
+      ``DIRICHLET_TABLE_BYTES``.  The ratio has period 2 in u and is even
+      about u = 1 bit for bit (u -> 2 - u keeps the nearest integer's parity
+      and negates the residue exactly), so on the lattice
+      ``u = n*k*2**-exponent`` it is ``T[min(q, 2**(exponent+1) - q)]``,
+      ``q = (n*k) mod 2**(exponent+1)``;
+    * ``carrier_lo[j-1]``, depth j's carrier low table: :func:`_carrier` at
+      the ``2**CARRIER_SPLIT_BITS`` points ``k_lo * 2**-exponent``.
     """
-    windows = window_tables(params.alpha)
-    if isinstance(x, DyadicLattice):
-        scalar, factors = False, _LatticeFactors(x, params, windows)
-    else:
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        factors = _PointFactors(np.atleast_1d(x), params, windows)
 
+    def __init__(self, params, exponent):
+        self.params, self.exponent = params, exponent
+        self.windows = window_tables(params.alpha)
+        blocks = params.blocks
+        self.dirichlet = None
+        if params.J * ((1 << exponent) + 1) * 8 <= DIRICHLET_TABLE_BYTES:
+            residues = np.arange((1 << exponent) + 1) * 2.0 ** -exponent
+            self.dirichlet = tuple(_dirichlet_ratios(residues, [blk["count"] for blk in blocks]))
+        x_lo = np.arange(1 << CARRIER_SPLIT_BITS) * 2.0 ** -exponent
+        self.carrier_lo = tuple(_carrier(_carrier_frequency(blk, params.alpha), x_lo)
+                                for blk in blocks)
+
+    def __call__(self, start, stop):
+        return evaluate_psi_time(_LatticeFactors(start, stop, self), self.params)
+
+
+def _psi_sum(factors, params):
+    """The analytic sum of both routes from its factors (see
+    :func:`evaluate_psi_time`)."""
     a = params.alpha
     s0, *envelope_scales = params.time_scales
     out = s0 * factors.central(s0)
@@ -853,4 +807,31 @@ def evaluate_psi_time(x, params: PsiParams):
         term -= env_im * sin
         term *= 2.0 * pref * factors.dirichlet(j, bj)
         out += term
-    return out[0] if scalar else out
+    return out
+
+
+def evaluate_psi_time(x, params: PsiParams):
+    """Time-domain values of the banded generator by the analytic route, at
+    any array of points ``x``.
+
+    Sums the inverse transforms of the individual blocks: a central window
+    term plus, per depth j, an envelope ``g1_inv`` at the block scale, a
+    carrier phase at the block center frequency, and the closed-form
+    geometric sum over the ``beta_j`` copies (Dirichlet ratio).  The window
+    ``g1`` is real, so each mirror term is the complex conjugate of its
+    direct term and the pair sums to ``2 Re``; the values returned are real,
+    for every x.
+
+    The probe pass runs the same sum on its dyadic lattice: its
+    ``_LatticeEvaluator`` gives each piece here as a ``_LatticeFactors``,
+    whose factors come from the evaluator's tables instead of per-point
+    work.  Windows and Dirichlet ratios are bitwise those of the same points
+    given as an array; the carrier differs by the rounding of one complex
+    product.  Every point the probe evaluates thus passes through this
+    function, where a trace of it counts them.
+    """
+    if isinstance(x, _LatticeFactors):
+        return _psi_sum(x, params)
+    x = np.asarray(x, dtype=float)
+    out = _psi_sum(_PointFactors(np.atleast_1d(x), params, window_tables(params.alpha)), params)
+    return out[0] if x.ndim == 0 else out

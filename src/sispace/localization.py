@@ -30,9 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bumps import h, h_support
-from . import generators
-from .generators import (DyadicLattice, PsiParams, _block_copies, _integer, _number,
-                         evaluate_psi_time)
+from .generators import PsiParams, _LatticeEvaluator, _block_copies, _integer, _number
 from .grid import GridError, SampledSignal, SampledSpectrum, next_pow2
 
 DEFAULT_WINDOWS = (4.0, 8.0, 16.0, 32.0, 64.0)
@@ -41,6 +39,7 @@ LATTICE_OVERSAMPLE = 8
 MIN_PROBE_WINDOWS = 4
 PROBE_CHUNK = 1 << 16        # most lattice points in one trapezoid segment (analytic route)
 EVAL_PIECE = 1 << 14         # most lattice points per evaluation inside a segment
+LATTICE_POINTS_CAP = 1 << 30  # most points of one half lattice (the README J = 8 probe: 1.3e8)
 BLOCK_QUAD_NODES = 2049      # per-block nodes of the frequency-norm quadrature
 POINTWISE_NODES = 4097       # per-block nodes of the scaled-sup search
 ENVELOPE_MIN_OFFSET = 2      # first unit interval fitted by the envelope exponent
@@ -128,13 +127,13 @@ def _window_partials(source, exponents, windows):
     points end at every window seam; each segment's trapezoid is summed once
     per ``(p, w)`` and added to the window it lies in, so the partials depend
     on the segments alone.  A segment's |f| is filled by evaluation pieces of
-    at most ``EVAL_PIECE`` + 1 points, each reaching
-    :func:`~sispace.generators.evaluate_psi_time` as a
-    :class:`~sispace.generators.DyadicLattice`, on which every factor comes
-    from per-lattice tables, bitwise as point by point (see
-    ``generators._LatticeFactors``): the pieces change no bit, and they keep
-    the depth loop's temporaries at 128 KiB each.  The pass drops the
-    lattice tables when it is done.
+    at most ``EVAL_PIECE`` + 1 points from one
+    ``generators._LatticeEvaluator``, created here for the pass: every factor
+    comes from its lattice tables, bitwise as point by point, so the pieces
+    change no bit, and they keep the depth loop's temporaries at 128 KiB
+    each.  The tables go with the evaluator when the pass returns.  A lattice
+    of more than ``LATTICE_POINTS_CAP`` points is a GridError,
+    raised before the evaluator is built.
     """
     if any(p < 1 for p, _ in exponents):
         raise ValueError("p must be >= 1")
@@ -162,6 +161,10 @@ def _window_partials(source, exponents, windows):
         raise GridError(f"window {windows[-1]} exceeds the analytic route's "
                         f"table validity {source.valid_span}")
     ks = [int(round(T / dx)) for T in windows]
+    if ks[-1] + 1 > LATTICE_POINTS_CAP:
+        raise GridError(f"the probe lattice at step 2^-{exponent} holds {ks[-1] + 1:.3g} points, "
+                        f"more than the cap 2^{LATTICE_POINTS_CAP.bit_length() - 1}")
+    evaluate = _LatticeEvaluator(source, exponent)
     segments = np.zeros((len(exponents), len(windows)))
     stops = sorted({0, *ks, *range(0, ks[-1], PROBE_CHUNK)})
     for a, b in zip(stops, stops[1:]):
@@ -169,13 +172,12 @@ def _window_partials(source, exponents, windows):
         for c in range(a, b, EVAL_PIECE):
             # a last piece of one point would cost a whole call: it joins the one before
             stop = c + EVAL_PIECE if c + EVAL_PIECE < b else b + 1
-            values[c - a:stop - a] = evaluate_psi_time(DyadicLattice(c, stop, exponent), source)
+            values[c - a:stop - a] = evaluate(c, stop)
         np.abs(values, out=values)
-        weight = 1.0 + np.asarray(DyadicLattice(a, b + 1, exponent))
+        weight = 1.0 + np.arange(a, b + 1) * dx
         seg = next(i for i, k in enumerate(ks) if k >= b)
         for row, (p, w) in enumerate(exponents):
             segments[row, seg] += np.trapezoid(_weighted(values, p, weight, w), dx=dx)
-    generators._tables = None   # 1.25 MiB at e = 15, J = 5 that no later call reads
     return 2.0 * np.cumsum(segments, axis=1), "analytic"
 
 
@@ -368,7 +370,7 @@ class FeasibilityGate:
     epsilon: float = PARAMETERS["eps"].default
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
+        if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
         for field in ("gamma", "delta", "p", "q", "epsilon"):
             row = PARAMETERS["eps" if field == "epsilon" else field]

@@ -82,12 +82,18 @@ def staged_paths(*paths):
     temp file replaces its path, in order.
 
     The temp paths sit in their targets' directories (so ``os.replace``
-    stays on one file system).  No path is replaced before the block has
-    completed every temp file, so files that belong together, such as a
-    spectrum and its sidecar, never mix two runs; on any exception the temp
-    files are removed and the paths are left as they were.
+    stays on one file system), which are created, with their parents, as
+    the block is entered: a caller that checks its values before the block,
+    as every :func:`atomic_writer` caller does, leaves no new directory for
+    a value that cannot be written.  No path is
+    replaced before the block has completed every temp file, so files that
+    belong together, such as a spectrum and its sidecar, never mix two
+    runs; on any exception the temp files are removed and the paths are
+    left as they were.
     """
     paths = [Path(p) for p in paths]
+    for p in paths:
+        p.parent.mkdir(parents=True, exist_ok=True)
     tmps = [p.with_name(f".{p.name}.{os.urandom(8).hex()}.tmp") for p in paths]
     try:
         yield tmps

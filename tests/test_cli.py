@@ -347,16 +347,17 @@ def test_custom_spectrum_runs_suite(tmp_path):
 
 
 def count_probe_points(monkeypatch):
-    """The sizes of the evaluations the decay probes make, as they are made."""
-    from sispace import localization
+    """The sizes of the evaluations the decay probes make, as they are made:
+    every lattice piece passes through ``evaluate_psi_time``."""
+    from sispace import generators
     points = []
-    evaluate = localization.evaluate_psi_time
+    evaluate = generators.evaluate_psi_time
 
     def counting_evaluate(x, params):
-        points.append(np.size(x))
+        points.append(np.asarray(x, dtype=float).size)
         return evaluate(x, params)
 
-    monkeypatch.setattr(localization, "evaluate_psi_time", counting_evaluate)
+    monkeypatch.setattr(generators, "evaluate_psi_time", counting_evaluate)
     return points
 
 
@@ -465,6 +466,9 @@ def test_compare_evaluates_each_probe_lattice_once(tmp_path, monkeypatch):
      "bad parameter windows = [True, 2, 3, 4]: each of windows must be a number, got true"),
     ({"parameters": {"epsilon": 0.3}}, "unknown parameters ['epsilon']; choose from ('eps',"),
     ({"parameters": {"s": math.nan}}, "bad parameter s = nan: must be >= 0"),
+    # checked when the config is read, though --out names the directory
+    ({"output": 5}, "output must be a path string, got 5"),
+    ({"output": ["x"]}, "output must be a path string, got ['x']"),
 ])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
     extra = dict(extra)
@@ -498,6 +502,19 @@ def test_float_overflow_exits_3_with_one_line(tmp_path, capsys, analysis, parame
     assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"numeric precondition violated: {message}"]
+    assert not out.exists()
+
+
+def test_report_value_out_of_json_exits_3_with_no_directory(tmp_path, capsys):
+    # "delta": inf is in its range (> 0), yet the report that echoes it cannot be
+    # written; the run fails before its output directory exists
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "sinc"}, "grid": "32,512", "analyses": ["suite"],
+        "parameters": {"delta": math.inf, "windows": [1, 2, 4, 8]}})
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["numeric precondition violated: reports must not contain NaN or infinity"]
     assert not out.exists()
 
 
@@ -610,6 +627,26 @@ def test_probe_deepened_beyond_the_block_table_exits_3_with_one_line(tmp_path, c
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["numeric precondition violated: alpha = 1, beta = 2 and J = 997 put the "
                    "block table out of float range"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, J, windows, message", [
+    (1e300, 3, [1, 2, 4, 8], "step 2^-1006 holds 5.49e+303 points"),
+    (10 ** 6, 3, [1, 2, 4, 8], "step 2^-30 holds 8.59e+09 points"),
+    (2, 10, None, "step 2^-25 holds 2.15e+09 points"),   # the README family at J = 10
+])
+def test_probe_lattice_beyond_the_cap_exits_3_with_one_line(tmp_path, capsys, n, J, windows,
+                                                            message):
+    # the lattice step shrinks with n and with the depth; the pass is refused
+    # before any table or segment list is built
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": n, "J": J},
+        "analyses": ["decay"], **({"parameters": {"windows": windows}} if windows else {})})
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"numeric precondition violated: the probe lattice at {message}, "
+                   "more than the cap 2^30"]
     assert not out.exists()
 
 

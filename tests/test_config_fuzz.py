@@ -12,7 +12,8 @@ There is no preflight of a run's size yet, so the draws stay small: a valid
 psi has J <= 3 and n <= 3, every valid window list ends at or below 8 (a psi
 decay pass costs milliseconds there), the auto grid comes from --grid only,
 and compare, whose rows probe the default windows up to 64, draws no valid
-psi.  A huge n is not drawn: the probe lattice step shrinks with n, unbounded.
+psi.  A huge n is drawn: the probe pass refuses a lattice of more than 2^30
+points before it builds anything.
 """
 
 import contextlib
@@ -48,7 +49,7 @@ PARAMETER_DRAWS = {
 PSI_DRAWS = {
     "alpha": ([1, 1.5], [0], [-1], HUGE),
     "beta": ([1, 2], [0], [-1], HUGE),
-    "n": ([2, 3], [2], [1, 2.5], None),
+    "n": ([2, 3], [2], [1, 2.5], HUGE),
     "J": ([1, 2, 3], [1], [0, 1.5], HUGE),
 }
 FIELD_DRAWS = {**PSI_DRAWS, "degree": ([0, 1, 3], [25], [26, -1], HUGE), **PARAMETER_DRAWS}
@@ -58,6 +59,7 @@ CONFIG_DRAWS = {
     "analyses": ([[name] for name in cli.ANALYSES] + [["decay", "pointwise", "gates"]],
                  ["decay", [], ["bogus"]]),
     "formats": ([["json"], ["csv"], ["json", "csv"]], ["json", ["xml"]]),
+    "output": (["elsewhere"], [5, ["x"], None]),
 }
 # each flag but --config and --out, which every example sets: (valid, spoiled)
 FLAG_VALUES = {
@@ -70,8 +72,7 @@ FLAG_VALUES = {
 }
 
 SPOILS = [None,
-          *((name, kind) for name, draws in FIELD_DRAWS.items() for kind in KINDS
-            if kind != "huge" or draws[3] is not None),
+          *((name, kind) for name in FIELD_DRAWS for kind in KINDS),
           *((key, "value") for key in CONFIG_DRAWS),
           *((flag, "value") for flag in FLAG_VALUES),
           ("variant", "value"), ("flag", "not taken"), ("configs", "one more")]

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,14 +108,13 @@ def test_probe_memory_does_not_grow_with_the_lattice(psi_small, monkeypatch):
     assert traced_peak([2, 4, 8, 32]) < 1.1 * base
 
 
-def test_lattice_pass_peak_memory(monkeypatch):
+def test_lattice_pass_peak_memory():
     # psi(1, 2, 3, J=5) to T = 32: 2**20 + 1 half-lattice points at dx = 2**-15
     # and 1.25 MiB of Dirichlet tables (half a period each); the pass peaks at
     # 4.25 MiB, at 5.76 MiB with full-period tables and at 11.1 MiB evaluating
     # whole 2**16-point segments
     params = PsiParams(1.0, 2.0, 3, 5)
     generators.window_tables(1.0)   # built once per process, not per pass
-    monkeypatch.setattr(generators, "_tables", None)  # the pass builds its tables
     tracemalloc.start()
     try:
         divergence_probes(params, [(1, 0.0), (2, 1.5), (2, 0.5)], [2, 4, 8, 16, 32])
@@ -124,10 +124,40 @@ def test_lattice_pass_peak_memory(monkeypatch):
     assert peak < 5 << 20
 
 
-def test_probe_pass_drops_its_tables(psi_small):
-    # the lattice tables outlive no pass: the next step's allocations reuse them
-    divergence_probes(psi_small[0], [(1, 0.0)], [1.0, 2.0, 3.0, 4.0])
-    assert generators._tables is None
+@pytest.mark.parametrize("J, points", [(8, 134217729), (10, 2147483649)])
+def test_probe_lattice_size_against_the_cap(J, points):
+    # the README family probed to T = 64: J = 8 walks 1.3e8 points and runs,
+    # J = 10 2.1e9 and is refused (the pass itself is not run here)
+    params = PsiParams(1.0, 2.0, 2, J)
+    assert round(64 * 2 ** localization._lattice_exponent(params)) + 1 == points
+    assert (points <= localization.LATTICE_POINTS_CAP) == (J == 8)
+
+
+def test_lattice_above_the_cap_is_refused_before_the_evaluator():
+    # "n": 1e300 at J = 3 and windows to 8: a step of 2**-1006, 2**1009 + 1 points
+    params = PsiParams(1.0, 2.0, int(1e300), 3)
+    with mock.patch.object(localization, "_LatticeEvaluator") as evaluator:
+        with pytest.raises(GridError, match="holds 5.49e\\+303 points, more than the cap 2\\^30"):
+            localization._window_partials(params, [(1, 0.0)], [1.0, 2.0, 4.0, 8.0])
+    evaluator.assert_not_called()
+
+
+def test_no_lattice_table_outlives_its_evaluation(psi_small):
+    # ten points at step 2**-18 of psi(1, 2, 2, J=5) build 10 MiB of Dirichlet
+    # tables (five of 2**18 + 1 floats); they go with their evaluator, as the
+    # tables of a whole probe pass go when the pass returns
+    generators.window_tables(1.0)   # built once per process, not per pass
+    divergence_probes(psi_small[0], [(1, 0.0)], [1.0, 2.0, 3.0, 4.0])   # first-call allocations
+    tracemalloc.start()
+    try:
+        generators._LatticeEvaluator(PsiParams(1.0, 2.0, 2, 5), 18)(0, 10)
+        after_evaluation, peak = tracemalloc.get_traced_memory()
+        divergence_probes(psi_small[0], [(1, 0.0)], [1.0, 2.0, 3.0, 4.0])
+        after_pass = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak > 10 << 20
+    assert after_evaluation < 64 << 10 and after_pass < 64 << 10
 
 
 def _whole_array_partials(signal, exponents, windows):
@@ -344,6 +374,10 @@ def test_gate_validation():
         FeasibilityGate(alpha=1, beta=1, delta=0.0)
     with pytest.raises(ValueError, match="q must be >= 1"):
         FeasibilityGate(alpha=1, beta=1, q=float("nan"))
+    with pytest.raises(ValueError, match="alpha and beta must be positive"):
+        FeasibilityGate(alpha=float("nan"), beta=1)
+    with pytest.raises(ValueError, match="alpha and beta must be positive"):
+        FeasibilityGate(alpha=1, beta=float("nan"))
 
 
 def test_gate_consistency_with_block_numerics():

@@ -7,11 +7,11 @@
   route itself is off by up to ~5e-5 once alpha >= 1.5 (its time span
   aliases the slowly decaying tail), while at twice that the two routes
   meet at ~2e-7, the analytic route's own accuracy.
-* On a :class:`DyadicLattice` the evaluator takes every factor from tables;
-  the window and Dirichlet factors must equal those of the same points
-  given as an array bitwise, and the whole value within 1e-13 of max|f| =
-  f(0) (the spectrum is nonnegative), with the Dirichlet tables in use and
-  with them switched off by a zero size cap.
+* On a dyadic lattice the probe pass's evaluator takes every factor from
+  tables; the window and Dirichlet factors must equal those of the same
+  points given as an array bitwise, and the whole value within 1e-13 of
+  max|f| = f(0) (the spectrum is nonnegative), with the Dirichlet tables in
+  use and with them switched off by a zero size cap.
 * A lattice cut into consecutive pieces evaluates bitwise as the whole, so
   the probe pass may size its pieces freely; and the Dirichlet tables, built
   for all depths in one pass, are bitwise the per-count ratio.
@@ -31,10 +31,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sispace import generators
-from sispace.generators import (TABLE_X_MAX, TABLE_X_SAMPLES, DyadicLattice,
-                                GeneratorSpec, PsiParams, auto_grid,
-                                build_psi_spectrum, dirichlet_ratio,
-                                evaluate_psi_time, window_tables)
+from sispace.generators import (TABLE_X_MAX, TABLE_X_SAMPLES, GeneratorSpec,
+                                PsiParams, auto_grid, build_psi_spectrum,
+                                dirichlet_ratio, evaluate_psi_time, window_tables)
 from sispace.grid import FrequencyGrid, to_time_domain
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -59,33 +58,35 @@ def test_time_routes_agree(params, seed):
 
 @st.composite
 def lattices(draw):
+    """``(exponent, start, stop)``: the points ``k * 2**-exponent``, ``k = start .. stop-1``."""
     exponent = draw(st.integers(8, 14))
     start = draw(st.integers(-8 << exponent, 40 << exponent))
-    return DyadicLattice(start, start + draw(st.integers(1, 5000)), exponent)
+    return exponent, start, start + draw(st.integers(1, 5000))
 
 
 @pytest.mark.parametrize("table_cap", [0, generators.DIRICHLET_TABLE_BYTES])
 @PROPERTY
 @given(params=small_params, lattice=lattices())
 def test_lattice_route_matches_point_route(table_cap, params, lattice):
+    exponent, start, stop = lattice
     with mock.patch.object(generators, "DIRICHLET_TABLE_BYTES", table_cap):
-        windows = window_tables(params.alpha)
-        x = np.asarray(lattice)
-        on_lattice = generators._LatticeFactors(lattice, params, windows)
-        at_points = generators._PointFactors(x, params, windows)
-        assert (on_lattice.dirichlet_tables is None) == (table_cap == 0)
-        a = params.alpha
-        scales = [(1.0 - 2.0 ** -a) / 2.0] + [(2.0 ** a - 1.0) / 2.0 ** (j * a + 1)
-                                              for j in range(1, params.J + 1)]
-        for scale in scales:
-            assert np.array_equal(on_lattice.central(scale), at_points.central(scale))
-            for got, want in zip(on_lattice.envelope(scale), at_points.envelope(scale)):
-                assert np.array_equal(got, want)
-        for j, count in enumerate(params.block_counts[1:], 1):
-            assert np.array_equal(on_lattice.dirichlet(j, count), at_points.dirichlet(j, count))
-        values = evaluate_psi_time(lattice, params)
-        reference = evaluate_psi_time(x, params)
-    assert values.shape == (lattice.size,)
+        evaluate = generators._LatticeEvaluator(params, exponent)
+    x = np.arange(start, stop) * 2.0 ** -exponent
+    on_lattice = generators._LatticeFactors(start, stop, evaluate)
+    at_points = generators._PointFactors(x, params, window_tables(params.alpha))
+    assert (evaluate.dirichlet is None) == (table_cap == 0)
+    a = params.alpha
+    scales = [(1.0 - 2.0 ** -a) / 2.0] + [(2.0 ** a - 1.0) / 2.0 ** (j * a + 1)
+                                          for j in range(1, params.J + 1)]
+    for scale in scales:
+        assert np.array_equal(on_lattice.central(scale), at_points.central(scale))
+        for got, want in zip(on_lattice.envelope(scale), at_points.envelope(scale)):
+            assert np.array_equal(got, want)
+    for j, count in enumerate(params.block_counts[1:], 1):
+        assert np.array_equal(on_lattice.dirichlet(j, count), at_points.dirichlet(j, count))
+    values = evaluate(start, stop)
+    reference = evaluate_psi_time(x, params)
+    assert values.shape == (stop - start,)
     assert np.max(np.abs(values - reference)) <= 1e-13 * evaluate_psi_time(0.0, params)
 
 
@@ -94,24 +95,24 @@ def split_lattices(draw):
     """A lattice and up to four cuts strictly inside it, each anywhere or at
     or next to a carrier-table row boundary (a multiple of
     ``2**CARRIER_SPLIT_BITS``)."""
-    lattice = draw(lattices().filter(lambda lattice: lattice.size >= 2))
+    exponent, start, stop = draw(lattices().filter(lambda lattice: lattice[2] - lattice[1] >= 2))
     row = 1 << generators.CARRIER_SPLIT_BITS
-    picks = draw(st.lists(st.tuples(st.integers(lattice.start + 1, lattice.stop - 1),
+    picks = draw(st.lists(st.tuples(st.integers(start + 1, stop - 1),
                                     st.sampled_from([None, -1, 0, 1])), max_size=4))
     cuts = {k if near is None else k - k % row + near for k, near in picks}
-    return lattice, sorted(k for k in cuts if lattice.start < k < lattice.stop)
+    return (exponent, start, stop), sorted(k for k in cuts if start < k < stop)
 
 
 @pytest.mark.parametrize("table_cap", [0, generators.DIRICHLET_TABLE_BYTES])
 @PROPERTY
 @given(params=small_params, split=split_lattices())
 def test_lattice_pieces_evaluate_as_the_whole(table_cap, params, split):
-    lattice, cuts = split
-    bounds = [lattice.start, *cuts, lattice.stop]
+    (exponent, start, stop), cuts = split
+    bounds = [start, *cuts, stop]
     with mock.patch.object(generators, "DIRICHLET_TABLE_BYTES", table_cap):
-        whole = evaluate_psi_time(lattice, params)
-        pieces = [evaluate_psi_time(DyadicLattice(a, b, lattice.exponent), params)
-                  for a, b in zip(bounds, bounds[1:])]
+        evaluate = generators._LatticeEvaluator(params, exponent)
+    whole = evaluate(start, stop)
+    pieces = [evaluate(a, b) for a, b in zip(bounds, bounds[1:])]
     assert _bits(np.concatenate(pieces)).tobytes() == _bits(whole).tobytes()
 
 
@@ -128,12 +129,12 @@ def _dirichlet_per_count(u, count):
 
 
 @pytest.mark.parametrize("exponent", [8, 11, 15])
-def test_shared_dirichlet_tables_are_the_per_count_ratio(exponent, monkeypatch):
-    monkeypatch.setattr(generators, "_tables", None)
+def test_shared_dirichlet_tables_are_the_per_count_ratio(exponent):
     params = PsiParams(1.0, 1.5, 2, 4)
     counts = params.block_counts[1:]
     assert {count % 2 for count in counts} == {0, 1}
-    tables, carrier = generators._dirichlet_tables(params, exponent)
+    evaluate = generators._LatticeEvaluator(params, exponent)
+    tables, carrier = evaluate.dirichlet, evaluate.carrier_lo
     assert len(tables) == len(carrier) == params.J
     # each table covers half a period, q <= 2**exponent: the ratio is even about u = 1
     period = 2 << exponent
@@ -242,20 +243,11 @@ def test_interval_runs_match_the_spline_on_every_knot_and_beyond(alpha):
     assert windows.g0_inv_ascending(x[-2:]).tolist() == [0.0, 0.0]
 
 
-def test_dyadic_lattice_as_array():
-    lattice = DyadicLattice(-3, 5, 2)
-    assert lattice.size == np.size(lattice) == 8
-    assert np.array_equal(np.asarray(lattice), np.arange(-3, 5) / 4.0)
-    assert np.array(lattice, dtype=np.float32).dtype == np.float32
-    with pytest.raises(ValueError):
-        np.asarray(lattice, copy=False)
-    with pytest.raises(ValueError):
-        DyadicLattice(5, 4, 2)
-
-
 @pytest.mark.parametrize("table_cap", [0, generators.DIRICHLET_TABLE_BYTES])
 @pytest.mark.parametrize("start", [0, 5, 1024])   # 0 and 1024 start a carrier row
 def test_empty_lattice_evaluates_to_an_empty_array(start, table_cap):
     with mock.patch.object(generators, "DIRICHLET_TABLE_BYTES", table_cap):
-        values = evaluate_psi_time(DyadicLattice(start, start, 10), PsiParams(1.0, 2.0, 2, 2))
+        evaluate = generators._LatticeEvaluator(PsiParams(1.0, 2.0, 2, 2), 10)
+    values = evaluate(start, start)
     assert values.dtype == np.float64 and values.shape == (0,)
+
