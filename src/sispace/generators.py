@@ -509,12 +509,12 @@ def _not_a_knot(x, y):
 
 
 def _cubic(s, coeffs, i, outs, term):
-    """``c3 + c2 s + c1 s**2 + c0 s**3`` of interval ``i`` (an index or an index
-    array matching ``s``) for each ``c`` of ``coeffs``, into ``outs``.
+    """``c3 + c2 s + c1 s**2 + c0 s**3`` of interval ``i`` (one index) for each
+    ``c`` of ``coeffs``, into ``outs``.
 
     The terms are summed left to right in place; ``term`` is scratch of
-    ``s``'s shape.  Both evaluation routes of :class:`WindowTables` go
-    through here, so they agree bitwise.
+    ``s``'s shape.  Every window-spline value of :class:`WindowTables` is
+    computed here, each from its own point alone.
     """
     s2 = s * s
     s3 = s2 * s
@@ -534,10 +534,10 @@ class WindowTables:
     its real and imaginary parts.  Values beyond ``|x| = TABLE_X_MAX``
     evaluate to 0; ``tail_bound`` records the largest magnitude seen on the
     outer 2% of each table, which bounds the truncation error committed by
-    that convention.  ``g0_inv``/``g1_inv`` take arbitrary x and find each
-    point's interval by arithmetic (:func:`_knot_interval`: the knots are
-    uniform and exact); ``g0_inv_ascending``/``g1_inv_ascending`` take x in
-    ascending order and give bitwise the same values one interval at a time.
+    that convention.  One path evaluates the splines,
+    :meth:`_interval_runs`, which takes ascending points one knot interval at
+    a time; ``g0_inv``/``g1_inv`` take x of any shape and order, sort it and
+    put each value back in its place, so a value depends on its point alone.
     """
 
     def __init__(self, alpha):
@@ -562,43 +562,34 @@ class WindowTables:
                                     np.abs(g1_inv[-edge:]).max()))
 
     def g0_inv(self, x):
-        return self._at_points(x, self._g0_coeffs)[0]
+        return self._scattered(x, self._g0_coeffs)[0]
 
     def g1_inv(self, x):
-        re, im = self._at_points(x, *self._g1_coeffs)
+        re, im = self._scattered(x, *self._g1_coeffs)
         out = np.empty(re.shape, dtype=complex)
         out.real, out.imag = re, im
         return out
 
-    def g0_inv_ascending(self, x):
-        """:meth:`g0_inv` for a 1-D ascending ``x``."""
-        return self._interval_runs(x, self._g0_coeffs)[0]
-
-    def g1_inv_ascending(self, x):
-        """:meth:`g1_inv` for a 1-D ascending ``x``, as ``(real, imag)``."""
-        return self._interval_runs(x, *self._g1_coeffs)
-
-    def _at_points(self, x, *coeffs):
-        """Each spline of ``coeffs`` at an arbitrary ``x``; points outside the
-        table stay 0."""
+    def _scattered(self, x, *coeffs):
+        """Each spline of ``coeffs`` at an ``x`` of any shape and order: the
+        flattened points, stably sorted (NaN last), go through
+        :meth:`_interval_runs` and their values back to their places."""
         x = np.asarray(x, dtype=float)
-        outs = [np.zeros(x.shape) for _ in coeffs]
-        ok = np.abs(x) <= TABLE_X_MAX
-        inside = x[ok]
-        i = _knot_interval(inside)
-        values = [np.empty(inside.shape) for _ in coeffs]
-        _cubic(inside - self._knots[i], coeffs, i, values, np.empty(inside.shape))
-        for out, value in zip(outs, values):
-            out[ok] = value
-        return outs
+        order = np.argsort(x, axis=None, kind="stable")
+        outs = [np.empty(x.size) for _ in coeffs]
+        for out, run in zip(outs, self._interval_runs(x.ravel()[order], *coeffs)):
+            out[order] = run
+        return [out.reshape(x.shape) for out in outs]
 
     def _interval_runs(self, x, *coeffs):
         """Each spline of ``coeffs`` at an ascending ``x``, one knot interval at a time.
 
         The points of one interval form a contiguous run of ``x``; each run
-        is evaluated by :func:`_cubic` with its interval's coefficients, so
-        every value is bitwise that of :meth:`_at_points`.  Points outside
-        the table stay 0.
+        is evaluated by :func:`_cubic` with its interval's coefficients.  The
+        first and last interval are found by arithmetic
+        (:func:`_knot_interval`: the knots are uniform and exact), the runs'
+        bounds by search.  Points outside the table (NaN and +-inf too)
+        stay 0.
         """
         knots = self._knots
         outs = [np.zeros(x.shape) for _ in coeffs]
@@ -702,8 +693,8 @@ class _LatticeFactors(_PointFactors):
     """The same factors at the ascending points ``k * 2**-e``, ``k = start ..
     stop-1``, of a :class:`_LatticeEvaluator`'s lattice, from its tables:
 
-    * windows: one run of points per spline interval
-      (:meth:`WindowTables.g0_inv_ascending`), bitwise equal;
+    * windows: the points are already ascending, so they go straight to
+      :meth:`WindowTables._interval_runs`, bitwise equal;
     * Dirichlet ratio: gathered from the evaluator's tables while they fit in
       ``DIRICHLET_TABLE_BYTES``, else computed directly; bitwise equal either
       way;
@@ -734,10 +725,10 @@ class _LatticeFactors(_PointFactors):
         return np.array(self.x, dtype=dtype, copy=copy)
 
     def central(self, scale):
-        return self.windows.g0_inv_ascending(scale * self.x)
+        return self.windows._interval_runs(scale * self.x, self.windows._g0_coeffs)[0]
 
     def envelope(self, scale):
-        return self.windows.g1_inv_ascending(scale * self.x)
+        return self.windows._interval_runs(scale * self.x, *self.windows._g1_coeffs)
 
     def dirichlet(self, j, count):
         if self.dirichlet_tables is None:

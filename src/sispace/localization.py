@@ -74,8 +74,8 @@ class Parameter(NamedTuple):
     rule: str
 
 
-# every analysis parameter of a run: "eps" is the gate's epsilon and the
-# 1 +- eps of the second-moment probes, "s" the pointwise frequency scaling,
+# every analysis parameter of a run: "eps" sets the 1 +- eps pair of the
+# second-moment probes, "s" the pointwise frequency scaling,
 # "n_max" the largest 1/n invariance step tested, "K" the largest Gram
 # coefficient index, "windows" the decay probes' windows
 PARAMETERS = {
@@ -287,7 +287,8 @@ def psi_block_freq_contributions(params: PsiParams, q, delta):
     for blk in params.blocks:
         u, shape = _block_nodes(params, blk["j"], BLOCK_QUAD_NODES)
         shape_q = shape ** q
-        centers = blk["center_first"] + blk["center_step"] * np.arange(blk["count"])
+        # float64 centers: exact below 2**53, and a huge n neither overflows int64
+        centers = blk["center_first"] + blk["center_step"] * np.arange(blk["count"], dtype=float)
         weights = (1.0 + centers[:, None] + u[None, :]) ** delta
         total = np.trapezoid(shape_q[None, :] * weights, u, axis=1).sum()
         out.append((blk["j"], float(2.0 * blk["count"] ** (-q / 2.0) * total)))
@@ -358,8 +359,7 @@ def spectrum_envelope_exponent(f: SampledSpectrum):
 @dataclass(frozen=True)
 class FeasibilityGate:
     """Exponent bundle for the localization trade-off inequalities; each
-    exponent takes its default and its range from ``PARAMETERS`` (the gate's
-    ``epsilon`` is the row ``eps``)."""
+    exponent takes its default and its range from ``PARAMETERS``."""
 
     alpha: float
     beta: float
@@ -367,13 +367,12 @@ class FeasibilityGate:
     delta: float = PARAMETERS["delta"].default
     p: float = PARAMETERS["p"].default
     q: float = PARAMETERS["q"].default
-    epsilon: float = PARAMETERS["eps"].default
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
-        for field in ("gamma", "delta", "p", "q", "epsilon"):
-            row = PARAMETERS["eps" if field == "epsilon" else field]
+        for field in ("gamma", "delta", "p", "q"):
+            row = PARAMETERS[field]
             if not row.ok(getattr(self, field)):
                 raise ValueError(f"{field} {row.rule}")
 

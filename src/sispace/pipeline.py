@@ -180,7 +180,7 @@ class RunContext:
     def gate(self):
         pars = self.params
         return FeasibilityGate(alpha=self.psi.alpha, beta=self.psi.beta, gamma=pars["gamma"],
-                               delta=pars["delta"], p=pars["p"], q=pars["q"], epsilon=pars["eps"])
+                               delta=pars["delta"], p=pars["p"], q=pars["q"])
 
     @cached_property
     def gates(self):

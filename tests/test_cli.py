@@ -650,6 +650,17 @@ def test_probe_lattice_beyond_the_cap_exits_3_with_one_line(tmp_path, capsys, n,
     assert not out.exists()
 
 
+def test_huge_n_gates_and_pointwise_exit_0(tmp_path):
+    # the copy centers n*(gamma_j + l) reach 1e300: far beyond int64, finite as floats
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 1e300, "J": 3},
+        "grid": "32,512", "analyses": ["gates", "pointwise"]})
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report["analyses"]) == {"gates", "pointwise"}
+
+
 def test_compare_n_max_beyond_the_grid_exits_3_with_one_line(tmp_path, capsys):
     # compare keeps one inv_n column per n <= n_max, so it cannot cap n_max
     # to the grid as analyze does

@@ -233,14 +233,23 @@ def test_not_a_knot_sweep_refuses_a_row_swap():
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
-def test_interval_runs_match_the_spline_on_every_knot_and_beyond(alpha):
+def test_window_splines_at_any_order_and_shape_match_the_ascending_evaluation(alpha):
+    # g0_inv/g1_inv sort their points for the interval runs and put each
+    # value back: shuffled, reshaped or repeated points get bitwise the values
+    # the ascending points get
     x = _knot_probes()
     windows = window_tables(alpha)
-    assert np.array_equal(windows.g0_inv_ascending(x), windows.g0_inv(x))
-    reference = windows.g1_inv(x)
-    re, im = windows.g1_inv_ascending(x)
-    assert np.array_equal(re, reference.real) and np.array_equal(im, reference.imag)
-    assert windows.g0_inv_ascending(x[-2:]).tolist() == [0.0, 0.0]
+    g0 = windows._interval_runs(x, windows._g0_coeffs)[0]
+    re, im = windows._interval_runs(x, *windows._g1_coeffs)
+    assert g0[-2:].tolist() == re[-2:].tolist() == im[-2:].tolist() == [0.0, 0.0]
+    shuffle = np.random.default_rng(3).permutation(x.size)
+    repeats = np.repeat(shuffle, 3)
+    for index in (shuffle, shuffle[1:].reshape(-1, 2), repeats):
+        g1 = windows.g1_inv(x[index])
+        assert g1.shape == index.shape
+        assert np.array_equal(_bits(windows.g0_inv(x[index])), _bits(g0[index]))
+        assert np.array_equal(_bits(g1.real), _bits(re[index]))
+        assert np.array_equal(_bits(g1.imag), _bits(im[index]))
 
 
 @pytest.mark.parametrize("table_cap", [0, generators.DIRICHLET_TABLE_BYTES])
