@@ -233,6 +233,21 @@ def test_not_a_knot_sweep_refuses_a_row_swap():
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_interval_runs_match_the_spline_on_every_knot_and_beyond(alpha):
+    # on ascending points g0_inv/g1_inv give bitwise the interval runs' values,
+    # and past the last knot both windows are zero
+    x = _knot_probes()
+    windows = window_tables(alpha)
+    g0 = windows._interval_runs(x, windows._g0_coeffs)[0]
+    re, im = windows._interval_runs(x, *windows._g1_coeffs)
+    assert g0[-2:].tolist() == re[-2:].tolist() == im[-2:].tolist() == [0.0, 0.0]
+    g1 = windows.g1_inv(x)
+    assert np.array_equal(_bits(windows.g0_inv(x)), _bits(g0))
+    assert np.array_equal(_bits(g1.real), _bits(re))
+    assert np.array_equal(_bits(g1.imag), _bits(im))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_window_splines_at_any_order_and_shape_match_the_ascending_evaluation(alpha):
     # g0_inv/g1_inv sort their points for the interval runs and put each
     # value back: shuffled, reshaped or repeated points get bitwise the values
@@ -241,7 +256,6 @@ def test_window_splines_at_any_order_and_shape_match_the_ascending_evaluation(al
     windows = window_tables(alpha)
     g0 = windows._interval_runs(x, windows._g0_coeffs)[0]
     re, im = windows._interval_runs(x, *windows._g1_coeffs)
-    assert g0[-2:].tolist() == re[-2:].tolist() == im[-2:].tolist() == [0.0, 0.0]
     shuffle = np.random.default_rng(3).permutation(x.size)
     repeats = np.repeat(shuffle, 3)
     for index in (shuffle, shuffle[1:].reshape(-1, 2), repeats):
