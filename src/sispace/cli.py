@@ -37,7 +37,7 @@ from .grid import GridError, _is_hermitian
 from .localization import PARAMETERS
 from .pipeline import (DECAY_PROBES, SECTIONS, ConfigError, RunContext,
                        compare_header, compare_row, grid_block, load_json,
-                       typed_parameters)
+                       read_grid, typed_parameters)
 from .report import (staged_paths, write_compare_csv, write_periodization_csv,
                      write_report, write_signal_csv, write_spectrum_csv,
                      write_windows_csv)
@@ -56,25 +56,32 @@ def _config_list(key, value):
     return value
 
 
+CONFIG_KEYS = ("generator", "grid", "analyses", "parameters", "output", "formats")
+
+
 class RunConfig:
     """Validated run description (generator, grid, analyses, parameters).
 
-    ``parameters`` holds the typed analysis parameters of
-    :func:`~sispace.pipeline.typed_parameters`; the report echoes them as
-    written in the config.
+    ``grid`` is "auto" or a FrequencyGrid and ``parameters`` the typed
+    analysis parameters of :func:`~sispace.pipeline.typed_parameters`; the
+    report echoes both as written in the config.
     """
 
     def __init__(self, obj, overrides=None):
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
+        unknown = [key for key in obj if key not in CONFIG_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; choose from {CONFIG_KEYS}")
         overrides = overrides or {}
         try:
-            self.spec = GeneratorSpec.from_json(obj.get("generator", obj))
-        except (ValueError, KeyError, TypeError) as e:
+            self.spec = GeneratorSpec.from_json(obj.get("generator"))
+        except (ValueError, TypeError) as e:
             raise ConfigError(f"bad generator spec: {e}") from e
-        self.grid_spec = overrides.get("grid") or obj.get("grid", "auto")
-        analyses = _config_list("analyses", overrides.get("analyses")
-                                or obj.get("analyses", ["periodization", "invariance"]))
+        self.grid_spec = overrides.get("grid", obj.get("grid", "auto"))
+        self.grid = read_grid(self.grid_spec)
+        analyses = _config_list("analyses", overrides.get(
+            "analyses", obj.get("analyses", ["periodization", "invariance"])))
         if not analyses:
             raise ConfigError("analyses must be non-empty")
         bad = [a for a in analyses if a not in ANALYSES]
@@ -87,7 +94,7 @@ class RunConfig:
         if not isinstance(given, dict):
             raise ConfigError("parameters must be a JSON object")
         overridden = {key: overrides[key] for key in ("eps", "n_max", "windows")
-                      if overrides.get(key) is not None}
+                      if key in overrides}
         self.parameters = typed_parameters({**given, **overridden})
         # the report echoes the config's values as written, and the command
         # line's typed, as they were parsed
@@ -96,9 +103,9 @@ class RunConfig:
         output = obj.get("output", ".")
         if not isinstance(output, str):
             raise ConfigError(f"output must be a path string, got {output!r}")
-        self.output = overrides.get("out") or output
-        self.formats = _config_list("formats", overrides.get("formats")
-                                    or obj.get("formats", ["json", "csv"]))
+        self.output = overrides.get("out", output)
+        self.formats = _config_list("formats", overrides.get(
+            "formats", obj.get("formats", ["json", "csv"])))
         for f in self.formats:
             if f not in ("json", "csv"):
                 raise ConfigError(f"unknown format {f!r}")
@@ -110,7 +117,7 @@ class RunConfig:
 
 
 def cmd_construct(cfg: RunConfig):
-    ctx = RunContext(cfg.spec, cfg.grid_spec, cfg.parameters)
+    ctx = RunContext(cfg.spec, cfg.grid, cfg.parameters)
     spectrum, signal = ctx.spectrum, ctx.signal
     meta = {"generator": cfg.spec.to_json(), "version": __version__,
             "grid": grid_block(ctx), "label": spectrum.label,
@@ -134,7 +141,7 @@ def cmd_construct(cfg: RunConfig):
 
 def cmd_analyze(cfg: RunConfig):
     t_start = time.perf_counter()
-    ctx = RunContext(cfg.spec, cfg.grid_spec, cfg.parameters)
+    ctx = RunContext(cfg.spec, cfg.grid, cfg.parameters)
     analyses, timings = {}, {}
     for name in ANALYSES:
         if name in cfg.analyses:
@@ -170,7 +177,7 @@ def cmd_analyze(cfg: RunConfig):
 def cmd_compare(cfgs, out_dir, n_max):
     # every generator is probed with the same fixed parameters, not its config's
     parameters = typed_parameters({"n_max": n_max})
-    rows = [compare_row(RunContext(cfg.spec, cfg.grid_spec, parameters)) for cfg in cfgs]
+    rows = [compare_row(RunContext(cfg.spec, cfg.grid, parameters)) for cfg in cfgs]
     # created by the write, once every row has succeeded, as in analyze and construct
     write_compare_csv(Path(out_dir) / "compare.csv", compare_header(parameters["n_max"]), rows)
     return EXIT_OK
@@ -180,7 +187,7 @@ _COMMANDS = ("construct", "analyze", "compare")
 
 
 def _comma_list(text):
-    return text.split(",") if text else None
+    return text.split(",")
 
 
 def _float_list(text):
@@ -231,8 +238,10 @@ def _parse_args(argv):
             raise ConfigError(f"unrecognized arguments: {token}")
         if not has_value:
             value = next(tokens, None)
-            if value is None or value.startswith("--"):
-                raise ConfigError(f"argument {flag}: expected one argument")
+            if value is not None and value.startswith("--"):
+                value = None
+        if not value:   # missing or empty
+            raise ConfigError(f"argument {flag}: expected one argument")
         try:
             value = convert(value)
         except ValueError:
@@ -269,8 +278,7 @@ def main(argv=None):
                 return cmd_analyze(cfgs[0])
             if len(cfgs) < 2:
                 raise ConfigError("compare needs at least 2 configs")
-            return cmd_compare(cfgs, overrides.get("out") or cfgs[0].output,
-                               overrides.get("n_max", 4))
+            return cmd_compare(cfgs, cfgs[0].output, overrides.get("n_max", 4))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,6 +47,22 @@ def _ceil_pow2_of(t):
     return int(math.ceil(v))
 
 
+def _integer(value, key):
+    """``value`` as an int; ValueError unless it is an integral real number (never
+    a bool or a string), OverflowError for an infinite one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or int(value) != value:
+        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _number(value, key):
+    """``value`` as a float; ValueError unless it is a real number (never a bool
+    or a string)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PsiParams:
     """Parameters of the banded generator plus derived block bookkeeping."""
@@ -56,14 +73,15 @@ class PsiParams:
     J: int = 5
 
     def __post_init__(self):
+        for name, read in (("alpha", _number), ("beta", _number), ("n", _integer),
+                           ("J", _integer)):
+            object.__setattr__(self, name, read(getattr(self, name), name))
         if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
             raise ValueError("alpha and beta must be positive and finite")
-        if int(self.n) != self.n or self.n < 2:
+        if self.n < 2:
             raise ValueError("n must be an integer >= 2")
-        if int(self.J) != self.J or self.J < 1:
+        if self.J < 1:
             raise ValueError("J must be an integer >= 1")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "J", int(self.J))
         try:   # every block count, time scale and the narrowest block width
             lo, hi = h_support(self.J, self.alpha)
             ok = all(0 < v < math.inf for v in (*self.block_counts, *self.time_scales, hi - lo))
@@ -127,28 +145,22 @@ class PsiParams:
         partition has not completed."""
         return 2.0 ** (-self.J * self.alpha) / 2.0
 
+    @property
+    def label(self):
+        # no commas: labels land in CSV cells
+        return f"psi(a={self.alpha:g} b={self.beta:g} n={self.n} J={self.J})"
+
     def to_json(self):
         return {"alpha": self.alpha, "beta": self.beta, "n": self.n, "J": self.J}
 
 
-def _integer(value, key):
-    """``value`` as an int; ValueError unless it is an integral JSON number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
-        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
-    return int(value)
-
-
-def _number(value, key):
-    """``value`` as a float; ValueError unless it is a JSON number (never a bool
-    or a string)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
-    return float(value)
+# the fields each generator variant takes besides its kind
+VARIANT_FIELDS = {"sinc": (), "bspline": ("degree",), "psi": ("psi",), "custom": ("path",)}
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Which generator to build: sinc, bspline(degree), psi(params), custom."""
+    """Which generator to build: sinc, bspline(degree), psi(params), custom(path)."""
 
     kind: str
     degree: int | None = None
@@ -156,24 +168,24 @@ class GeneratorSpec:
     path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("sinc", "bspline", "psi", "custom"):
+        if not isinstance(self.kind, str) or self.kind not in VARIANT_FIELDS:
             raise ValueError(f"unknown generator variant {self.kind!r}")
+        for field in ("degree", "psi", "path"):
+            given = getattr(self, field) is not None
+            if given != (field in VARIANT_FIELDS[self.kind]):
+                raise ValueError(f"{self.kind} {'takes no' if given else 'requires a'} {field}")
         if self.kind == "bspline":
-            if self.degree is None or self.degree < 0:
-                raise ValueError("bspline requires a nonnegative degree")
-            if self.degree > MAX_BSPLINE_DEGREE:
-                raise ValueError(f"bspline degree capped at {MAX_BSPLINE_DEGREE}")
-        if self.kind == "psi" and self.psi is None:
-            raise ValueError("psi requires parameters")
-        if self.kind == "custom" and self.path is None:
-            raise ValueError("custom requires a path")
+            object.__setattr__(self, "degree", _integer(self.degree, "degree"))
+            if not 0 <= self.degree <= MAX_BSPLINE_DEGREE:
+                raise ValueError(f"bspline degree must lie in [0, {MAX_BSPLINE_DEGREE}]")
+        if self.kind == "custom" and not isinstance(self.path, str):
+            raise ValueError(f"path must be a string, got {json.dumps(self.path)}")
 
     @classmethod
     def from_json(cls, obj):
-        """The spec of a JSON object, given parsed or as its text.
-
-        Raises ``ValueError`` for anything but an object naming a known
-        variant with integers that fit (``KeyError`` for a missing field).
+        """The spec of a JSON object, given parsed or as its text: ``variant``
+        names the kind and the other keys are its fields (of :class:`PsiParams`
+        for psi); ValueError or TypeError unless the constructors take them.
         """
         if isinstance(obj, str):
             try:
@@ -182,22 +194,14 @@ class GeneratorSpec:
                 raise ValueError("JSON nested too deeply") from e
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-        variant = obj.get("variant")
+        fields = dict(obj)
+        variant = fields.pop("variant", None)
         try:
-            if variant == "sinc":
-                return cls(kind="sinc")
-            if variant == "bspline":
-                return cls(kind="bspline", degree=_integer(obj["degree"], "degree"))
             if variant == "psi":
-                params = PsiParams(alpha=_number(obj["alpha"], "alpha"),
-                                   beta=_number(obj["beta"], "beta"),
-                                   n=_integer(obj["n"], "n"), J=_integer(obj.get("J", 5), "J"))
-                return cls(kind="psi", psi=params)
-            if variant == "custom":
-                return cls(kind="custom", path=str(obj["path"]))
+                return cls(kind="psi", psi=PsiParams(**fields))
+            return cls(kind=variant, **fields)
         except OverflowError as e:   # int() of an infinite float, float() of a huge int
             raise ValueError(str(e)) from e
-        raise ValueError(f"unknown generator variant {variant!r}")
 
     def to_json(self):
         if self.kind == "sinc":
@@ -207,18 +211,6 @@ class GeneratorSpec:
         if self.kind == "psi":
             return {"variant": "psi", **self.psi.to_json()}
         return {"variant": "custom", "path": self.path}
-
-    @property
-    def label(self):
-        if self.kind == "sinc":
-            return "sinc"
-        if self.kind == "bspline":
-            return f"bspline{self.degree}"
-        if self.kind == "psi":
-            p = self.psi
-            # no commas: labels land in CSV cells
-            return f"psi(a={p.alpha:g} b={p.beta:g} n={p.n} J={p.J})"
-        return f"custom:{self.path}"
 
 
 def auto_grid(spec: GeneratorSpec):
@@ -370,7 +362,7 @@ def build_psi_spectrum(params: PsiParams, grid: FrequencyGrid) -> SampledSpectru
         "blocks": blocks,
     }
     return SampledSpectrum(grid=grid, values=values,
-                           label=GeneratorSpec(kind="psi", psi=params).label, meta=meta)
+                           label=params.label, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,13 @@ class Parameter(NamedTuple):
     ok: Callable
     rule: str
 
+    def read(self, value, name):
+        """``value`` converted and range-checked; ValueError(rule) out of range."""
+        value = self.convert(value, name)
+        if not self.ok(value):
+            raise ValueError(self.rule)
+        return value
+
 
 # every analysis parameter of a run: "eps" sets the 1 +- eps pair of the
 # second-moment probes, "s" the pointwise frequency scaling,
@@ -93,16 +100,6 @@ PARAMETERS = {
                    and all(b > a for a, b in zip(v, v[1:]))),
         f"need at least {MIN_PROBE_WINDOWS} windows, finite, positive and strictly increasing"),
 }
-
-
-def check_windows(windows):
-    """``windows`` as floats; ValueError unless it is a list of at least
-    ``MIN_PROBE_WINDOWS`` numbers, finite, positive and strictly increasing."""
-    row = PARAMETERS["windows"]
-    windows = row.convert(windows, "windows")
-    if not row.ok(windows):
-        raise ValueError(row.rule)
-    return windows
 
 
 def _lattice_exponent(params: PsiParams):
@@ -230,8 +227,8 @@ def divergence_probes(source, exponents, windows):
     log T.  At the critical exponent (p = 2, w = 1) the verdict is pinned to
     ``inconclusive``: the boundary case is deliberately not classified.
     """
-    windows = list(windows)
-    partials, route = _window_partials(source, exponents, check_windows(windows))
+    windows = PARAMETERS["windows"].read(list(windows), "windows")
+    partials, route = _window_partials(source, exponents, windows)
     verdicts = []
     for (p, w), row in zip(exponents, partials):
         if p == 2 and w == 1.0:

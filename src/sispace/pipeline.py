@@ -47,11 +47,9 @@ def typed_parameters(given):
     for name, row in PARAMETERS.items():
         value = given.get(name, row.default)
         try:
-            typed[name] = row.convert(value, name)
+            typed[name] = row.read(value, name)
         except (TypeError, ValueError, OverflowError) as e:
             raise ConfigError(f"bad parameter {name} = {value!r}: {e}") from e
-        if not row.ok(typed[name]):
-            raise ConfigError(f"bad parameter {name} = {value!r}: {row.rule}")
     return typed
 
 
@@ -69,26 +67,22 @@ def load_json(path):
         raise ConfigError(f"bad JSON in {path}: nested too deeply") from e
 
 
-def resolve_grid(spec: GeneratorSpec, grid):
-    """``(grid, sizing)`` from a grid or from "auto", "S,Xi", {"S", "Xi"} or [S, Xi].
-
-    A custom spectrum on "auto" brings its own grid: ``(None, from-file)``.
-    """
-    if isinstance(grid, FrequencyGrid):
-        return grid, {}
-    if grid == "auto":
-        return (None, {"rule": "from-file"}) if spec.kind == "custom" else auto_grid(spec)
+def read_grid(grid):
+    """"auto" or the :class:`FrequencyGrid` of a grid given as one, or as "S,Xi",
+    {"S", "Xi"} or [S, Xi]; ConfigError unless ``S`` and ``Xi`` are integral."""
+    if grid == "auto" or isinstance(grid, FrequencyGrid):
+        return grid
     try:
         fields = ([int(v) for v in grid.split(",")] if isinstance(grid, str)
                   else (grid["S"], grid["Xi"]) if isinstance(grid, dict) else grid)
         S, Xi = (_integer(v, "grid") for v in fields)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad grid {grid!r}; expected S,Xi or auto") from e
-    return FrequencyGrid(S, Xi), {"rule": "explicit"}
+    return FrequencyGrid(S, Xi)
 
 
 def build(spec: GeneratorSpec, grid):
-    """``(spectrum, signal)`` on a grid from :func:`resolve_grid`; ``signal`` is
+    """``(spectrum, signal)`` on a :class:`FrequencyGrid`; ``signal`` is
     None unless the builder samples it exactly (B-splines).  A custom spectrum
     is read from its CSV with the ``meta.json`` sidecar next to it, when
     present (and its ``label``), on its own grid when ``grid`` is None."""
@@ -121,8 +115,12 @@ class RunContext:
     def __init__(self, spec: GeneratorSpec, grid, parameters):
         self.spec, self.params = spec, parameters
         self.psi = spec.psi if spec.kind == "psi" else None
-        self.grid, self.sizing = resolve_grid(spec, grid)
-        if self.grid is None:
+        if grid != "auto":   # a FrequencyGrid, from read_grid
+            self.grid, self.sizing = grid, {"rule": "explicit"}
+        elif spec.kind != "custom":
+            self.grid, self.sizing = auto_grid(spec)
+        else:   # a custom spectrum on "auto" brings its own grid
+            self.grid, self.sizing = None, {"rule": "from-file"}
             self.grid = self.spectrum.grid
         self.n_cap = int(min(parameters["n_max"], self.grid.half_range // 2))
 
@@ -272,17 +270,14 @@ SECTIONS = {"periodization": periodization_section, "invariance": invariance_sec
             "suite": suite_section}
 
 
-def run_witness_suite(spec: GeneratorSpec, eps=None, n_max=None, grid=None,
-                      windows=None) -> dict:
-    """The ``suite`` section of one generator: every analysis, each tagged with
-    the statement it witnesses, the parameters not given taken from the
-    defaults of ``PARAMETERS``.  Returns a JSON-ready dict with fixed key order;
-    ConfigError for a parameter out of its range.
+def run_witness_suite(spec: GeneratorSpec, grid="auto", **parameters) -> dict:
+    """The ``suite`` section of one generator on ``grid`` (as :func:`read_grid`
+    reads it): every analysis, each tagged with the statement it witnesses,
+    with any row of ``PARAMETERS`` given by name and the others at their
+    defaults.  Returns a JSON-ready dict with fixed key order; ConfigError for
+    a bad grid, an unknown parameter or one out of its range.
     """
-    given = {"eps": eps, "n_max": n_max, "windows": windows}
-    ctx = RunContext(spec, "auto" if grid is None else grid,
-                     typed_parameters({k: v for k, v in given.items() if v is not None}))
-    return suite_section(ctx)
+    return suite_section(RunContext(spec, read_grid(grid), typed_parameters(parameters)))
 
 
 def compare_header(n_max):

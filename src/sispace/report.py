@@ -190,8 +190,6 @@ def write_windows_csv(path, verdict):
 
 
 def _cell(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     if isinstance(v, (float, np.floating)):
         return _fmt_float(v)
     return str(v)

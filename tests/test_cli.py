@@ -240,12 +240,25 @@ def test_psi_analyze_runs_with_scipy_blocked(tmp_path):
     ([], 2, "err", "no command given"),
     (["-h"], 0, "out", "usage: sispace [-h] [--version] {construct,analyze,compare}"),
     (["compare", "--help"], 0, "out", "usage: sispace compare [-h] [--config CONFIG]"),
+    # an empty value is refused as a missing one is, never read as absent
+    (["analyze", "--config", "{cfg}", "--out="], 2, "err",
+     "argument --out: expected one argument"),
+    (["analyze", "--config", "{cfg}", "--grid", ""], 2, "err",
+     "argument --grid: expected one argument"),
+    (["analyze", "--config", "{cfg}", "--format="], 2, "err",
+     "argument --format: expected one argument"),
+    (["analyze", "--config", "{cfg}", "--analyses="], 2, "err",
+     "argument --analyses: expected one argument"),
+    (["analyze"], 2, "err", "no config given"),
+    (["compare", "--config", "{cfg}"], 2, "err", "compare needs at least 2 configs"),
 ], ids=["n-max-equals", "abbreviated-flag", "missing-config-value", "missing-out-value",
-        "unknown-command", "bare", "help", "compare-help"])
+        "unknown-command", "bare", "help", "compare-help", "empty-out", "empty-grid",
+        "empty-format", "empty-analyses", "no-config", "compare-one-config"])
 def test_command_line_exit_codes(tmp_path, capsys, argv, code, stream, text):
-    cfg = write_config(tmp_path / "c.json", {"generator": {"variant": "sinc"},
-                                             "grid": "64,4", "analyses": ["invariance"]})
     out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {"generator": {"variant": "sinc"},
+                                             "grid": "64,4", "analyses": ["invariance"],
+                                             "output": str(out)})
     assert main([arg.format(cfg=cfg, out=out) for arg in argv]) == code
     captured = capsys.readouterr()
     if stream is None:
@@ -256,6 +269,41 @@ def test_command_line_exit_codes(tmp_path, capsys, argv, code, stream, text):
     assert len(lines) == 1 and text in lines[0]
     if code == 2:
         assert lines[0].startswith("config error:") and not captured.out
+        assert not out.exists()
+
+
+def test_window_past_the_valid_span_exits_3_with_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
+        "analyses": ["decay"], "parameters": {"windows": [100, 200, 300, 400]}})
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["numeric precondition violated: window 400.0 exceeds the analytic "
+                   "route's table validity 256.0"]
+    assert not out.exists()
+
+
+def test_compare_refuses_a_bad_grid_before_it_builds_a_row(tmp_path, capsys, monkeypatch):
+    from sispace import pipeline
+    built = []
+    build = pipeline.build
+
+    def counting_build(spec, grid):
+        built.append(spec.kind)
+        return build(spec, grid)
+
+    monkeypatch.setattr(pipeline, "build", counting_build)
+    good = write_config(tmp_path / "a.json", {"generator": {"variant": "sinc"}, "grid": "64,16"})
+    bad = write_config(tmp_path / "b.json", {"generator": {"variant": "sinc"}, "grid": "x"})
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", good, "--config", bad, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: bad grid 'x'; expected S,Xi or auto"]
+    assert built == [] and not out.exists()
+    # the same compare with two good configs builds both rows
+    assert main(["compare", "--config", good, "--config", good, "--out", str(out)]) == 0
+    assert built == ["sinc", "sinc"]
 
 
 def test_deterministic_dumps_float_format():
@@ -469,6 +517,16 @@ def test_compare_evaluates_each_probe_lattice_once(tmp_path, monkeypatch):
     # checked when the config is read, though --out names the directory
     ({"output": 5}, "output must be a path string, got 5"),
     ({"output": ["x"]}, "output must be a path string, got ['x']"),
+    # a key the config or its variant does not take is refused, never ignored
+    ({"generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "j": 2}},
+     "bad generator spec: PsiParams.__init__() got an unexpected keyword argument 'j'"),
+    ({"analysis": ["decay"]}, "unknown config keys ['analysis']; choose from ('generator',"),
+    ({"generator": {"variant": "sinc", "degree": 3}}, "bad generator spec: sinc takes no degree"),
+    ({"generator": {"variant": "bspline", "degree": 3, "alpha": 1, "beta": 2, "n": 2, "J": 2}},
+     "bad generator spec: GeneratorSpec.__init__() got an unexpected keyword argument 'alpha'"),
+    # a path is a string, never coerced to a file name
+    ({"generator": {"variant": "custom", "path": 5}},
+     "bad generator spec: path must be a string, got 5"),
 ])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
     extra = dict(extra)
@@ -550,10 +608,18 @@ PSI = '"variant": "psi", "alpha": 1, "beta": 2'
      "bad generator spec: J must be an integer, got true"),
     (b'{"generator": {"variant": "bspline", "degree": "3"}}', None,
      'bad generator spec: degree must be an integer, got "3"'),
+    # the config's own shape
+    (b"{", None, "bad JSON in"),
+    (b"[1]", None, "config must be a JSON object"),
+    (b'{"generator": {"variant": "sinc"}, "parameters": 5}', None,
+     "parameters must be a JSON object"),
+    # the generator sits under "generator", never at the top level
+    (b'{"variant": "sinc"}', None, "unknown config keys ['variant']"),
 ], ids=["config-bytes", "config-nesting", "sidecar-bytes", "sidecar-nesting",
         "spec-list", "spec-int", "spec-string-list", "spec-string-nesting",
         "degree-overflow", "n-overflow", "J-overflow",
-        "degree-fraction", "n-fraction", "J-bool", "degree-string"])
+        "degree-fraction", "n-fraction", "J-bool", "degree-string",
+        "not-json", "json-list", "parameters-not-object", "flat-config"])
 def test_unreadable_config_or_spec_exits_2_with_one_line(tmp_path, capsys, config, sidecar,
                                                          message):
     if sidecar is not None:

@@ -3,7 +3,8 @@
 Each case spoils one thing of an otherwise valid config and command line: a
 ``PARAMETERS`` row or a generator field (on its boundary, out of range, huge,
 non-finite, or of the wrong JSON type), another config key, the variant, a
-flag of ``cli._FLAGS``, or the number of configs.  Hypothesis draws the rest
+flag of ``cli._FLAGS`` (an empty value included), a key the config or its
+generator does not take, or the number of configs.  Hypothesis draws the rest
 of the config, the command and the other flags.  For every example ``main``
 returns 0, 2, 3 or 4, prints at most one stderr line and never a traceback or
 a warning, and only a run that exits 0 leaves an output directory.
@@ -63,18 +64,22 @@ CONFIG_DRAWS = {
 }
 # each flag but --config and --out, which every example sets: (valid, spoiled)
 FLAG_VALUES = {
-    "--grid": (["32,512", "64,16", "auto"], ["x", "64"]),
-    "--n-max": (["2", "3"], ["1", "x", "1e300"]),
-    "--format": (["json", "csv", "json,csv"], ["xml"]),
-    "--eps": (["0.25", "1"], ["0", "nan", "inf", "1e300", "x"]),
-    "--windows": (["1,2,4,8"], ["8,4,2,1", "1,2,x", "1,2,4"]),
-    "--analyses": (["gates", "decay,pointwise", "suite"], ["bogus"]),
+    "--grid": (["32,512", "64,16", "auto"], ["x", "64", ""]),
+    "--n-max": (["2", "3"], ["1", "x", "1e300", ""]),
+    "--format": (["json", "csv", "json,csv"], ["xml", ""]),
+    "--eps": (["0.25", "1"], ["0", "nan", "inf", "1e300", "x", ""]),
+    "--windows": (["1,2,4,8"], ["8,4,2,1", "1,2,x", "1,2,4", ""]),
+    "--analyses": (["gates", "decay,pointwise", "suite"], ["bogus", ""]),
 }
+# keys a config does not take, and keys a generator of the drawn variant does not take
+UNKNOWN_KEYS = {"config": ["analysis", "variant", "J"],
+                "generator": ["j", "degree", "path", "psi", "alpha"]}
 
 SPOILS = [None,
           *((name, kind) for name in FIELD_DRAWS for kind in KINDS),
           *((key, "value") for key in CONFIG_DRAWS),
           *((flag, "value") for flag in FLAG_VALUES),
+          *((where, "unknown key") for where in UNKNOWN_KEYS),
           ("variant", "value"), ("flag", "not taken"), ("configs", "one more")]
 
 
@@ -105,14 +110,18 @@ def generator(draw, spoil, psi):
     else:
         variant = draw(st.sampled_from(["psi", "sinc", "bspline"] if psi else ["sinc", "bspline"]))
     if variant == "bspline":
-        return {"variant": variant, "degree": draw(value("degree", spoil))}
-    if variant == "custom":
-        return {"variant": variant, "path": draw(st.sampled_from(["missing.csv", "."]))}
-    if variant != "psi":
-        return {"variant": variant}
-    obj = {"variant": variant, **{name: draw(value(name, spoil)) for name in PSI_DRAWS}}
-    if not psi:   # where no psi may run, one is never valid
-        obj[draw(st.sampled_from([name for name in PSI_DRAWS if name != field]))] = 0
+        obj = {"variant": variant, "degree": draw(value("degree", spoil))}
+    elif variant == "custom":
+        obj = {"variant": variant, "path": draw(st.sampled_from(["missing.csv", "."]))}
+    elif variant != "psi":
+        obj = {"variant": variant}
+    else:
+        obj = {"variant": variant, **{name: draw(value(name, spoil)) for name in PSI_DRAWS}}
+        if not psi:   # where no psi may run, one is never valid
+            obj[draw(st.sampled_from([name for name in PSI_DRAWS if name != field]))] = 0
+    if spoil == ("generator", "unknown key"):
+        key = draw(st.sampled_from([k for k in UNKNOWN_KEYS["generator"] if k not in obj]))
+        obj[key] = draw(st.sampled_from([1, "x"]))
     return obj
 
 
@@ -131,6 +140,8 @@ def config(draw, spoil, psi=True):
             obj[key] = ["suite"]   # every analysis reads the spoiled parameter
         elif key == "grid" or draw(st.booleans()):
             obj[key] = draw(st.sampled_from(valid))
+    if spoil == ("config", "unknown key"):
+        obj[draw(st.sampled_from(UNKNOWN_KEYS["config"]))] = draw(st.sampled_from([1, ["x"]]))
     return obj
 
 
@@ -177,3 +188,5 @@ def test_cli_keeps_its_input_contract(spoil, data):
         assert len(lines) <= 1, lines
         assert not any("Traceback" in line or "Warning" in line for line in lines), lines
         assert out.is_dir() == (code == 0), (code, lines)
+        if spoil and spoil[1] == "unknown key":   # refused, never ignored
+            assert code == 2, lines

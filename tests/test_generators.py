@@ -92,6 +92,13 @@ def test_spec_rejects_bad_degree():
         GeneratorSpec.from_json({"variant": "warblet"})
 
 
+def test_params_read_numpy_scalars_as_python_numbers():
+    p = PsiParams(np.float32(1.0), np.float64(2.0), np.int64(2), np.int32(3))
+    assert p == PsiParams(1.0, 2.0, 2, 3)
+    assert [type(v) for v in (p.alpha, p.beta, p.n, p.J)] == [float, float, int, int]
+    assert type(GeneratorSpec(kind="bspline", degree=np.int64(3)).degree) is int
+
+
 # ---------------------------------------------------------------------- sinc
 
 def test_sinc_values(sinc_spectrum):

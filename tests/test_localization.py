@@ -434,6 +434,15 @@ def test_suite_psi_small():
     assert report["gates"]["freq_lq_ok"] is False
 
 
+def test_suite_takes_every_parameter():
+    spec = GeneratorSpec(kind="psi", psi=PsiParams(1.0, 2.0, 2, 2))
+    report = run_witness_suite(spec, s=1.0, delta=0.5, windows=[2, 4, 8, 16])
+    assert report["pointwise"]["s"] == 1.0
+    # alpha - beta (1 + delta - q/2) at alpha = 1, beta = 2, q = 1
+    assert report["gates"]["freq_lq_margin"] == -1.0
+    assert report["decay"]["windows"] == [2.0, 4.0, 8.0, 16.0]
+
+
 @pytest.mark.parametrize("parameters, message", [
     ({"eps": float("nan")}, "bad parameter eps = nan: must be > 0"),
     ({"n_max": 1}, "bad parameter n_max = 1: must be >= 2"),
