@@ -49,8 +49,9 @@ def _ceil_pow2_of(t):
 
 def _integer(value, key):
     """``value`` as an int; ValueError unless it is an integral real number (never
-    a bool or a string), OverflowError for an infinite one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or int(value) != value:
+    a bool, a string or NaN), OverflowError for an infinite one."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or value != value or int(value) != value):
         raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
     return int(value)
 

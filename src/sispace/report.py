@@ -9,7 +9,21 @@ bytes out.
 Numeric CSV tables are formatted ``CSV_BLOCK_ROWS`` rows at a time, one
 ``%`` operation per block, cell for cell the same text as
 :func:`_fmt_float`; a float cell that is exactly +0.0 or -0.0 is literal
-text in its row's template and costs no formatting.  Every output file is
+text in its row's template and costs no formatting.  A table of several
+blocks is split into contiguous block ranges, one per worker: as many
+workers as the CPUs this process may run on (``os.sched_getaffinity``),
+at most one per block, and one where ``os.fork`` does not exist.  This
+process formats the first range; a forked child formats each further range
+into a hidden part file beside the temp file, which the parent appends in
+order.  Each range goes through the same formatter in the same blocks, so
+the bytes are those of one worker.  A child leaves only through
+``os._exit`` (it never flushes a file object it inherited), the parent
+reaps every child and re-raises the first child's failure as its own, and
+the part files are removed on every path.  Forking is safe here: after
+``import numpy`` the process has 2 threads, and 1 from ``os.fork()`` on,
+since OpenBLAS's fork handler stops its pool (CPython 3.12 and later warn
+only when the parent has several threads at a fork, so they should not
+warn; not tried on those versions).  Every output file is
 written through :func:`atomic_writer`: a temp file in the target directory
 that replaces the final path only once it is complete, so a failed write
 never leaves a half-written file.  :func:`staged_paths` does the same for
@@ -22,6 +36,8 @@ import contextlib
 import json
 import math
 import os
+import pickle
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -121,13 +137,75 @@ def write_report(path, obj):
         fh.write(text)
 
 
+def _csv_workers():
+    """Processes a numeric CSV may be formatted on: the CPUs this process may
+    run on, or 1 where ``os.fork`` does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_writer(write, part, first, last):
+    """Fork a child that runs ``write(fh, first, last)`` into the new file
+    ``part``; (pid, read end of the pipe that carries its failure).
+
+    The child leaves only through ``os._exit``, so it never returns into the
+    caller and never flushes a file object it inherited.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(part, "x") as fh:
+                write(fh, first, last)
+            code = 0
+        except BaseException as e:
+            payload = pickle.dumps(e)   # if this fails, the parent sees exit code 1
+            while payload:
+                payload = payload[os.write(w, payload):]
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _join(children):
+    """Wait for every ``(pid, pipe)`` of :func:`_fork_writer` in ``children``,
+    emptying the list, then raise the first child's failure as its own."""
+    failures = []
+    while children:
+        pid, r = children.pop(0)
+        with os.fdopen(r, "rb") as pipe:
+            payload = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if payload:
+            failures.append(pickle.loads(payload))
+        elif code:
+            failures.append(ChildProcessError(f"CSV writer process {pid} exited with {code}"))
+    if failures:
+        raise failures[0]
+
+
 def _write_csv(path, header, kinds, *columns):
     """CSV of numeric columns, formatted ``CSV_BLOCK_ROWS`` rows per ``%``.
 
     ``kinds`` has one letter per CSV column: ``i`` the row index, ``d`` an
     integer column, ``g`` a float column printed as :func:`_fmt_float` does.
     ``columns`` are the ``d`` and ``g`` columns in order.  Every float is
-    checked before the file is opened.
+    checked before the file is opened.  The blocks are split into
+    contiguous ranges, one per worker (:func:`_csv_workers`, at most one per
+    block): this process writes the first range into the temp file, a
+    forked child each further range into a hidden part file beside it, and
+    the parts are appended in order.
     """
     columns = [np.asarray(c, dtype=int if kind == "d" else float)
                for kind, c in zip(kinds.replace("i", ""), columns)]
@@ -147,9 +225,9 @@ def _write_csv(path, header, kinds, *columns):
     weights = 4 ** np.arange(len(floats))
     data = iter(columns)
     sources = [None if kind == "i" else next(data) for kind in kinds]
-    with atomic_writer(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+
+    def write_blocks(fh, first, last):   # rows first..last-1, from a block's first row
+        for start in range(first, last, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, n_rows)
             # integer cells ride as float64 too: exact below 2^53, printed by %d
             block = np.empty((stop - start, len(kinds)))
@@ -163,6 +241,31 @@ def _write_csv(path, header, kinds, *columns):
             keep = np.ones(block.shape, dtype=bool)
             keep[:, floats] = ~zero
             fh.write(template % tuple(block[keep].tolist()))
+
+    n_blocks = -(-n_rows // CSV_BLOCK_ROWS)
+    workers = max(1, min(_csv_workers(), n_blocks))
+    cuts = [min(n_blocks * w // workers * CSV_BLOCK_ROWS, n_rows) for w in range(workers + 1)]
+    with staged_paths(path) as (tmp,):
+        parts = [tmp.with_name(f"{tmp.name}.{w}.part") for w in range(1, workers)]
+        children = []
+        try:
+            for part, first, last in zip(parts, cuts[1:], cuts[2:]):
+                children.append(_fork_writer(write_blocks, part, first, last))
+            with open(tmp, "x") as fh:
+                fh.write(",".join(header) + "\n")
+                write_blocks(fh, 0, cuts[1])
+                _join(children)
+                fh.flush()
+                for part in parts:
+                    with part.open("rb") as src:
+                        shutil.copyfileobj(src, fh.buffer)
+        finally:
+            if children:   # this process failed first: its error wins
+                with contextlib.suppress(Exception):
+                    _join(children)
+            for part in parts:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(part)
 
 
 def _write_samples_csv(path, axis_name, axis, values):

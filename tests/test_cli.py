@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -512,6 +513,16 @@ def test_compare_evaluates_each_probe_lattice_once(tmp_path, monkeypatch):
      "bad parameter windows = '1234': windows must be a list of numbers"),
     ({"parameters": {"windows": [True, 2, 3, 4]}},
      "bad parameter windows = [True, 2, 3, 4]: each of windows must be a number, got true"),
+    # a NaN integer field names itself and its rule, never int()'s conversion error
+    ({"generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": math.nan, "J": 2}},
+     "bad generator spec: n must be an integer, got NaN"),
+    ({"generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": math.nan}},
+     "bad generator spec: J must be an integer, got NaN"),
+    ({"generator": {"variant": "bspline", "degree": math.nan}},
+     "bad generator spec: degree must be an integer, got NaN"),
+    ({"parameters": {"n_max": math.nan}},
+     "bad parameter n_max = nan: n_max must be an integer, got NaN"),
+    ({"parameters": {"K": math.nan}}, "bad parameter K = nan: K must be an integer, got NaN"),
     ({"parameters": {"epsilon": 0.3}}, "unknown parameters ['epsilon']; choose from ('eps',"),
     ({"parameters": {"s": math.nan}}, "bad parameter s = nan: must be >= 0"),
     # checked when the config is read, though --out names the directory
@@ -786,6 +797,38 @@ def test_failed_construct_keeps_the_earlier_files(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["I/O error: [Errno 28] No space left on device"]
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_split_construct_matches_one_worker_and_leaves_no_process(tmp_path, capsys,
+                                                                 monkeypatch):
+    from sispace import report
+    # 2 * 512 * 256 = 2^18 rows: 16 blocks per CSV, split here across 3 workers
+    cfg = write_config(tmp_path / "c.json", {"generator": {"variant": "sinc"},
+                                             "grid": "512,256"})
+    monkeypatch.setattr(report, "_csv_workers", lambda: 1)
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
+    monkeypatch.setattr(report, "_csv_workers", lambda: 3)
+    split = tmp_path / "split"
+    assert main(["construct", "--config", cfg, "--out", str(split)]) == 0
+    written = {p.name: p.read_bytes() for p in split.iterdir()}
+    assert written == {p.name: p.read_bytes() for p in (tmp_path / "one").iterdir()}
+    assert written["spectrum.csv"].count(b"\n") == 2 ** 18 + 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    # a child that fails fails the run: one line, the earlier files kept, no process left
+    def failing_open(path, *args, **kwargs):
+        if str(path).endswith(".part"):
+            raise OSError(28, "No space left on device")
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(report, "open", failing_open, raising=False)
+    assert main(["construct", "--config", cfg, "--out", str(split)]) == 4
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "I/O error: [Errno 28] No space left on device"]
+    assert {p.name: p.read_bytes() for p in split.iterdir()} == written
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_analyze_removes_tables_it_did_not_write(tmp_path):

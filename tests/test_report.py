@@ -9,6 +9,7 @@ here mean byte-identical CSV outputs.
 
 import json
 import math
+import os
 from types import SimpleNamespace
 from unittest import mock
 
@@ -65,11 +66,16 @@ def float_columns(draw):
 @given(float_columns(), st.integers(1, 7))
 def test_block_writer_matches_per_cell_reference(tmp_path_factory, cols, block_rows):
     a, b, ints = cols
-    path = tmp_path_factory.mktemp("csv") / "t.csv"
     header = ("index", "a", "k", "b")
-    with mock.patch.object(report, "CSV_BLOCK_ROWS", block_rows):
-        _write_csv(path, header, "igdg", a, ints, b)
-    assert path.read_text() == reference_csv(header, "igdg", a, ints, b)
+    expected = reference_csv(header, "igdg", a, ints, b)
+    # the blocks split across 1, 2 and 3 workers: the same bytes, whatever the split
+    for workers in (1, 2, 3):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        with mock.patch.object(report, "CSV_BLOCK_ROWS", block_rows), \
+                mock.patch.object(report, "_csv_workers", lambda: workers):
+            _write_csv(path, header, "igdg", a, ints, b)
+        assert path.read_text() == expected
+        assert [p.name for p in path.parent.iterdir()] == ["t.csv"]
 
 
 @pytest.mark.parametrize("n_rows", [1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
@@ -135,6 +141,50 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, old):
     assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["spectrum.csv"])
     if old is not None:
         assert path.read_text() == old
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
+                                   ValueError("block 5 cannot be formatted")],
+                         ids=["disk-full", "value-error"])
+def test_failed_child_range_leaves_no_file_and_no_process(tmp_path, monkeypatch, error):
+    # 32 rows in blocks of 4 over 3 workers: this process writes blocks 0-1,
+    # one child 2-4 and one child 5-7, whose part file fails on its first write
+    class FailingPart(FailingFile):
+        def write(self, text):
+            raise error
+
+    def failing_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return FailingPart(fh) if str(path).endswith(".2.part") else fh
+
+    monkeypatch.setattr(report, "CSV_BLOCK_ROWS", 4)
+    monkeypatch.setattr(report, "_csv_workers", lambda: 3)
+    monkeypatch.setattr(report, "open", failing_open, raising=False)
+    # a child leaves through os._exit: it never flushes what this process buffered
+    inherited = open(tmp_path / "inherited.txt", "w")
+    inherited.write("written once\n")
+    with pytest.raises(type(error)) as raised:
+        write_spectrum_csv(tmp_path / "spectrum.csv", build_sinc(FrequencyGrid(8, 2)))
+    inherited.close()
+    assert str(raised.value) == str(error)
+    assert getattr(raised.value, "errno", None) == getattr(error, "errno", None)
+    assert [p.name for p in tmp_path.iterdir()] == ["inherited.txt"]
+    assert (tmp_path / "inherited.txt").read_text() == "written once\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_are_the_usable_cpus_and_one_without_fork(tmp_path, monkeypatch):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert report._csv_workers() == (cpus if hasattr(os, "fork") else 1)
+    monkeypatch.setattr(report, "CSV_BLOCK_ROWS", 4)
+    spec = build_sinc(FrequencyGrid(8, 2))
+    write_spectrum_csv(tmp_path / "split.csv", spec)
+    # with no os.fork every block is written here, and nothing forks
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert report._csv_workers() == 1
+    write_spectrum_csv(tmp_path / "one.csv", spec)
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "split.csv").read_bytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
