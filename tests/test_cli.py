@@ -513,16 +513,6 @@ def test_compare_evaluates_each_probe_lattice_once(tmp_path, monkeypatch):
      "bad parameter windows = '1234': windows must be a list of numbers"),
     ({"parameters": {"windows": [True, 2, 3, 4]}},
      "bad parameter windows = [True, 2, 3, 4]: each of windows must be a number, got true"),
-    # a NaN integer field names itself and its rule, never int()'s conversion error
-    ({"generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": math.nan, "J": 2}},
-     "bad generator spec: n must be an integer, got NaN"),
-    ({"generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": math.nan}},
-     "bad generator spec: J must be an integer, got NaN"),
-    ({"generator": {"variant": "bspline", "degree": math.nan}},
-     "bad generator spec: degree must be an integer, got NaN"),
-    ({"parameters": {"n_max": math.nan}},
-     "bad parameter n_max = nan: n_max must be an integer, got NaN"),
-    ({"parameters": {"K": math.nan}}, "bad parameter K = nan: K must be an integer, got NaN"),
     ({"parameters": {"epsilon": 0.3}}, "unknown parameters ['epsilon']; choose from ('eps',"),
     ({"parameters": {"s": math.nan}}, "bad parameter s = nan: must be >= 0"),
     # checked when the config is read, though --out names the directory
@@ -538,6 +528,16 @@ def test_compare_evaluates_each_probe_lattice_once(tmp_path, monkeypatch):
     # a path is a string, never coerced to a file name
     ({"generator": {"variant": "custom", "path": 5}},
      "bad generator spec: path must be a string, got 5"),
+    # a NaN integer field names itself and its rule, never int()'s conversion error
+    ({"generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": math.nan, "J": 2}},
+     "bad generator spec: n must be an integer, got NaN"),
+    ({"generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": math.nan}},
+     "bad generator spec: J must be an integer, got NaN"),
+    ({"generator": {"variant": "bspline", "degree": math.nan}},
+     "bad generator spec: degree must be an integer, got NaN"),
+    ({"parameters": {"n_max": math.nan}},
+     "bad parameter n_max = nan: n_max must be an integer, got NaN"),
+    ({"parameters": {"K": math.nan}}, "bad parameter K = nan: K must be an integer, got NaN"),
 ])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
     extra = dict(extra)
