@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .generators import GeneratorSpec
-from .grid import GridError, _is_hermitian
+from .grid import GridError
 from .localization import PARAMETERS
 from .pipeline import (DECAY_PROBES, SECTIONS, ConfigError, RunContext,
                        compare_header, compare_row, grid_block, load_json,
@@ -50,10 +50,20 @@ ANALYZE_OUTPUTS = ("report.json", "periodization.csv",
                    *(f"windows_{name}.csv" for name in DECAY_PROBES))
 
 
-def _config_list(key, value):
+FORMATS = ("json", "csv")
+
+
+def _config_list(key, value, known):
+    """``value`` as a list; ConfigError unless it is a non-empty JSON list of
+    names from ``known``."""
     if not isinstance(value, list):
         raise ConfigError(f"{key} must be a JSON list, got {value!r}")
-    return value
+    if not value:
+        raise ConfigError(f"{key} must be non-empty")
+    bad = [v for v in value if v not in known]
+    if bad:
+        raise ConfigError(f"unknown {key} {bad}; choose from {known}")
+    return list(value)
 
 
 CONFIG_KEYS = ("generator", "grid", "analyses", "parameters", "output", "formats")
@@ -80,14 +90,8 @@ class RunConfig:
             raise ConfigError(f"bad generator spec: {e}") from e
         self.grid_spec = overrides.get("grid", obj.get("grid", "auto"))
         self.grid = read_grid(self.grid_spec)
-        analyses = _config_list("analyses", overrides.get(
-            "analyses", obj.get("analyses", ["periodization", "invariance"])))
-        if not analyses:
-            raise ConfigError("analyses must be non-empty")
-        bad = [a for a in analyses if a not in ANALYSES]
-        if bad:
-            raise ConfigError(f"unknown analyses {bad}; choose from {ANALYSES}")
-        self.analyses = list(analyses)
+        self.analyses = _config_list("analyses", overrides.get(
+            "analyses", obj.get("analyses", ["periodization", "invariance"])), ANALYSES)
         # checked when the config is read, before any work and whichever
         # subcommand reads it; command-line values win
         given = obj.get("parameters", {})
@@ -105,10 +109,7 @@ class RunConfig:
             raise ConfigError(f"output must be a path string, got {output!r}")
         self.output = overrides.get("out", output)
         self.formats = _config_list("formats", overrides.get(
-            "formats", obj.get("formats", ["json", "csv"])))
-        for f in self.formats:
-            if f not in ("json", "csv"):
-                raise ConfigError(f"unknown format {f!r}")
+            "formats", obj.get("formats", list(FORMATS))), FORMATS)
 
     def echo(self):
         return {"generator": self.spec.to_json(), "grid": self.grid_spec,
@@ -121,7 +122,7 @@ def cmd_construct(cfg: RunConfig):
     spectrum, signal = ctx.spectrum, ctx.signal
     meta = {"generator": cfg.spec.to_json(), "version": __version__,
             "grid": grid_block(ctx), "label": spectrum.label,
-            "hermitian": bool(_is_hermitian(np.fft.ifftshift(spectrum.values))),
+            "hermitian": not np.iscomplexobj(signal.values),
             "spectrum_meta": spectrum.meta}
     if cfg.spec.kind == "psi":
         p = cfg.spec.psi

@@ -455,21 +455,17 @@ def _tridiagonal_solve(dl, d, du, b):
 
 
 def _not_a_knot(x, y):
-    """Coefficients of the not-a-knot cubic spline through ``(x, y)``, real or
-    complex, on at least four knots ``x``.
+    """Coefficients of the not-a-knot cubic spline through real ``(x, y)``, on
+    at least four knots ``x``.
 
     The end condition asks the third derivative to be continuous across the
     second and the second-to-last knot (de Boor, *A Practical Guide to
     Splines*, ch. IV).  The knot slopes solve one tridiagonal system, set up
     row by row as the tests' oracle ``CubicSpline`` sets it up and solved by
-    :func:`_tridiagonal_solve` (the real and imaginary parts of a complex
-    ``y`` separately: the matrix is real), so every coefficient is bitwise
-    the one that class holds.  That class solves a complex system in complex
-    arithmetic (``zgtsv``), which on other tridiagonal systems can give a
-    zero the other sign than the split solve; on the window tables' uniform
-    knots the tests find every coefficient equal.  Returns ``c`` of shape
-    ``(4, x.size - 1)``, highest power first: interval ``i`` is
-    ``c[0, i] s**3 + c[1, i] s**2 + c[2, i] s + c[3, i]`` with ``s = t - x[i]``.
+    :func:`_tridiagonal_solve`, so every coefficient is bitwise the one that
+    class holds.  Returns ``c`` of shape ``(4, x.size - 1)``, highest power
+    first: interval ``i`` is ``c[0, i] s**3 + c[1, i] s**2 + c[2, i] s +
+    c[3, i]`` with ``s = t - x[i]``.
     """
     n = x.size
     dx = np.diff(x)
@@ -477,7 +473,7 @@ def _not_a_knot(x, y):
     d = np.empty(n)
     du = np.empty(n - 1)
     dl = np.empty(n - 1)
-    b = np.empty(n, dtype=y.dtype)
+    b = np.empty(n)
     d[1:-1] = 2 * (dx[:-1] + dx[1:])
     du[1:] = dx[:-1]
     dl[:-1] = dx[1:]
@@ -490,12 +486,7 @@ def _not_a_knot(x, y):
     d[-1] = dx[-2]
     dl[-1] = span
     b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * span + dx[-1]) * dx[-2] * slope[-1]) / span
-    if np.iscomplexobj(b):
-        s = np.empty(n, dtype=b.dtype)
-        s.real = _tridiagonal_solve(dl, d, du, b.real)
-        s.imag = _tridiagonal_solve(dl, d, du, b.imag)
-    else:
-        s = _tridiagonal_solve(dl, d, du, b)
+    s = _tridiagonal_solve(dl, d, du, b)
     # the cubic Hermite form of each interval from its end values and slopes
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
@@ -521,10 +512,10 @@ def _cubic(s, coeffs, i, outs, term):
 class WindowTables:
     """Tabulated inverse transforms of ``g0`` and ``g1`` with cubic interpolation.
 
-    Each table is interpolated by a not-a-knot cubic spline
+    The tables are interpolated by real not-a-knot cubic splines
     (:func:`_not_a_knot`) whose per-interval coefficients are all that is
-    kept: ``g1``'s table is complex, and its spline is held as the splines of
-    its real and imaginary parts.  Values beyond ``|x| = TABLE_X_MAX``
+    kept: one for ``g0``'s real table, and one each for the real and
+    imaginary parts of ``g1``'s complex one.  Values beyond ``|x| = TABLE_X_MAX``
     evaluate to 0; ``tail_bound`` records the largest magnitude seen on the
     outer 2% of each table, which bounds the truncation error committed by
     that convention.  One path evaluates the splines,
@@ -534,7 +525,6 @@ class WindowTables:
     """
 
     def __init__(self, alpha):
-        self.alpha = alpha
         x_nodes = np.linspace(-TABLE_X_MAX, TABLE_X_MAX, TABLE_X_SAMPLES)
 
         xi0 = np.linspace(-1.0, 1.0, TABLE_QUAD_NODES)
@@ -545,9 +535,7 @@ class WindowTables:
         # per-interval cubic coefficients, highest power first
         self._knots = x_nodes
         self._g0_coeffs = _not_a_knot(x_nodes, g0_inv.real)
-        g1_coeffs = _not_a_knot(x_nodes, g1_inv)
-        self._g1_coeffs = (np.ascontiguousarray(g1_coeffs.real),
-                           np.ascontiguousarray(g1_coeffs.imag))
+        self._g1_coeffs = (_not_a_knot(x_nodes, g1_inv.real), _not_a_knot(x_nodes, g1_inv.imag))
         edge = x_nodes.size // 50
         self.tail_bound = float(max(np.abs(g0_inv[:edge]).max(),
                                     np.abs(g0_inv[-edge:]).max(),
@@ -672,8 +660,7 @@ class _PointFactors:
         return self.windows.g0_inv(scale * self.x)
 
     def envelope(self, scale):
-        env = self.windows.g1_inv(scale * self.x)
-        return env.real, env.imag
+        return self.windows._scattered(scale * self.x, *self.windows._g1_coeffs)
 
     def dirichlet(self, j, count):
         return dirichlet_ratio(self.n * self.x, count)

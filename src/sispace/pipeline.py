@@ -10,12 +10,13 @@ each intermediate of one generator on one grid lazily and at most once;
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, replace
 from functools import cached_property
 from pathlib import Path
 
-from .generators import (GeneratorSpec, _integer, auto_grid, build_bspline,
-                         build_psi_spectrum, build_sinc)
+from .generators import (GeneratorSpec, PsiParams, _integer, _number, auto_grid,
+                         build_bspline, build_psi_spectrum, build_sinc)
 from .grid import FrequencyGrid, GridError, to_time_domain
 from .localization import (PARAMETERS, FeasibilityGate, divergence_probes,
                            feasibility_gates, pointwise_freq_decay,
@@ -72,6 +73,8 @@ def read_grid(grid):
     {"S", "Xi"} or [S, Xi]; ConfigError unless ``S`` and ``Xi`` are integral."""
     if grid == "auto" or isinstance(grid, FrequencyGrid):
         return grid
+    if isinstance(grid, dict) and grid.keys() - {"S", "Xi"}:
+        raise ConfigError(f"bad grid {grid!r}; an object takes the keys S and Xi only")
     try:
         fields = ([int(v) for v in grid.split(",")] if isinstance(grid, str)
                   else (grid["S"], grid["Xi"]) if isinstance(grid, dict) else grid)
@@ -81,20 +84,52 @@ def read_grid(grid):
     return FrequencyGrid(S, Xi)
 
 
+def _read_custom(path, grid):
+    """The spectrum of a custom CSV, with the ``label`` and ``spectrum_meta`` of
+    the ``meta.json`` sidecar next to it when present.  ConfigError naming the
+    sidecar unless it and its ``spectrum_meta`` are objects, the
+    ``exclusion_halfwidth`` is null or a finite number >= 0, and any
+    ``blocks`` are those of the sidecar's ``psi`` and fit the spectrum's grid."""
+    meta_path = Path(path).parent / "meta.json"   # "." and "/" have no name
+    meta = load_json(meta_path) if meta_path.exists() else {}
+    spectrum_meta = meta.get("spectrum_meta", {}) if isinstance(meta, dict) else None
+    if not isinstance(spectrum_meta, dict):
+        raise ConfigError(f"bad sidecar {meta_path}: it and its spectrum_meta must be "
+                          "JSON objects")
+    hw = spectrum_meta.get("exclusion_halfwidth")
+    try:
+        if hw is not None and not 0 <= _number(hw, "exclusion_halfwidth") < math.inf:
+            raise ValueError(f"exclusion_halfwidth must be finite and >= 0, got {hw!r}")
+    except (ValueError, OverflowError) as e:
+        raise ConfigError(f"bad sidecar {meta_path}: {e}") from e
+    psi = None
+    if "blocks" in spectrum_meta:
+        try:
+            psi = PsiParams(**spectrum_meta.get("psi", {}))
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConfigError(f"bad sidecar {meta_path}: blocks need the psi parameters "
+                              f"they come from: {e}") from e
+        if spectrum_meta["blocks"] != psi.blocks:
+            raise ConfigError(f"bad sidecar {meta_path}: the blocks are not those of "
+                              f"{psi.label}")
+    try:
+        spectrum = read_spectrum_csv(path, grid=grid, meta=spectrum_meta,
+                                     label=str(meta.get("label", "custom")))
+    except OSError as e:
+        raise ConfigError(f"cannot read custom spectrum: {e}") from e
+    if psi is not None and spectrum.grid.half_range < psi.required_half_range:
+        raise ConfigError(f"bad sidecar {meta_path}: the blocks of {psi.label} need "
+                          f"half_range >= {psi.required_half_range}, the spectrum has "
+                          f"{spectrum.grid.half_range}")
+    return spectrum
+
+
 def build(spec: GeneratorSpec, grid):
     """``(spectrum, signal)`` on a :class:`FrequencyGrid`; ``signal`` is
     None unless the builder samples it exactly (B-splines).  A custom spectrum
-    is read from its CSV with the ``meta.json`` sidecar next to it, when
-    present (and its ``label``), on its own grid when ``grid`` is None."""
+    is read by :func:`_read_custom`, on its own grid when ``grid`` is None."""
     if spec.kind == "custom":
-        meta_path = Path(spec.path).parent / "meta.json"   # "." and "/" have no name
-        meta = load_json(meta_path) if meta_path.exists() else {}
-        try:
-            return read_spectrum_csv(spec.path, grid=grid,
-                                     meta=meta.get("spectrum_meta", meta),
-                                     label=str(meta.get("label", "custom"))), None
-        except OSError as e:
-            raise ConfigError(f"cannot read custom spectrum: {e}") from e
+        return _read_custom(spec.path, grid), None
     if spec.kind == "sinc":
         return build_sinc(grid), None
     if spec.kind == "bspline":

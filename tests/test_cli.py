@@ -538,6 +538,11 @@ def test_compare_evaluates_each_probe_lattice_once(tmp_path, monkeypatch):
     ({"parameters": {"n_max": math.nan}},
      "bad parameter n_max = nan: n_max must be an integer, got NaN"),
     ({"parameters": {"K": math.nan}}, "bad parameter K = nan: K must be an integer, got NaN"),
+    # formats is read as analyses is: a non-empty list of known names
+    ({"formats": []}, "formats must be non-empty"),
+    # a grid object takes S and Xi only, as the config takes its own keys only
+    ({"grid": {"S": 64, "Xi": 64, "extra": 1}},
+     "bad grid {'S': 64, 'Xi': 64, 'extra': 1}; an object takes the keys S and Xi only"),
 ])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, extra, message):
     extra = dict(extra)
@@ -591,6 +596,12 @@ NESTED = "[" * 100_000 + "]" * 100_000
 PSI = '"variant": "psi", "alpha": 1, "beta": 2'
 
 
+def _psi_spectrum(J, grid):
+    from sispace.generators import PsiParams, build_psi_spectrum
+    from sispace.grid import FrequencyGrid
+    return build_psi_spectrum(PsiParams(1, 2, 2, J), FrequencyGrid(*grid))
+
+
 @pytest.mark.parametrize("config, sidecar, message", [
     # the config file itself
     (b'{"generator": {"variant": "sinc"}, "output": "\xff"}', None, "is not UTF-8"),
@@ -626,23 +637,40 @@ PSI = '"variant": "psi", "alpha": 1, "beta": 2'
      "parameters must be a JSON object"),
     # the generator sits under "generator", never at the top level
     (b'{"variant": "sinc"}', None, "unknown config keys ['variant']"),
+    # the sidecar's shape, and the values the analyses read from it
+    (None, b"[1]", "meta.json: it and its spectrum_meta must be JSON objects"),
+    (None, b'{"spectrum_meta": [1]}', "meta.json: it and its spectrum_meta must be JSON objects"),
+    (None, b'{"spectrum_meta": {"exclusion_halfwidth": "x"}}',
+     'meta.json: exclusion_halfwidth must be a number, got "x"'),
+    (None, b'{"spectrum_meta": {"blocks": 5}}',
+     "meta.json: blocks need the psi parameters they come from"),
+    # a J = 2 sidecar from a 64,64 grid beside the J = 1 spectrum on 64,16
+    (None, json.dumps({"spectrum_meta": _psi_spectrum(2, (64, 64)).meta}).encode(),
+     "meta.json: the blocks of psi(a=1 b=2 n=2 J=2) need half_range >= 43, the spectrum has 16"),
 ], ids=["config-bytes", "config-nesting", "sidecar-bytes", "sidecar-nesting",
         "spec-list", "spec-int", "spec-string-list", "spec-string-nesting",
         "degree-overflow", "n-overflow", "J-overflow",
         "degree-fraction", "n-fraction", "J-bool", "degree-string",
-        "not-json", "json-list", "parameters-not-object", "flat-config"])
+        "not-json", "json-list", "parameters-not-object", "flat-config",
+        "sidecar-list", "spectrum-meta-list", "halfwidth-string", "blocks-int",
+        "blocks-beyond-grid"])
 def test_unreadable_config_or_spec_exits_2_with_one_line(tmp_path, capsys, config, sidecar,
                                                          message):
-    if sidecar is not None:
+    if sidecar is not None:   # beside the spectrum of psi(1, 2, 2, J=1) on 64,16
+        from sispace.report import write_spectrum_csv
+        write_spectrum_csv(tmp_path / "spectrum.csv", _psi_spectrum(1, (64, 16)))
         (tmp_path / "meta.json").write_bytes(sidecar)
         config = json.dumps({"generator": {"variant": "custom",
-                                           "path": str(tmp_path / "spectrum.csv")}}).encode()
+                                           "path": str(tmp_path / "spectrum.csv")},
+                             "analyses": ["periodization", "pointwise"]}).encode()
     (tmp_path / "c.json").write_bytes(config)
     out = tmp_path / "out"
     assert main(["analyze", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error:") and message in err[0]
+    if sidecar is not None:   # the line names the sidecar
+        assert str(tmp_path / "meta.json") in err[0]
     assert not out.exists()
 
 

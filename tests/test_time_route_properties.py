@@ -17,9 +17,10 @@
   for all depths in one pass, are bitwise the per-count ratio.
 * The window splines' in-repo tridiagonal sweep gives bitwise the
   coefficients of scipy's ``CubicSpline`` (the oracle, imported by the tests
-  only) on uniform knots, for random real and complex values; on any system
-  that needs no row swap it is bitwise LAPACK ``dgtsv``, signed zeros
-  included.
+  only) on uniform knots, for random real values; on any system that needs
+  no row swap it is bitwise LAPACK ``dgtsv``, signed zeros included.  Each
+  window table is real (``g1``'s as its real and imaginary parts), so the
+  oracle solves with ``dgtsv`` too.
 """
 
 from unittest import mock
@@ -163,7 +164,7 @@ def _bits(a):
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.5, 1.77, 2.0])
 def test_window_splines_are_scipy_not_a_knot_splines(alpha):
     # the oracle: scipy's CubicSpline (not-a-knot by default) on the same
-    # tables; scipy.interpolate is imported here only, never by the package
+    # real tables; scipy.interpolate is imported here only, never by the package
     from scipy.interpolate import CubicSpline
 
     tables = []
@@ -175,33 +176,31 @@ def test_window_splines_are_scipy_not_a_knot_splines(alpha):
 
     with mock.patch.object(generators, "_not_a_knot", recording_fit):
         windows = generators.WindowTables(alpha)
-    (x0, y0), (x1, y1) = tables
-    g0_spline, g1_spline = CubicSpline(x0, y0), CubicSpline(x1, y1)
-    assert np.iscomplexobj(y1) and not np.iscomplexobj(y0)
-    assert np.array_equal(_bits(windows._g0_coeffs), _bits(g0_spline.c))
-    assert np.array_equal(_bits(windows._g1_coeffs[0]), _bits(g1_spline.c.real))
-    assert np.array_equal(_bits(windows._g1_coeffs[1]), _bits(g1_spline.c.imag))
+    # g0's table, then g1's real and imaginary parts
+    assert len(tables) == 3 and not any(np.iscomplexobj(y) for _, y in tables)
+    g0_spline, g1_re_spline, g1_im_spline = (CubicSpline(x, y) for x, y in tables)
+    coeffs = [windows._g0_coeffs, *windows._g1_coeffs]
+    assert all(c.dtype == np.float64 for c in coeffs)
+    for c, spline in zip(coeffs, (g0_spline, g1_re_spline, g1_im_spline)):
+        assert np.array_equal(_bits(c), _bits(spline.c))
     # the interval is found by arithmetic: signed zeros, subnormals and non-finite points too
     x = np.concatenate([_knot_probes(), [-0.0, -5e-324, 5e-324, np.nan, -np.inf, np.inf]])
     inside = np.abs(x) <= TABLE_X_MAX
+    g1 = windows.g1_inv(x)
     assert np.array_equal(_bits(windows.g0_inv(x)), _bits(np.where(inside, g0_spline(x), 0.0)))
-    assert np.array_equal(_bits(windows.g1_inv(x)), _bits(np.where(inside, g1_spline(x), 0.0)))
+    assert np.array_equal(_bits(g1.real), _bits(np.where(inside, g1_re_spline(x), 0.0)))
+    assert np.array_equal(_bits(g1.imag), _bits(np.where(inside, g1_im_spline(x), 0.0)))
 
 
 @settings(derandomize=True, database=None, deadline=None)
-@given(data=st.data(), n=st.integers(4, 64) | st.just(TABLE_X_SAMPLES),
-       is_complex=st.booleans())
-def test_not_a_knot_sweep_is_scipy_cubic_spline(data, n, is_complex):
+@given(data=st.data(), n=st.integers(4, 64) | st.just(TABLE_X_SAMPLES))
+def test_not_a_knot_sweep_is_scipy_cubic_spline(data, n):
     from scipy.interpolate import CubicSpline
 
     x = np.arange(n) / 32 - 64   # the window tables' knots, or their first n
-    values = hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3))
-    y = data.draw(values)
-    if is_complex:
-        y = y.astype(complex)
-        y.imag = data.draw(values)
+    y = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
     c, expected = generators._not_a_knot(x, y), CubicSpline(x, y).c
-    assert c.dtype == expected.dtype
+    assert c.dtype == expected.dtype == np.float64
     assert np.array_equal(_bits(c), _bits(expected))
 
 
