@@ -22,6 +22,7 @@ wide windows, otherwise the probe reports the truncation, not the object.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import forks
 from .bumps import h, h_support
 from .generators import PsiParams, _LatticeEvaluator, _block_copies, _integer, _number
 from .grid import GridError, SampledSignal, SampledSpectrum, next_pow2
@@ -120,16 +122,23 @@ def _window_partials(source, exponents, windows):
     and a partial is twice its half-lattice trapezoid.  Returns
     ``(partials, route)``.
 
-    The walk is cut twice.  Trapezoid segments of at most ``PROBE_CHUNK`` + 1
-    points end at every window seam; each segment's trapezoid is summed once
-    per ``(p, w)`` and added to the window it lies in, so the partials depend
-    on the segments alone.  A segment's |f| is filled by evaluation pieces of
-    at most ``EVAL_PIECE`` + 1 points from one
-    ``generators._LatticeEvaluator``, created here for the pass: every factor
-    comes from its lattice tables, bitwise as point by point, so the pieces
-    change no bit, and they keep the depth loop's temporaries at 128 KiB
-    each.  The tables go with the evaluator when the pass returns.  A lattice
-    of more than ``LATTICE_POINTS_CAP`` points is a GridError,
+    The walk is cut three times.  Trapezoid segments of at most
+    ``PROBE_CHUNK`` + 1 points end at every window seam; each segment's
+    trapezoid is summed once per ``(p, w)`` and added to the window it lies
+    in, in segment order, so the partials depend on the segments alone.  A
+    segment's |f| is filled by evaluation pieces of at most ``EVAL_PIECE`` + 1
+    points from one ``generators._LatticeEvaluator``, created here for the
+    pass: every factor comes from its lattice tables, bitwise as point by
+    point, so the pieces change no bit, and they keep the depth loop's
+    temporaries at 128 KiB each.  The segments are cut into contiguous
+    ranges of about equal point count, one per worker of
+    :func:`sispace.forks.workers` (at most one per segment), and
+    :func:`sispace.forks.run_ranges` sums them, the first range here and each
+    further one in a forked child that shares the evaluator's tables; each
+    range sends back only its segments' sums, which are added here in the
+    same order whatever the split, so the partials are bitwise those of one
+    worker.  The tables go with the evaluator when the pass returns.  A
+    lattice of more than ``LATTICE_POINTS_CAP`` points is a GridError,
     raised before the evaluator is built.
     """
     if any(p < 1 for p, _ in exponents):
@@ -162,19 +171,32 @@ def _window_partials(source, exponents, windows):
         raise GridError(f"the probe lattice at step 2^-{exponent} holds {ks[-1] + 1:.3g} points, "
                         f"more than the cap 2^{LATTICE_POINTS_CAP.bit_length() - 1}")
     evaluate = _LatticeEvaluator(source, exponent)
-    segments = np.zeros((len(exponents), len(windows)))
     stops = sorted({0, *ks, *range(0, ks[-1], PROBE_CHUNK)})
-    for a, b in zip(stops, stops[1:]):
-        values = np.empty(b + 1 - a)
-        for c in range(a, b, EVAL_PIECE):
-            # a last piece of one point would cost a whole call: it joins the one before
-            stop = c + EVAL_PIECE if c + EVAL_PIECE < b else b + 1
-            values[c - a:stop - a] = evaluate(c, stop)
-        np.abs(values, out=values)
-        weight = 1.0 + np.arange(a, b + 1) * dx
-        seg = next(i for i, k in enumerate(ks) if k >= b)
-        for row, (p, w) in enumerate(exponents):
-            segments[row, seg] += np.trapezoid(_weighted(values, p, weight, w), dx=dx)
+
+    def trapezoids(first, last):   # segments first..last-1, one row of (p, w) sums each
+        out = np.empty((last - first, len(exponents)))
+        for i in range(first, last):
+            a, b = stops[i], stops[i + 1]
+            values = np.empty(b + 1 - a)
+            for c in range(a, b, EVAL_PIECE):
+                # a last piece of one point would cost a whole call: it joins the one before
+                stop = c + EVAL_PIECE if c + EVAL_PIECE < b else b + 1
+                values[c - a:stop - a] = evaluate(c, stop)
+            np.abs(values, out=values)
+            weight = 1.0 + np.arange(a, b + 1) * dx
+            for row, (p, w) in enumerate(exponents):
+                out[i - first, row] = np.trapezoid(_weighted(values, p, weight, w), dx=dx)
+        return out
+
+    n_segments = len(stops) - 1
+    ranges = max(1, min(forks.workers(), n_segments))
+    # each range ends at the first segment end at or past its share of the points
+    ends = {bisect.bisect_left(stops, ks[-1] * r // ranges) for r in range(1, ranges)}
+    cuts = [0, *sorted(ends - {0, n_segments}), n_segments]
+    segments = np.zeros((len(exponents), len(windows)))
+    sums = np.concatenate(forks.run_ranges(trapezoids, cuts))
+    for b, row in zip(stops[1:], sums):
+        segments[:, bisect.bisect_left(ks, b)] += row
     return 2.0 * np.cumsum(segments, axis=1), "analytic"
 
 

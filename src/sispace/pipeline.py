@@ -88,14 +88,20 @@ def _read_custom(path, grid):
     """The spectrum of a custom CSV, with the ``label`` and ``spectrum_meta`` of
     the ``meta.json`` sidecar next to it when present.  ConfigError naming the
     sidecar unless it and its ``spectrum_meta`` are objects, the
-    ``exclusion_halfwidth`` is null or a finite number >= 0, and any
-    ``blocks`` are those of the sidecar's ``psi`` and fit the spectrum's grid."""
+    ``exclusion_halfwidth`` is null or a finite number >= 0, any ``grid`` is
+    an object with the spectrum's ``samples_per_unit`` and ``half_range``, and
+    any ``blocks`` are those of the sidecar's ``psi`` and fit the spectrum's
+    grid."""
     meta_path = Path(path).parent / "meta.json"   # "." and "/" have no name
     meta = load_json(meta_path) if meta_path.exists() else {}
     spectrum_meta = meta.get("spectrum_meta", {}) if isinstance(meta, dict) else None
     if not isinstance(spectrum_meta, dict):
         raise ConfigError(f"bad sidecar {meta_path}: it and its spectrum_meta must be "
                           "JSON objects")
+    sidecar_grid = meta.get("grid", {})
+    if not isinstance(sidecar_grid, dict):
+        raise ConfigError(f"bad sidecar {meta_path}: its grid must be a JSON object, got "
+                          f"{json.dumps(sidecar_grid)}")
     hw = spectrum_meta.get("exclusion_halfwidth")
     try:
         if hw is not None and not 0 <= _number(hw, "exclusion_halfwidth") < math.inf:
@@ -117,6 +123,12 @@ def _read_custom(path, grid):
                                      label=str(meta.get("label", "custom")))
     except OSError as e:
         raise ConfigError(f"cannot read custom spectrum: {e}") from e
+    if "grid" in meta:
+        given = [sidecar_grid.get(key) for key in ("samples_per_unit", "half_range")]
+        held = [spectrum.grid.samples_per_unit, spectrum.grid.half_range]
+        if given != held:
+            raise ConfigError(f"bad sidecar {meta_path}: its grid has samples_per_unit and "
+                              f"half_range {json.dumps(given)}, the spectrum {held}")
     if psi is not None and spectrum.grid.half_range < psi.required_half_range:
         raise ConfigError(f"bad sidecar {meta_path}: the blocks of {psi.label} need "
                           f"half_range >= {psi.required_half_range}, the spectrum has "

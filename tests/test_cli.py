@@ -395,19 +395,23 @@ def test_custom_spectrum_runs_suite(tmp_path):
     assert suite["invariance"]["invariance_group"] == "R-candidate"
 
 
-def count_probe_points(monkeypatch):
+def count_probe_points(monkeypatch, tmp_path):
     """The sizes of the evaluations the decay probes make, as they are made:
-    every lattice piece passes through ``evaluate_psi_time``."""
+    every lattice piece passes through ``evaluate_psi_time``.  Each size is
+    appended to a file, so the pieces of forked workers count too; the
+    returned function reads them back."""
     from sispace import generators
-    points = []
+    log = tmp_path / "points.txt"
+    log.touch()
     evaluate = generators.evaluate_psi_time
 
     def counting_evaluate(x, params):
-        points.append(np.asarray(x, dtype=float).size)
+        with open(log, "a") as fh:
+            fh.write(f"{np.asarray(x, dtype=float).size}\n")
         return evaluate(x, params)
 
     monkeypatch.setattr(generators, "evaluate_psi_time", counting_evaluate)
-    return points
+    return lambda: [int(size) for size in log.read_text().split()]
 
 
 def probe_lattice_bounds(params, windows):
@@ -423,7 +427,7 @@ def probe_lattice_bounds(params, windows):
 
 def test_decay_and_suite_evaluate_the_probe_lattice_once(tmp_path, monkeypatch):
     from sispace.generators import PsiParams
-    points = count_probe_points(monkeypatch)
+    points = count_probe_points(monkeypatch, tmp_path)
     windows = [2, 4, 8, 16]
     cfg = write_config(tmp_path / "c.json", {
         "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
@@ -432,14 +436,14 @@ def test_decay_and_suite_evaluate_the_probe_lattice_once(tmp_path, monkeypatch):
     })
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     fewest, most = probe_lattice_bounds(PsiParams(1.0, 2.0, 2, 2), windows)
-    assert fewest <= sum(points) <= most
+    assert fewest <= sum(points()) <= most
 
 
 def test_compare_evaluates_each_probe_lattice_once(tmp_path, monkeypatch):
     # each row reads its context's one decay pass
     from sispace.generators import PsiParams
     from sispace.localization import DEFAULT_WINDOWS
-    points = count_probe_points(monkeypatch)
+    points = count_probe_points(monkeypatch, tmp_path)
     psis = [PsiParams(2.0, 1.0, 2, 2), PsiParams(2.0, 2.0, 3, 2)]
     cfgs = [write_config(tmp_path / f"psi{i}.json",
                          {"generator": {"variant": "psi", **params.to_json()}})
@@ -447,7 +451,7 @@ def test_compare_evaluates_each_probe_lattice_once(tmp_path, monkeypatch):
     cfgs.append(write_config(tmp_path / "sinc.json", {"generator": {"variant": "sinc"}}))
     assert main(["compare", *cfgs, "--out", str(tmp_path / "cmp")]) == 0
     bounds = [probe_lattice_bounds(params, DEFAULT_WINDOWS) for params in psis]
-    assert sum(lo for lo, _ in bounds) <= sum(points) <= sum(hi for _, hi in bounds)
+    assert sum(lo for lo, _ in bounds) <= sum(points()) <= sum(hi for _, hi in bounds)
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -596,10 +600,10 @@ NESTED = "[" * 100_000 + "]" * 100_000
 PSI = '"variant": "psi", "alpha": 1, "beta": 2'
 
 
-def _psi_spectrum(J, grid):
+def _psi_spectrum(J, grid, beta=2):
     from sispace.generators import PsiParams, build_psi_spectrum
     from sispace.grid import FrequencyGrid
-    return build_psi_spectrum(PsiParams(1, 2, 2, J), FrequencyGrid(*grid))
+    return build_psi_spectrum(PsiParams(1, beta, 2, J), FrequencyGrid(*grid))
 
 
 @pytest.mark.parametrize("config, sidecar, message", [
@@ -647,13 +651,18 @@ def _psi_spectrum(J, grid):
     # a J = 2 sidecar from a 64,64 grid beside the J = 1 spectrum on 64,16
     (None, json.dumps({"spectrum_meta": _psi_spectrum(2, (64, 64)).meta}).encode(),
      "meta.json: the blocks of psi(a=1 b=2 n=2 J=2) need half_range >= 43, the spectrum has 16"),
+    # the sidecar of psi(1, 1, 2, J=2) on 64,64, whose blocks fit 64,16, beside that spectrum
+    (None, json.dumps({"grid": {"samples_per_unit": 64, "half_range": 64},
+                       "spectrum_meta": _psi_spectrum(2, (64, 64), beta=1).meta}).encode(),
+     "meta.json: its grid has samples_per_unit and half_range [64, 64], the spectrum [64, 16]"),
+    (None, b'{"grid": "64,16"}', 'meta.json: its grid must be a JSON object, got "64,16"'),
 ], ids=["config-bytes", "config-nesting", "sidecar-bytes", "sidecar-nesting",
         "spec-list", "spec-int", "spec-string-list", "spec-string-nesting",
         "degree-overflow", "n-overflow", "J-overflow",
         "degree-fraction", "n-fraction", "J-bool", "degree-string",
         "not-json", "json-list", "parameters-not-object", "flat-config",
         "sidecar-list", "spectrum-meta-list", "halfwidth-string", "blocks-int",
-        "blocks-beyond-grid"])
+        "blocks-beyond-grid", "sidecar-from-another-grid", "sidecar-grid-string"])
 def test_unreadable_config_or_spec_exits_2_with_one_line(tmp_path, capsys, config, sidecar,
                                                          message):
     if sidecar is not None:   # beside the spectrum of psi(1, 2, 2, J=1) on 64,16
@@ -829,13 +838,13 @@ def test_failed_construct_keeps_the_earlier_files(tmp_path, capsys, monkeypatch)
 
 def test_split_construct_matches_one_worker_and_leaves_no_process(tmp_path, capsys,
                                                                  monkeypatch):
-    from sispace import report
+    from sispace import forks, report
     # 2 * 512 * 256 = 2^18 rows: 16 blocks per CSV, split here across 3 workers
     cfg = write_config(tmp_path / "c.json", {"generator": {"variant": "sinc"},
                                              "grid": "512,256"})
-    monkeypatch.setattr(report, "_csv_workers", lambda: 1)
+    monkeypatch.setattr(forks, "workers", lambda: 1)
     assert main(["construct", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
-    monkeypatch.setattr(report, "_csv_workers", lambda: 3)
+    monkeypatch.setattr(forks, "workers", lambda: 3)
     split = tmp_path / "split"
     assert main(["construct", "--config", cfg, "--out", str(split)]) == 0
     written = {p.name: p.read_bytes() for p in split.iterdir()}
@@ -855,6 +864,33 @@ def test_split_construct_matches_one_worker_and_leaves_no_process(tmp_path, caps
     assert capsys.readouterr().err.strip().splitlines() == [
         "I/O error: [Errno 28] No space left on device"]
     assert {p.name: p.read_bytes() for p in split.iterdir()} == written
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("where", ["worker", "this process"])
+def test_a_failing_probe_range_exits_3_with_one_line(tmp_path, capsys, monkeypatch, where):
+    from sispace import forks, generators
+    parent = os.getpid()
+    evaluate = generators._LatticeEvaluator.__call__
+
+    def failing_evaluate(self, start, stop):
+        if (os.getpid() == parent) == (where == "this process"):
+            raise FloatingPointError("overflow encountered in multiply")
+        return evaluate(self, start, stop)
+
+    monkeypatch.setattr(forks, "workers", lambda: 2)
+    monkeypatch.setattr(generators._LatticeEvaluator, "__call__", failing_evaluate)
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
+        "analyses": ["decay"],
+        "parameters": {"windows": [2, 4, 8, 16]},
+    })
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "numeric precondition violated: overflow encountered in multiply"]
+    assert not out.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1001,6 +1037,25 @@ def test_reingested_spectrum_keeps_its_label_and_symmetry(tmp_path):
                  "--out", str(tmp_path / "cmp")]) == 0
     rows = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == ["psi(a=1 b=2 n=2 J=1)", "sinc"]
+
+
+def test_compare_quotes_a_sidecar_label_with_a_comma(tmp_path):
+    import csv
+    sinc = write_config(tmp_path / "s.json", {"generator": {"variant": "sinc"}, "grid": "64,16"})
+    assert main(["construct", "--config", sinc, "--out", str(tmp_path / "c")]) == 0
+    meta = json.loads((tmp_path / "c" / "meta.json").read_text())
+    (tmp_path / "c" / "meta.json").write_text(json.dumps({**meta, "label": 'a,b "c"'}))
+    custom = write_config(tmp_path / "a.json", {
+        "generator": {"variant": "custom", "path": str(tmp_path / "c" / "spectrum.csv")}})
+    assert main(["compare", "--config", custom, "--config", sinc,
+                 "--out", str(tmp_path / "cmp")]) == 0
+    with open(tmp_path / "cmp" / "compare.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    # every row has the header's fields, none left over
+    assert [len(row) for row in rows] == [len(reader.fieldnames)] * 2
+    assert [row["generator"] for row in rows] == ['a,b "c"', "sinc"]
+    assert rows[0]["m"] == rows[1]["m"]
 
 
 def test_off_symmetry_custom_spectrum_keeps_its_imaginary_signal(tmp_path):

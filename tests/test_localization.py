@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from unittest import mock
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sispace import generators, localization
+from sispace import forks, generators, localization
 from sispace.generators import (GeneratorSpec, PsiParams, build_bspline,
                                 build_psi_spectrum, evaluate_psi_time)
 from sispace.grid import FrequencyGrid, GridError, to_time_domain
@@ -88,6 +89,55 @@ def test_streamed_partials_match_symmetric_lattice(psi_small, monkeypatch):
             k = round(T / dx)
             reference = np.trapezoid(integrand[M - k:M + k + 1], dx=dx)
             assert abs(partial - reference) <= 1e-12 * reference
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("windows", [
+    [0.3, 0.7, 1.1, 2.9],          # 9 segments, seams off the 1000-point chunks
+    [1e-5, 2e-5, 5e-4, 1e-3],      # 2 segments, k = 0, 0, 1, 2 at dx = 2**-11
+    [1e-6, 2e-6, 3e-6, 4e-6],      # no segment: every window rounds to k = 0
+], ids=["seams-off-chunks", "two-segments", "no-segment"])
+def test_split_partials_are_bitwise_those_of_one_worker(psi_small, monkeypatch, windows):
+    monkeypatch.setattr(localization, "PROBE_CHUNK", 1000)
+    params = psi_small[0]
+    exponents = [(1, 0.0), (2, 1.5), (2, 0.5)]
+    partials = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(forks, "workers", lambda: workers)
+        partials[workers], route = localization._window_partials(params, exponents, windows)
+        assert route == "analytic"
+        assert_no_child_left()
+    assert partials[1].shape == (len(exponents), len(windows))
+    assert partials[2].tobytes() == partials[1].tobytes()
+    assert partials[3].tobytes() == partials[1].tobytes()
+
+
+@pytest.mark.parametrize("failing, raised", [
+    ({"child"}, "child"), ({"here"}, "here"), ({"child", "here"}, "here")],
+    ids=["child", "this-process", "both"])
+def test_a_failing_range_surfaces_as_itself_and_leaves_no_process(psi_small, monkeypatch,
+                                                                  failing, raised):
+    # 3 workers: this process evaluates the first range, two children the others;
+    # when this process fails, its failure wins over any child's
+    parent = os.getpid()
+    evaluate = generators._LatticeEvaluator.__call__
+
+    def failing_evaluate(self, start, stop):
+        where = "here" if os.getpid() == parent else "child"
+        if where in failing:
+            raise FloatingPointError(where)
+        return evaluate(self, start, stop)
+
+    monkeypatch.setattr(forks, "workers", lambda: 3)
+    monkeypatch.setattr(generators._LatticeEvaluator, "__call__", failing_evaluate)
+    with pytest.raises(FloatingPointError) as error:
+        localization._window_partials(psi_small[0], [(1, 0.0)], [1.0, 2.0, 3.0, 4.0])
+    assert str(error.value) == raised
+    assert_no_child_left()
 
 
 def test_probe_memory_does_not_grow_with_the_lattice(psi_small, monkeypatch):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sispace import report
+from sispace import forks, report
 from sispace.generators import build_sinc
 from sispace.grid import FrequencyGrid, SampledSignal
 from sispace.report import (CSV_BLOCK_ROWS, NON_FINITE, _fmt_float, _write_csv,
@@ -72,7 +72,7 @@ def test_block_writer_matches_per_cell_reference(tmp_path_factory, cols, block_r
     for workers in (1, 2, 3):
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         with mock.patch.object(report, "CSV_BLOCK_ROWS", block_rows), \
-                mock.patch.object(report, "_csv_workers", lambda: workers):
+                mock.patch.object(forks, "workers", lambda: workers):
             _write_csv(path, header, "igdg", a, ints, b)
         assert path.read_text() == expected
         assert [p.name for p in path.parent.iterdir()] == ["t.csv"]
@@ -158,7 +158,7 @@ def test_failed_child_range_leaves_no_file_and_no_process(tmp_path, monkeypatch,
         return FailingPart(fh) if str(path).endswith(".2.part") else fh
 
     monkeypatch.setattr(report, "CSV_BLOCK_ROWS", 4)
-    monkeypatch.setattr(report, "_csv_workers", lambda: 3)
+    monkeypatch.setattr(forks, "workers", lambda: 3)
     monkeypatch.setattr(report, "open", failing_open, raising=False)
     # a child leaves through os._exit: it never flushes what this process buffered
     inherited = open(tmp_path / "inherited.txt", "w")
@@ -176,13 +176,13 @@ def test_failed_child_range_leaves_no_file_and_no_process(tmp_path, monkeypatch,
 
 def test_workers_are_the_usable_cpus_and_one_without_fork(tmp_path, monkeypatch):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert report._csv_workers() == (cpus if hasattr(os, "fork") else 1)
+    assert forks.workers() == (cpus if hasattr(os, "fork") else 1)
     monkeypatch.setattr(report, "CSV_BLOCK_ROWS", 4)
     spec = build_sinc(FrequencyGrid(8, 2))
     write_spectrum_csv(tmp_path / "split.csv", spec)
     # with no os.fork every block is written here, and nothing forks
     monkeypatch.delattr(os, "fork", raising=False)
-    assert report._csv_workers() == 1
+    assert forks.workers() == 1
     write_spectrum_csv(tmp_path / "one.csv", spec)
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "split.csv").read_bytes()
 
