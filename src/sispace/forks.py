@@ -19,7 +19,7 @@ wins and the children's are dropped.  Forking is safe here: after
 ``import numpy`` the process has 2 threads, and 1 from ``os.fork()`` on,
 since OpenBLAS's fork handler stops its pool (CPython 3.12 and later warn
 only when the parent has several threads at a fork, so they should not warn;
-not tried on those versions).  ``spawn`` would start each worker from a fresh
+CI runs the tests on 3.12).  ``spawn`` would start each worker from a fresh
 import, which costs more than the work it is given and shares no tables.
 """
 

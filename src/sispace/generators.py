@@ -509,6 +509,18 @@ def _cubic(s, coeffs, i, outs, term):
         out += np.multiply(s3, c[0, i], out=term)
 
 
+def _in_order(x, evaluate):
+    """``evaluate`` at an ``x`` of any shape and order, called once: on the
+    flattened points, stably sorted (NaN last).  Each value goes back to its
+    point's place, in ``x``'s shape."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, axis=None, kind="stable")
+    values = evaluate(x.ravel()[order])
+    out = np.empty_like(values)
+    out[order] = values
+    return out.reshape(x.shape)
+
+
 class WindowTables:
     """Tabulated inverse transforms of ``g0`` and ``g1`` with cubic interpolation.
 
@@ -520,8 +532,8 @@ class WindowTables:
     outer 2% of each table, which bounds the truncation error committed by
     that convention.  One path evaluates the splines,
     :meth:`_interval_runs`, which takes ascending points one knot interval at
-    a time; ``g0_inv``/``g1_inv`` take x of any shape and order, sort it and
-    put each value back in its place, so a value depends on its point alone.
+    a time; ``g0_inv``/``g1_inv`` take x of any shape and order through
+    :func:`_in_order`, so a value depends on its point alone.
     """
 
     def __init__(self, alpha):
@@ -543,24 +555,14 @@ class WindowTables:
                                     np.abs(g1_inv[-edge:]).max()))
 
     def g0_inv(self, x):
-        return self._scattered(x, self._g0_coeffs)[0]
+        return _in_order(x, lambda x: self._interval_runs(x, self._g0_coeffs)[0])
 
     def g1_inv(self, x):
-        re, im = self._scattered(x, *self._g1_coeffs)
-        out = np.empty(re.shape, dtype=complex)
-        out.real, out.imag = re, im
-        return out
-
-    def _scattered(self, x, *coeffs):
-        """Each spline of ``coeffs`` at an ``x`` of any shape and order: the
-        flattened points, stably sorted (NaN last), go through
-        :meth:`_interval_runs` and their values back to their places."""
-        x = np.asarray(x, dtype=float)
-        order = np.argsort(x, axis=None, kind="stable")
-        outs = [np.empty(x.size) for _ in coeffs]
-        for out, run in zip(outs, self._interval_runs(x.ravel()[order], *coeffs)):
-            out[order] = run
-        return [out.reshape(x.shape) for out in outs]
+        def runs(x):
+            out = np.empty(x.shape, dtype=complex)
+            out.real, out.imag = self._interval_runs(x, *self._g1_coeffs)
+            return out
+        return _in_order(x, runs)
 
     def _interval_runs(self, x, *coeffs):
         """Each spline of ``coeffs`` at an ascending ``x``, one knot interval at a time.
@@ -601,16 +603,17 @@ def dirichlet_ratio(u, count):
     sines is accurate to rounding for every r != 0; the removable
     singularity r == 0 takes the limit value ``count``.
     """
-    return _dirichlet_ratios(u, (count,))[0][()]   # [()]: a scalar u gives a scalar
+    return next(_dirichlet_ratios(u, (count,)))[()]   # [()]: a scalar u gives a scalar
 
 
 def _dirichlet_ratios(u, counts):
-    """:func:`dirichlet_ratio` of ``u`` for each of ``counts``, in one pass.
+    """:func:`dirichlet_ratio` of ``u`` for each of ``counts`` in turn, from one
+    pass over the residues: yields one ratio per count.
 
     The rounding to the nearest integer m, the residue r = u - m, the parity
-    of m and sin(pi*r) are computed once.  Per count remain the numerator,
-    its divide by sin(pi*r) where that is nonzero (the limit ``count``
-    elsewhere) and, for an even count, the sign (-1)**m.
+    of m and sin(pi*r) are computed once, before the first ratio.  Per count
+    remain the numerator, its divide by sin(pi*r) where that is nonzero (the
+    limit ``count`` elsewhere) and, for an even count, the sign (-1)**m.
     """
     u = np.asarray(u, dtype=float)
     m = np.round(u)
@@ -619,15 +622,13 @@ def _dirichlet_ratios(u, counts):
     den = np.sin(np.pi * r)
     nonzero = den != 0
     numerator = np.empty(r.shape)
-    ratios = []
     for count in counts:
         np.sin(np.multiply(count * np.pi, r, out=numerator), out=numerator)
         ratio = np.full(r.shape, float(count))
         np.divide(numerator, den, out=ratio, where=nonzero)
         if count % 2 == 0:
             np.negative(ratio, out=ratio, where=odd)
-        ratios.append(ratio)
-    return ratios
+        yield ratio
 
 
 def _carrier(freq, x):
@@ -651,19 +652,21 @@ CARRIER_SPLIT_BITS = 10   # lattice carrier: k = k_hi * 2**10 + k_lo
 
 
 class _PointFactors:
-    """The factors of the analytic sum at arbitrary points ``x``."""
+    """The factors of the analytic sum at ascending points ``x``: the windows
+    from :meth:`WindowTables._interval_runs`, and the Dirichlet ratios of every
+    depth from one :func:`_dirichlet_ratios` pass."""
 
     def __init__(self, x, params, windows):
         self.x, self.n, self.windows = x, params.n, windows
 
     def central(self, scale):
-        return self.windows.g0_inv(scale * self.x)
+        return self.windows._interval_runs(scale * self.x, self.windows._g0_coeffs)[0]
 
     def envelope(self, scale):
-        return self.windows._scattered(scale * self.x, *self.windows._g1_coeffs)
+        return self.windows._interval_runs(scale * self.x, *self.windows._g1_coeffs)
 
-    def dirichlet(self, j, count):
-        return dirichlet_ratio(self.n * self.x, count)
+    def dirichlets(self, counts):
+        return _dirichlet_ratios(self.n * self.x, counts)
 
     def carrier(self, j, freq):
         return _carrier(freq, self.x)
@@ -673,11 +676,10 @@ class _LatticeFactors(_PointFactors):
     """The same factors at the ascending points ``k * 2**-e``, ``k = start ..
     stop-1``, of a :class:`_LatticeEvaluator`'s lattice, from its tables:
 
-    * windows: the points are already ascending, so they go straight to
-      :meth:`WindowTables._interval_runs`, bitwise equal;
-    * Dirichlet ratio: gathered from the evaluator's tables while they fit in
-      ``DIRICHLET_TABLE_BYTES``, else computed directly; bitwise equal either
-      way;
+    * windows: the point route's, bitwise equal;
+    * Dirichlet ratios: gathered from the evaluator's tables, one depth at a
+      time, while they fit in ``DIRICHLET_TABLE_BYTES``, else the point
+      route's one pass; bitwise equal either way;
     * carrier: ``E(k) = E_hi(k_hi) * E_lo(k_lo)`` for
       ``k = k_hi * 2**CARRIER_SPLIT_BITS + k_lo``, each factor's phase
       reduced as the point route reduces ``freq * x``, so the one new
@@ -704,16 +706,10 @@ class _LatticeFactors(_PointFactors):
     def __array__(self, dtype=None, copy=None):
         return np.array(self.x, dtype=dtype, copy=copy)
 
-    def central(self, scale):
-        return self.windows._interval_runs(scale * self.x, self.windows._g0_coeffs)[0]
-
-    def envelope(self, scale):
-        return self.windows._interval_runs(scale * self.x, *self.windows._g1_coeffs)
-
-    def dirichlet(self, j, count):
+    def dirichlets(self, counts):
         if self.dirichlet_tables is None:
-            return super().dirichlet(j, count)
-        return self.dirichlet_tables[j - 1].take(self.q)
+            return super().dirichlets(counts)
+        return (table.take(self.q) for table in self.dirichlet_tables)
 
     def carrier(self, j, freq):
         cos_hi, sin_hi = (t[:, None] for t in _carrier(freq, self.x_hi))
@@ -768,15 +764,19 @@ def _psi_sum(factors, params):
     s0, *envelope_scales = params.time_scales
     out = s0 * factors.central(s0)
 
-    for blk, cj in zip(params.blocks, envelope_scales):
-        j, bj = blk["j"], blk["count"]
+    blocks = params.blocks
+    ratios = factors.dirichlets([blk["count"] for blk in blocks])
+    for blk, cj in zip(blocks, envelope_scales):
+        j = blk["j"]
         pref = (2.0 ** a - 1.0) / 2.0 * blk["weight"] * 2.0 ** (-j * a)
         env_re, env_im = factors.envelope(cj)
         cos, sin = factors.carrier(j, _carrier_frequency(blk, a))
-        # out += 2 pref D (env_re cos - env_im sin), in place, in that order
+        # out += 2 pref D (env_re cos - env_im sin), in place, in that order;
+        # D is drawn only where it is multiplied in: the sum holds no ratio
+        # across a depth's envelope and carrier work
         term = env_re * cos
         term -= env_im * sin
-        term *= 2.0 * pref * factors.dirichlet(j, bj)
+        term *= 2.0 * pref * next(ratios)
         out += term
     return out
 
@@ -793,16 +793,16 @@ def evaluate_psi_time(x, params: PsiParams):
     direct term and the pair sums to ``2 Re``; the values returned are real,
     for every x.
 
-    The probe pass runs the same sum on its dyadic lattice: its
-    ``_LatticeEvaluator`` gives each piece here as a ``_LatticeFactors``,
-    whose factors come from the evaluator's tables instead of per-point
-    work.  Windows and Dirichlet ratios are bitwise those of the same points
-    given as an array; the carrier differs by the rounding of one complex
-    product.  Every point the probe evaluates thus passes through this
-    function, where a trace of it counts them.
+    The points are sorted once (:func:`_in_order`) and summed as
+    :class:`_PointFactors`, so a value depends on its point alone; a scalar
+    ``x`` gives a scalar.  The probe pass runs the same sum on its dyadic
+    lattice: its ``_LatticeEvaluator`` gives each piece here as a
+    ``_LatticeFactors``, whose Dirichlet ratios and carrier come from the
+    evaluator's tables instead of per-point work.  Windows and Dirichlet
+    ratios are bitwise those of the same points given as an array; the
+    carrier differs by the rounding of one complex product.
     """
     if isinstance(x, _LatticeFactors):
         return _psi_sum(x, params)
-    x = np.asarray(x, dtype=float)
-    out = _psi_sum(_PointFactors(np.atleast_1d(x), params, window_tables(params.alpha)), params)
-    return out[0] if x.ndim == 0 else out
+    windows = window_tables(params.alpha)
+    return _in_order(x, lambda x: _psi_sum(_PointFactors(x, params, windows), params))[()]

@@ -32,6 +32,7 @@ import json
 import math
 import os
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,13 +250,21 @@ def read_spectrum_csv(path, grid: FrequencyGrid | None = None,
     """Re-ingest a spectrum written by :func:`write_spectrum_csv`.
 
     The grid is reconstructed from the sample positions unless given.
-    ValueError unless there are at least two rows, all of them finite,
+    ValueError, naming ``path``, unless the file is UTF-8 with a number in
+    each row's ``xi``, ``re`` and ``im`` column after the header, and there
+    are at least two rows, all of them finite,
     (rebuilding the grid) the first two xi a finite positive step apart, and
     every xi the grid's (exact for a file :func:`write_spectrum_csv` wrote:
     ``S`` is a power of two); the error names the first row, counted from 1
     after the header, whose xi is not.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3), ndmin=2)
+    with warnings.catch_warnings():
+        # an empty file or a lone header: the row count below says so
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3), ndmin=2)
+        except ValueError as e:   # a cell that is no number, a short row, non-UTF-8 bytes
+            raise ValueError(f"{path}: {e}") from e
     if data.shape[0] < 2:
         raise ValueError(f"{path} holds {data.shape[0]} samples; need at least 2")
     if not np.isfinite(data).all():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -684,7 +685,8 @@ def test_unreadable_config_or_spec_exits_2_with_one_line(tmp_path, capsys, confi
 
 
 @pytest.mark.parametrize("corrupt", ["one row", "nan", "inf", "repeated xi", "huge xi",
-                                     "off-grid xi"])
+                                     "off-grid xi", "empty", "header only", "not a number",
+                                     "no im column", "not utf-8"])
 def test_malformed_custom_spectrum_exits_3_with_one_line(tmp_path, capsys, corrupt):
     from sispace.generators import build_sinc
     from sispace.grid import FrequencyGrid
@@ -700,15 +702,24 @@ def test_malformed_custom_spectrum_exits_3_with_one_line(tmp_path, capsys, corru
         rows[1][1], rows[2][1] = "-1e308", "1e308"
     elif corrupt == "off-grid xi":   # the first two xi rebuild the grid; row 10 is off it
         rows[10][1] = "123.5"
-    else:
-        rows[5][2] = corrupt
-    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    elif corrupt == "empty":
+        rows = []
+    elif corrupt == "header only":
+        rows = rows[:1]
+    elif corrupt == "no im column":
+        rows[5] = rows[5][:3]
+    else:   # "\udcff" is written as the byte 0xff, which UTF-8 never holds
+        rows[5][2] = {"not a number": "x", "not utf-8": "\udcff"}.get(corrupt, corrupt)
+    text = "".join(",".join(row) + "\n" for row in rows)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     cfg = write_config(tmp_path / "c.json", {
         "generator": {"variant": "custom", "path": str(path)},
         "analyses": ["periodization", "invariance"],
     })
     out = tmp_path / "out"
-    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a warning would print lines of its own
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("numeric precondition violated:") and str(path) in err[0]

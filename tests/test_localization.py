@@ -114,6 +114,11 @@ def test_split_partials_are_bitwise_those_of_one_worker(psi_small, monkeypatch, 
     assert partials[1].shape == (len(exponents), len(windows))
     assert partials[2].tobytes() == partials[1].tobytes()
     assert partials[3].tobytes() == partials[1].tobytes()
+    # without Dirichlet tables every piece takes the per-point ratios' one pass
+    monkeypatch.setattr(generators, "DIRICHLET_TABLE_BYTES", 0)
+    without_tables, _ = localization._window_partials(params, exponents, windows)
+    assert_no_child_left()
+    assert without_tables.tobytes() == partials[1].tobytes()
 
 
 @pytest.mark.parametrize("failing, raised", [

@@ -12,6 +12,8 @@
   points given as an array bitwise, and the whole value within 1e-13 of
   max|f| = f(0) (the spectrum is nonnegative), with the Dirichlet tables in
   use and with them switched off by a zero size cap.
+* Points given as an array are sorted once: any order, shape or repetition
+  of them gets bitwise the values of the ascending points.
 * A lattice cut into consecutive pieces evaluates bitwise as the whole, so
   the probe pass may size its pieces freely; and the Dirichlet tables, built
   for all depths in one pass, are bitwise the per-count ratio.
@@ -83,8 +85,10 @@ def test_lattice_route_matches_point_route(table_cap, params, lattice):
         assert np.array_equal(on_lattice.central(scale), at_points.central(scale))
         for got, want in zip(on_lattice.envelope(scale), at_points.envelope(scale)):
             assert np.array_equal(got, want)
-    for j, count in enumerate(params.block_counts[1:], 1):
-        assert np.array_equal(on_lattice.dirichlet(j, count), at_points.dirichlet(j, count))
+    counts = params.block_counts[1:]
+    for got, want in zip(on_lattice.dirichlets(counts), at_points.dirichlets(counts),
+                         strict=True):
+        assert _bits(got).tobytes() == _bits(want).tobytes()
     values = evaluate(start, stop)
     reference = evaluate_psi_time(x, params)
     assert values.shape == (stop - start,)
@@ -263,6 +267,31 @@ def test_window_splines_at_any_order_and_shape_match_the_ascending_evaluation(al
         assert np.array_equal(_bits(windows.g0_inv(x[index])), _bits(g0[index]))
         assert np.array_equal(_bits(g1.real), _bits(re[index]))
         assert np.array_equal(_bits(g1.imag), _bits(im[index]))
+
+
+@pytest.mark.parametrize("params", [PsiParams(1.0, 2.0, 2, 3), PsiParams(0.75, 1.5, 3, 2)])
+def test_point_route_at_any_order_and_shape_matches_the_ascending_evaluation(params):
+    # evaluate_psi_time sorts its points once for the sum and puts each value
+    # back: shuffled, reshaped or repeated points, signed zeros and non-finite
+    # points get bitwise the values the ascending points (NaN last) get
+    rng = np.random.default_rng(4)
+    x = np.sort(np.concatenate([rng.uniform(-80.0, 80.0, 994),
+                                [-0.0, 0.0, -np.inf, np.inf, np.nan, 0.25]]))
+    shuffle = rng.permutation(x.size)
+    with np.errstate(invalid="ignore"):   # NaN and +-inf meet an integer cast and inf - inf
+        ascending = evaluate_psi_time(x, params)
+        for index in (shuffle, shuffle.reshape(25, 40), np.repeat(shuffle, 3)):
+            values = evaluate_psi_time(x[index], params)
+            assert values.dtype == np.float64 and values.shape == index.shape
+            assert _bits(values).tobytes() == _bits(ascending[index]).tobytes()
+    at = int(np.flatnonzero(x == 0.25)[0])
+    for scalar in (0.25, np.array(0.25)):
+        value = evaluate_psi_time(scalar, params)
+        assert type(value) is np.float64
+        assert _bits(value).tobytes() == _bits(ascending[at]).tobytes()
+    for empty in (np.array([]), np.zeros((2, 0))):
+        values = evaluate_psi_time(empty, params)
+        assert values.dtype == np.float64 and values.shape == empty.shape
 
 
 @pytest.mark.parametrize("table_cap", [0, generators.DIRICHLET_TABLE_BYTES])
