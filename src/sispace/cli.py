@@ -13,10 +13,10 @@ failure.  ``analyze`` writes a deterministic ``report.json`` (same config +
 same version => byte-identical bytes) plus CSV tables; wall-clock timings go
 to a separate ``run_meta.json`` so they never perturb the report.  Each
 subcommand creates its output directory only after its computation has
-succeeded, and every file goes through
-:func:`~sispace.report.atomic_writer`.  ``construct`` replaces its three
-files only once all of them are written, and ``analyze`` removes the report
-and CSV tables of an earlier run that it did not write again.
+succeeded, and writes all its files in one
+:func:`~sispace.report.staged_paths` set, which replaces them only once all
+of them are written; ``analyze`` then removes the report and CSV tables of
+an earlier run that it did not write again.
 
 The command line is read against the ``_FLAGS`` table: each subcommand takes
 the flags listed for it, spelled in full, as ``--flag value`` or
@@ -38,9 +38,9 @@ from .localization import PARAMETERS
 from .pipeline import (DECAY_PROBES, SECTIONS, ConfigError, RunContext,
                        compare_header, compare_row, grid_block, load_json,
                        read_grid, typed_parameters)
-from .report import (staged_paths, write_compare_csv, write_periodization_csv,
-                     write_report, write_signal_csv, write_spectrum_csv,
-                     write_windows_csv)
+from .report import (dumps_deterministic, staged_paths, write_compare_csv,
+                     write_periodization_csv, write_report, write_signal_csv,
+                     write_spectrum_csv, write_windows_csv)
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
 
@@ -149,29 +149,25 @@ def cmd_analyze(cfg: RunConfig):
             t0 = time.perf_counter()
             analyses[name] = SECTIONS[name](ctx)
             timings[name] = time.perf_counter() - t0
-    # the first file written creates the directory, once every analysis has
-    # succeeded and that file's values are checked: a failed run leaves none
-    out = Path(cfg.output)
-    written = set()
+    files = {}   # name: (writer, value), for each file but run_meta.json
     if "json" in cfg.formats:
-        write_report(out / "report.json", {"config": cfg.echo(), "version": __version__,
-                                           "grid": grid_block(ctx),
-                                           "analyses": analyses})
-        written.add("report.json")
-    if "csv" in cfg.formats:
-        if "periodization" in analyses:
-            write_periodization_csv(out / "periodization.csv", ctx.criteria.profile)
-            written.add("periodization.csv")
-        if "decay" in analyses:
-            for name, verdict in ctx.decay_verdicts.items():
-                write_windows_csv(out / f"windows_{name}.csv", verdict)
-                written.add(f"windows_{name}.csv")
-    write_report(out / "run_meta.json", {"wall_clock_s": timings,
-                                         "total_s": time.perf_counter() - t_start})
-    # an earlier run's report and tables would read as this run's
-    for name in ANALYZE_OUTPUTS:
-        if name not in written:
-            (out / name).unlink(missing_ok=True)
+        report = {"config": cfg.echo(), "version": __version__, "grid": grid_block(ctx),
+                  "analyses": analyses}
+        dumps_deterministic(report)   # a value it cannot hold fails before the directory exists
+        files["report.json"] = write_report, report
+    if "csv" in cfg.formats and "periodization" in analyses:
+        files["periodization.csv"] = write_periodization_csv, ctx.criteria.profile
+    if "csv" in cfg.formats and "decay" in analyses:
+        files.update({f"windows_{name}.csv": (write_windows_csv, verdict)
+                      for name, verdict in ctx.decay_verdicts.items()})
+    out = Path(cfg.output)
+    with staged_paths(*(out / name for name in [*files, "run_meta.json"])) as tmps:
+        for (write, value), tmp in zip(files.values(), tmps):
+            write(tmp, value)
+        write_report(tmps[-1], {"wall_clock_s": timings,
+                                "total_s": time.perf_counter() - t_start})
+    for name in set(ANALYZE_OUTPUTS) - set(files):   # they would read as this run's
+        (out / name).unlink(missing_ok=True)
     return EXIT_OK
 
 
@@ -179,8 +175,9 @@ def cmd_compare(cfgs, out_dir, n_max):
     # every generator is probed with the same fixed parameters, not its config's
     parameters = typed_parameters({"n_max": n_max})
     rows = [compare_row(RunContext(cfg.spec, cfg.grid, parameters)) for cfg in cfgs]
-    # created by the write, once every row has succeeded, as in analyze and construct
-    write_compare_csv(Path(out_dir) / "compare.csv", compare_header(parameters["n_max"]), rows)
+    # created by the set, once every row has succeeded, as in analyze and construct
+    with staged_paths(Path(out_dir) / "compare.csv") as (tmp,):
+        write_compare_csv(tmp, compare_header(parameters["n_max"]), rows)
     return EXIT_OK
 
 

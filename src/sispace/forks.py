@@ -1,9 +1,9 @@
 """One job split into contiguous ranges, run on every CPU this process may use.
 
-:func:`run_ranges` runs ``task(first, last)`` for each range of a cut list:
-this process runs the first range and a forked child each further one, and
-the results come back in range order, each child's pickled through its own
-pipe.  The numeric CSV writer formats its block ranges this way
+:func:`run_ranges` runs ``task(first, last)`` for each range of a cut list
+from :func:`split`: this process runs the first range and a forked child
+each further one, and the results come back in range order, each child's
+pickled through its own pipe.  The numeric CSV writer formats its blocks
 (:func:`sispace.report._write_csv`), and the analytic decay probe sums its
 trapezoid segments this way (:func:`sispace.localization._window_partials`).
 A child shares this process's memory copy-on-write, so tables built before
@@ -25,6 +25,7 @@ import, which costs more than the work it is given and shares no tables.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import os
 import pickle
@@ -37,6 +38,16 @@ def workers():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def split(bounds):
+    """Cut list over the units ``bounds[i]..bounds[i+1]`` (ascending from 0):
+    one range per worker, at most one per unit, each ending at the first unit
+    boundary at or past its share of ``bounds[-1]``."""
+    units = len(bounds) - 1
+    ranges = max(1, min(workers(), units))
+    ends = {bisect.bisect_left(bounds, bounds[-1] * r // ranges) for r in range(1, ranges)}
+    return [0, *sorted(ends - {0, units}), units]
 
 
 def _fork(task, first, last):

@@ -800,9 +800,15 @@ def evaluate_psi_time(x, params: PsiParams):
     ``_LatticeFactors``, whose Dirichlet ratios and carrier come from the
     evaluator's tables instead of per-point work.  Windows and Dirichlet
     ratios are bitwise those of the same points given as an array; the
-    carrier differs by the rounding of one complex product.
+    carrier differs by the rounding of one complex product.  At x = +-inf
+    every window is 0, and so is the value; NaN gives NaN.
     """
     if isinstance(x, _LatticeFactors):
         return _psi_sum(x, params)
     windows = window_tables(params.alpha)
-    return _in_order(x, lambda x: _psi_sum(_PointFactors(x, params, windows), params))[()]
+
+    def psi_sum(x):
+        out, finite = np.where(np.isnan(x), x, 0.0), np.isfinite(x)
+        out[finite] = _psi_sum(_PointFactors(x[finite], params, windows), params)
+        return out
+    return _in_order(x, psi_sum)[()]

@@ -130,9 +130,8 @@ def _window_partials(source, exponents, windows):
     points from one ``generators._LatticeEvaluator``, created here for the
     pass: every factor comes from its lattice tables, bitwise as point by
     point, so the pieces change no bit, and they keep the depth loop's
-    temporaries at 128 KiB each.  The segments are cut into contiguous
-    ranges of about equal point count, one per worker of
-    :func:`sispace.forks.workers` (at most one per segment), and
+    temporaries at 128 KiB each.  :func:`sispace.forks.split` cuts the
+    segments into ranges of about equal point count, and
     :func:`sispace.forks.run_ranges` sums them, the first range here and each
     further one in a forked child that shares the evaluator's tables; each
     range sends back only its segments' sums, which are added here in the
@@ -188,13 +187,8 @@ def _window_partials(source, exponents, windows):
                 out[i - first, row] = np.trapezoid(_weighted(values, p, weight, w), dx=dx)
         return out
 
-    n_segments = len(stops) - 1
-    ranges = max(1, min(forks.workers(), n_segments))
-    # each range ends at the first segment end at or past its share of the points
-    ends = {bisect.bisect_left(stops, ks[-1] * r // ranges) for r in range(1, ranges)}
-    cuts = [0, *sorted(ends - {0, n_segments}), n_segments]
     segments = np.zeros((len(exponents), len(windows)))
-    sums = np.concatenate(forks.run_ranges(trapezoids, cuts))
+    sums = np.concatenate(forks.run_ranges(trapezoids, forks.split(stops)))
     for b, row in zip(stops[1:], sums):
         segments[:, bisect.bisect_left(ks, b)] += row
     return 2.0 * np.cumsum(segments, axis=1), "analytic"

@@ -10,17 +10,14 @@ Numeric CSV tables are formatted ``CSV_BLOCK_ROWS`` rows at a time, one
 ``%`` operation per block, cell for cell the same text as
 :func:`_fmt_float`; a float cell that is exactly +0.0 or -0.0 is literal
 text in its row's template and costs no formatting.  A table of several
-blocks is split into contiguous block ranges, one per worker of
-:func:`sispace.forks.workers` (at most one per block), and
-:func:`sispace.forks.run_ranges` formats them: this process the first range
-into the temp file, a forked child each further range into a hidden part
+blocks is split into contiguous block ranges by :func:`sispace.forks.split`,
+and :func:`sispace.forks.run_ranges` formats them: this process the first
+range into the file, a forked child each further range into a hidden part
 file beside it, which the parent appends in order.  Each range goes through
 the same formatter in the same blocks, so the bytes are those of one
-worker, and the part files are removed on every path.  Every output file is
-written through :func:`atomic_writer`: a temp file in the target directory
-that replaces the final path only once it is complete, so a failed write
-never leaves a half-written file.  :func:`staged_paths` does the same for
-files that belong together.  Values are checked before any file is opened.
+worker, and the part files are removed on every path.  Each writer checks
+its values, then creates the path it is given; :func:`staged_paths` makes a
+command's outputs visible, all of them at once.
 """
 
 from __future__ import annotations
@@ -61,13 +58,9 @@ def dumps_deterministic(obj, indent=0):
     """JSON text with fixed key order and 17-significant-digit floats."""
     pad = " " * indent
     inner = " " * (indent + 2)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+    if obj is None or isinstance(obj, bool):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(obj)
@@ -90,19 +83,12 @@ def dumps_deterministic(obj, indent=0):
 
 @contextlib.contextmanager
 def staged_paths(*paths):
-    """One temp path next to each of ``paths``; when the block exits, each
-    temp file replaces its path, in order.
-
-    The temp paths sit in their targets' directories (so ``os.replace``
-    stays on one file system), which are created, with their parents, as
-    the block is entered: a caller that checks its values before the block,
-    as every :func:`atomic_writer` caller does, leaves no new directory for
-    a value that cannot be written.  No path is
-    replaced before the block has completed every temp file, so files that
-    belong together, such as a spectrum and its sidecar, never mix two
-    runs; on any exception the temp files are removed and the paths are
-    left as they were.
-    """
+    """One temp path next to each of ``paths``, in its directory (created as
+    the block is entered) so ``os.replace`` stays on one file system; when the
+    block exits, each temp file replaces its path, in order.  No path is
+    replaced before the block has completed every temp file, so the files of
+    one command never mix two runs; on any exception the temp files are
+    removed and the paths are left as they were."""
     paths = [Path(p) for p in paths]
     for p in paths:
         p.parent.mkdir(parents=True, exist_ok=True)
@@ -118,18 +104,10 @@ def staged_paths(*paths):
         raise
 
 
-@contextlib.contextmanager
-def atomic_writer(path):
-    """Text file handle whose contents replace ``path`` when the block exits
-    (:func:`staged_paths` for one path)."""
-    with staged_paths(path) as (tmp,), open(tmp, "x") as fh:
-        yield fh
-
-
 def write_report(path, obj):
     # rendered before the file is opened: a value that cannot be written leaves no file
     text = dumps_deterministic(obj) + "\n"
-    with atomic_writer(path) as fh:
+    with open(path, "x") as fh:
         fh.write(text)
 
 
@@ -139,11 +117,9 @@ def _write_csv(path, header, kinds, *columns):
     ``kinds`` has one letter per CSV column: ``i`` the row index, ``d`` an
     integer column, ``g`` a float column printed as :func:`_fmt_float` does.
     ``columns`` are the ``d`` and ``g`` columns in order.  Every float is
-    checked before the file is opened.  The blocks are split into
-    contiguous ranges, one per worker (:func:`sispace.forks.workers`, at
-    most one per block): :func:`sispace.forks.run_ranges` writes the first
-    range into the temp file here, each further range into a hidden part
-    file beside it in a forked child, and the parts are appended in order.
+    checked before the file is opened.  This process writes the first block
+    range into ``path``, each forked child its range into a hidden part file
+    beside it, and the parts are appended in order.
     """
     columns = [np.asarray(c, dtype=int if kind == "d" else float)
                for kind, c in zip(kinds.replace("i", ""), columns)]
@@ -180,29 +156,27 @@ def _write_csv(path, header, kinds, *columns):
             keep[:, floats] = ~zero
             fh.write(template % tuple(block[keep].tolist()))
 
-    n_blocks = -(-n_rows // CSV_BLOCK_ROWS)
-    ranges = max(1, min(forks.workers(), n_blocks))
-    cuts = [min(n_blocks * w // ranges * CSV_BLOCK_ROWS, n_rows) for w in range(ranges + 1)]
-    with staged_paths(path) as (tmp,):
-        parts = [tmp.with_name(f"{tmp.name}.{w}.part") for w in range(1, ranges)]
-        files = dict(zip(cuts, [tmp, *parts]))
+    bounds = [*range(0, n_rows, CSV_BLOCK_ROWS), n_rows]
+    cuts = forks.split(bounds)
+    parts = [f"{path}.{w}.part" for w in range(1, len(cuts) - 1)]
+    files = dict(zip(cuts, [path, *parts]))
 
-        def write_range(first, last):   # the first range after the header, in the temp file
-            with open(files[first], "x") as fh:
-                if first == 0:
-                    fh.write(",".join(header) + "\n")
-                write_blocks(fh, first, last)
+    def write_range(first, last):   # blocks first..last-1; the first range after the header
+        with open(files[first], "x") as fh:
+            if first == 0:
+                fh.write(",".join(header) + "\n")
+            write_blocks(fh, bounds[first], bounds[last])
 
-        try:
-            forks.run_ranges(write_range, cuts)
-            with open(tmp, "ab") as fh:
-                for part in parts:
-                    with part.open("rb") as src:
-                        shutil.copyfileobj(src, fh)
-        finally:
+    try:
+        forks.run_ranges(write_range, cuts)
+        with open(path, "ab") as fh:
             for part in parts:
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(part)
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh)
+    finally:
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(part)
 
 
 def _write_samples_csv(path, axis_name, axis, values):
@@ -241,8 +215,23 @@ def write_compare_csv(path, header, rows):
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows(
         [_cell(v) for v in row] for row in [header, *rows])
-    with atomic_writer(path) as fh:
+    with open(path, "x") as fh:
         fh.write(text.getvalue())
+
+
+def _unreadable_row(path):
+    """The first row after the header that ``np.loadtxt`` cannot read, counted
+    from 1 as it counts rows (blank and ``#`` lines skipped), bisected."""
+    rows = [row for row in Path(path).read_bytes().splitlines()[1:] if row.split(b"#")[0].strip()]
+    lo, hi = 0, len(rows)   # rows[:lo] read; one of rows[lo:hi] does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.loadtxt([row.decode() for row in rows[lo:mid]], delimiter=",", usecols=(1, 2, 3))
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo + 1
 
 
 def read_spectrum_csv(path, grid: FrequencyGrid | None = None,
@@ -256,7 +245,7 @@ def read_spectrum_csv(path, grid: FrequencyGrid | None = None,
     (rebuilding the grid) the first two xi a finite positive step apart, and
     every xi the grid's (exact for a file :func:`write_spectrum_csv` wrote:
     ``S`` is a power of two); the error names the first row, counted from 1
-    after the header, whose xi is not.
+    after the header, that is unreadable or whose xi is not.
     """
     with warnings.catch_warnings():
         # an empty file or a lone header: the row count below says so
@@ -264,7 +253,8 @@ def read_spectrum_csv(path, grid: FrequencyGrid | None = None,
         try:
             data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3), ndmin=2)
         except ValueError as e:   # a cell that is no number, a short row, non-UTF-8 bytes
-            raise ValueError(f"{path}: {e}") from e
+            raise ValueError(f"{path} row {_unreadable_row(path)} is not UTF-8 with a "
+                             "number in its xi, re and im columns") from e
     if data.shape[0] < 2:
         raise ValueError(f"{path} holds {data.shape[0]} samples; need at least 2")
     if not np.isfinite(data).all():

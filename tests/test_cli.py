@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -686,7 +687,8 @@ def test_unreadable_config_or_spec_exits_2_with_one_line(tmp_path, capsys, confi
 
 @pytest.mark.parametrize("corrupt", ["one row", "nan", "inf", "repeated xi", "huge xi",
                                      "off-grid xi", "empty", "header only", "not a number",
-                                     "no im column", "not utf-8"])
+                                     "no im column", "not utf-8", "first row not a number",
+                                     "first row no im column"])
 def test_malformed_custom_spectrum_exits_3_with_one_line(tmp_path, capsys, corrupt):
     from sispace.generators import build_sinc
     from sispace.grid import FrequencyGrid
@@ -708,6 +710,10 @@ def test_malformed_custom_spectrum_exits_3_with_one_line(tmp_path, capsys, corru
         rows = rows[:1]
     elif corrupt == "no im column":
         rows[5] = rows[5][:3]
+    elif corrupt == "first row no im column":
+        rows[1] = rows[1][:3]
+    elif corrupt == "first row not a number":
+        rows[1][2] = "x"
     else:   # "\udcff" is written as the byte 0xff, which UTF-8 never holds
         rows[5][2] = {"not a number": "x", "not utf-8": "\udcff"}.get(corrupt, corrupt)
     text = "".join(",".join(row) + "\n" for row in rows)
@@ -725,6 +731,11 @@ def test_malformed_custom_spectrum_exits_3_with_one_line(tmp_path, capsys, corru
     assert err[0].startswith("numeric precondition violated:") and str(path) in err[0]
     if corrupt == "off-grid xi":
         assert "row 10 has xi = 123.5" in err[0]
+    # an unreadable row is counted from 1 after the header, as an off-grid one is
+    row = {"not a number": 5, "no im column": 5, "not utf-8": 5,
+           "first row not a number": 1, "first row no im column": 1}.get(corrupt)
+    if row is not None:
+        assert f"{path} row {row} is not UTF-8 with a number" in err[0]
     assert not out.exists()
 
 
@@ -842,6 +853,29 @@ def test_failed_construct_keeps_the_earlier_files(tmp_path, capsys, monkeypatch)
     hat = write_config(tmp_path / "b.json", {"generator": {"variant": "bspline", "degree": 1},
                                              "grid": "64,4"})
     assert main(["construct", "--config", hat, "--out", str(out)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["I/O error: [Errno 28] No space left on device"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_failed_analyze_keeps_the_earlier_files(tmp_path, capsys, monkeypatch):
+    from sispace import cli
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
+        "analyses": ["periodization", "decay"],
+        "parameters": {"windows": [2, 4, 8, 16]},
+    })
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(before) == 6
+
+    def disk_full(path, verdict):   # after report.json and periodization.csv
+        Path(path).write_text("T,partial\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_windows_csv", disk_full)
+    assert main(["analyze", "--config", cfg, "--out", str(out), "--eps", "0.25"]) == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["I/O error: [Errno 28] No space left on device"]
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before

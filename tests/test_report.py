@@ -22,7 +22,7 @@ from sispace import forks, report
 from sispace.generators import build_sinc
 from sispace.grid import FrequencyGrid, SampledSignal
 from sispace.report import (CSV_BLOCK_ROWS, NON_FINITE, _fmt_float, _write_csv,
-                            dumps_deterministic, write_periodization_csv,
+                            dumps_deterministic, staged_paths, write_periodization_csv,
                             write_report, write_signal_csv, write_spectrum_csv,
                             write_windows_csv)
 
@@ -136,8 +136,8 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, old):
     monkeypatch.setattr(report, "CSV_BLOCK_ROWS", 4)
     monkeypatch.setattr(report, "open", lambda *a, **k: FailingFile(open(*a, **k)),
                         raising=False)
-    with pytest.raises(OSError, match="No space left"):
-        write_spectrum_csv(path, build_sinc(FrequencyGrid(8, 2)))
+    with pytest.raises(OSError, match="No space left"), staged_paths(path) as (tmp,):
+        write_spectrum_csv(tmp, build_sinc(FrequencyGrid(8, 2)))
     assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["spectrum.csv"])
     if old is not None:
         assert path.read_text() == old
@@ -147,8 +147,8 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, old):
                                    ValueError("block 5 cannot be formatted")],
                          ids=["disk-full", "value-error"])
 def test_failed_child_range_leaves_no_file_and_no_process(tmp_path, monkeypatch, error):
-    # 32 rows in blocks of 4 over 3 workers: this process writes blocks 0-1,
-    # one child 2-4 and one child 5-7, whose part file fails on its first write
+    # 32 rows in blocks of 4 over 3 workers: this process writes blocks 0-2,
+    # one child 3-5 and one child 6-7, whose part file fails on its first write
     class FailingPart(FailingFile):
         def write(self, text):
             raise error
@@ -163,8 +163,9 @@ def test_failed_child_range_leaves_no_file_and_no_process(tmp_path, monkeypatch,
     # a child leaves through os._exit: it never flushes what this process buffered
     inherited = open(tmp_path / "inherited.txt", "w")
     inherited.write("written once\n")
-    with pytest.raises(type(error)) as raised:
-        write_spectrum_csv(tmp_path / "spectrum.csv", build_sinc(FrequencyGrid(8, 2)))
+    path = tmp_path / "spectrum.csv"
+    with pytest.raises(type(error)) as raised, staged_paths(path) as (tmp,):
+        write_spectrum_csv(tmp, build_sinc(FrequencyGrid(8, 2)))
     inherited.close()
     assert str(raised.value) == str(error)
     assert getattr(raised.value, "errno", None) == getattr(error, "errno", None)
@@ -206,7 +207,8 @@ def test_non_finite_sample_raises_before_any_file_exists(tmp_path, monkeypatch, 
 def test_replaces_an_existing_output(tmp_path):
     path = tmp_path / "report.json"
     path.write_text("stale\n")
-    write_report(path, {"a": 1})
+    with staged_paths(path) as (tmp,):
+        write_report(tmp, {"a": 1})
     assert path.read_text() == '{\n  "a": 1\n}\n'
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
