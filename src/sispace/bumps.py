@@ -12,10 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Magnitudes below this are treated as "outside the support" in numeric
-# support detection; exp(-1/x) underflows smoothly through this level.
-SUPPORT_EPS = 1e-14
-
 _EXP_CLIP = 700.0  # exp argument beyond which float64 saturates anyway
 
 

@@ -35,7 +35,7 @@ from . import __version__
 from .generators import GeneratorSpec
 from .grid import GridError
 from .localization import PARAMETERS
-from .pipeline import (DECAY_PROBES, SECTIONS, ConfigError, RunContext,
+from .pipeline import (DECAY_PROBES, SECTIONS, SIDECAR, ConfigError, RunContext,
                        compare_header, compare_row, grid_block, load_json,
                        read_grid, typed_parameters)
 from .report import (dumps_deterministic, staged_paths, write_compare_csv,
@@ -97,8 +97,7 @@ class RunConfig:
         given = obj.get("parameters", {})
         if not isinstance(given, dict):
             raise ConfigError("parameters must be a JSON object")
-        overridden = {key: overrides[key] for key in ("eps", "n_max", "windows")
-                      if key in overrides}
+        overridden = {key: value for key, value in overrides.items() if key in PARAMETERS}
         self.parameters = typed_parameters({**given, **overridden})
         # the report echoes the config's values as written, and the command
         # line's typed, as they were parsed
@@ -124,16 +123,15 @@ def cmd_construct(cfg: RunConfig):
             "grid": grid_block(ctx), "label": spectrum.label,
             "hermitian": not np.iscomplexobj(signal.values),
             "spectrum_meta": spectrum.meta}
-    if cfg.spec.kind == "psi":
-        p = cfg.spec.psi
+    if p := cfg.spec.psi:
         meta["beta_j"] = list(p.block_counts[:p.J])
         meta["gamma_j"] = list(p.block_offsets[:p.J])
         meta["required_half_range"] = p.required_half_range
     out = Path(cfg.output)
     # all three are written before any replaces an earlier run's file:
-    # analyze reads meta.json as the sidecar of whatever spectrum.csv is there
+    # analyze reads the sidecar as that of whatever spectrum.csv is there
     with staged_paths(out / "spectrum.csv", out / "signal.csv",
-                      out / "meta.json") as (spectrum_tmp, signal_tmp, meta_tmp):
+                      out / SIDECAR) as (spectrum_tmp, signal_tmp, meta_tmp):
         write_spectrum_csv(spectrum_tmp, spectrum)
         write_signal_csv(signal_tmp, signal)
         write_report(meta_tmp, meta)

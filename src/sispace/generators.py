@@ -21,12 +21,12 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .bumps import g0, g1, h, h_support
+from .bumps import g0, g1, g1_support, h, h_support
 from .grid import (FrequencyGrid, GridError, SampledSignal, SampledSpectrum,
                    next_pow2)
 
@@ -152,7 +152,7 @@ class PsiParams:
         return f"psi(a={self.alpha:g} b={self.beta:g} n={self.n} J={self.J})"
 
     def to_json(self):
-        return {"alpha": self.alpha, "beta": self.beta, "n": self.n, "J": self.J}
+        return asdict(self)
 
 
 # the fields each generator variant takes besides its kind
@@ -205,13 +205,9 @@ class GeneratorSpec:
             raise ValueError(str(e)) from e
 
     def to_json(self):
-        if self.kind == "sinc":
-            return {"variant": "sinc"}
-        if self.kind == "bspline":
-            return {"variant": "bspline", "degree": self.degree}
-        if self.kind == "psi":
-            return {"variant": "psi", **self.psi.to_json()}
-        return {"variant": "custom", "path": self.path}
+        """What :meth:`from_json` reads: the variant, then its fields, psi's flattened."""
+        fields = {field: getattr(self, field) for field in VARIANT_FIELDS[self.kind]}
+        return {"variant": self.kind, **(self.psi.to_json() if self.psi else fields)}
 
 
 def auto_grid(spec: GeneratorSpec):
@@ -375,15 +371,6 @@ TABLE_X_SAMPLES = 4097   # spacing 1/32 over [-64, 64], includes 0
 TABLE_QUAD_NODES = 8193
 
 
-def _knot_interval(x):
-    """The table interval of each ``x`` in ``[-TABLE_X_MAX, TABLE_X_MAX]``: an
-    inner knot opens its interval, the last knot closes the last.  Knot i is
-    exactly ``i/32 - 64`` and ``32*x`` is exact: ``floor(32*x) + 2048``, no search."""
-    half = (TABLE_X_SAMPLES - 1) // 2
-    return np.minimum(np.floor(x * (half / TABLE_X_MAX)).astype(np.int64) + half,
-                      TABLE_X_SAMPLES - 2)
-
-
 def _turns(coef, q):
     """``coef * q`` reduced mod 1 (a phase in turns) for an integer array ``q``.
 
@@ -541,7 +528,7 @@ class WindowTables:
 
         xi0 = np.linspace(-1.0, 1.0, TABLE_QUAD_NODES)
         g0_inv = _inverse_transform_table(g0(xi0), xi0, x_nodes)
-        xi1 = np.linspace(-1.0, 2.0 ** (-alpha), TABLE_QUAD_NODES)
+        xi1 = np.linspace(*g1_support(alpha), TABLE_QUAD_NODES)
         g1_inv = _inverse_transform_table(g1(xi1, alpha), xi1, x_nodes)
 
         # per-interval cubic coefficients, highest power first
@@ -549,10 +536,8 @@ class WindowTables:
         self._g0_coeffs = _not_a_knot(x_nodes, g0_inv.real)
         self._g1_coeffs = (_not_a_knot(x_nodes, g1_inv.real), _not_a_knot(x_nodes, g1_inv.imag))
         edge = x_nodes.size // 50
-        self.tail_bound = float(max(np.abs(g0_inv[:edge]).max(),
-                                    np.abs(g0_inv[-edge:]).max(),
-                                    np.abs(g1_inv[:edge]).max(),
-                                    np.abs(g1_inv[-edge:]).max()))
+        self.tail_bound = max(float(np.abs(table[ends]).max()) for table in (g0_inv, g1_inv)
+                              for ends in (slice(None, edge), slice(-edge, None)))
 
     def g0_inv(self, x):
         return _in_order(x, lambda x: self._interval_runs(x, self._g0_coeffs)[0])
@@ -569,10 +554,9 @@ class WindowTables:
 
         The points of one interval form a contiguous run of ``x``; each run
         is evaluated by :func:`_cubic` with its interval's coefficients.  The
-        first and last interval are found by arithmetic
-        (:func:`_knot_interval`: the knots are uniform and exact), the runs'
-        bounds by search.  Points outside the table (NaN and +-inf too)
-        stay 0.
+        first and last interval and the runs' bounds are found by search: an
+        inner knot opens its interval, the last knot closes the last.  Points
+        outside the table (NaN and +-inf too) stay 0.
         """
         knots = self._knots
         outs = [np.zeros(x.shape) for _ in coeffs]
@@ -580,7 +564,8 @@ class WindowTables:
         last = np.searchsorted(x, knots[-1], "right")
         if first >= last:
             return outs
-        lo, hi = (int(i) for i in _knot_interval(x[[first, last - 1]]))
+        ends = np.searchsorted(knots, x[[first, last - 1]], "right") - 1
+        lo, hi = np.minimum(ends, knots.size - 2).tolist()
         bounds = [first, *np.searchsorted(x, knots[lo + 1:hi + 1], "left").tolist(), last]
         scratch = np.empty(x.shape)
         for i, a, b in zip(range(lo, hi + 1), bounds, bounds[1:]):
@@ -618,7 +603,7 @@ def _dirichlet_ratios(u, counts):
     u = np.asarray(u, dtype=float)
     m = np.round(u)
     r = u - m
-    odd = m.astype(np.int64) % 2 == 1
+    odd = np.fmod(m, 2) != 0   # exact for any float m, beyond int64 too
     den = np.sin(np.pi * r)
     nonzero = den != 0
     numerator = np.empty(r.shape)
@@ -800,15 +785,17 @@ def evaluate_psi_time(x, params: PsiParams):
     ``_LatticeFactors``, whose Dirichlet ratios and carrier come from the
     evaluator's tables instead of per-point work.  Windows and Dirichlet
     ratios are bitwise those of the same points given as an array; the
-    carrier differs by the rounding of one complex product.  At x = +-inf
-    every window is 0, and so is the value; NaN gives NaN.
+    carrier differs by the rounding of one complex product.  Where even the
+    deepest envelope's ``|min(time_scales) * x|`` passes ``TABLE_X_MAX`` (+-inf
+    too), every window is 0 and the value is +0.0, unsummed; NaN gives NaN.
     """
     if isinstance(x, _LatticeFactors):
         return _psi_sum(x, params)
     windows = window_tables(params.alpha)
+    reach = min(params.time_scales)
 
     def psi_sum(x):
-        out, finite = np.where(np.isnan(x), x, 0.0), np.isfinite(x)
-        out[finite] = _psi_sum(_PointFactors(x[finite], params, windows), params)
+        out, inside = np.where(np.isnan(x), x, 0.0), np.abs(reach * x) <= TABLE_X_MAX
+        out[inside] = _psi_sum(_PointFactors(x[inside], params, windows), params)
         return out
     return _in_order(x, psi_sum)[()]

@@ -355,13 +355,18 @@ def pointwise_freq_decay(f, s) -> PointwiseDecay:
 
 
 def spectrum_envelope_exponent(f: SampledSpectrum):
-    """Fitted decay exponent of per-unit-interval peaks of |f| (log-log slope)."""
+    """Fitted decay exponent of per-unit-interval peaks of |f| (log-log slope) from
+    offset ``ENVELOPE_MIN_OFFSET`` on; GridError unless two peaks there are nonzero."""
     mags = np.abs(f.values).reshape(2 * f.grid.half_range, f.grid.samples_per_unit)
     offsets = np.arange(2 * f.grid.half_range) - f.grid.half_range
     keep = offsets >= ENVELOPE_MIN_OFFSET
     peaks = mags[keep].max(axis=1)
     centers = offsets[keep] + 0.5
     good = peaks > 0
+    if np.count_nonzero(good) < 2:
+        raise GridError(f"the envelope exponent needs two nonzero unit-interval peaks from "
+                        f"offset {ENVELOPE_MIN_OFFSET} on, so half_range >= "
+                        f"{ENVELOPE_MIN_OFFSET + 2}; have {f.grid.half_range}")
     return float(np.polyfit(np.log(centers[good]), np.log(peaks[good]), 1)[0])
 
 

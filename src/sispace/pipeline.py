@@ -18,8 +18,8 @@ from pathlib import Path
 from .generators import (GeneratorSpec, PsiParams, _integer, _number, auto_grid,
                          build_bspline, build_psi_spectrum, build_sinc)
 from .grid import FrequencyGrid, GridError, to_time_domain
-from .localization import (PARAMETERS, FeasibilityGate, divergence_probes,
-                           feasibility_gates, pointwise_freq_decay,
+from .localization import (MIN_PROBE_WINDOWS, PARAMETERS, FeasibilityGate,
+                           divergence_probes, feasibility_gates, pointwise_freq_decay,
                            psi_block_freq_contributions,
                            spectrum_envelope_exponent,
                            truncation_depth_for_span)
@@ -29,6 +29,7 @@ from .spectral import (MAGNITUDE_THRESHOLD, RIESZ_THRESHOLD, gram_coefficients,
 
 # the decay probes: the L^1 trend, then for psi the |x|^{1 +- eps} second-moment pair
 DECAY_PROBES = ("integrability", "second_moment_heavy", "second_moment_light")
+SIDECAR = "meta.json"   # beside a spectrum.csv: construct writes it, a custom spectrum reads it
 
 
 class ConfigError(Exception):
@@ -92,7 +93,7 @@ def _read_custom(path, grid):
     an object with the spectrum's ``samples_per_unit`` and ``half_range``, and
     any ``blocks`` are those of the sidecar's ``psi`` and fit the spectrum's
     grid."""
-    meta_path = Path(path).parent / "meta.json"   # "." and "/" have no name
+    meta_path = Path(path).parent / SIDECAR   # "." and "/" have no name
     meta = load_json(meta_path) if meta_path.exists() else {}
     spectrum_meta = meta.get("spectrum_meta", {}) if isinstance(meta, dict) else None
     if not isinstance(spectrum_meta, dict):
@@ -161,7 +162,7 @@ class RunContext:
 
     def __init__(self, spec: GeneratorSpec, grid, parameters):
         self.spec, self.params = spec, parameters
-        self.psi = spec.psi if spec.kind == "psi" else None
+        self.psi = spec.psi
         if grid != "auto":   # a FrequencyGrid, from read_grid
             self.grid, self.sizing = grid, {"rule": "explicit"}
         elif spec.kind != "custom":
@@ -191,12 +192,13 @@ class RunContext:
     @cached_property
     def windows(self):
         """As given on the analytic route; on the grid route those inside the
-        sampled span, or four spread over it."""
+        sampled span, or ``MIN_PROBE_WINDOWS`` of them halving down from it."""
         if self.psi:
             return list(self.params["windows"])
         span = self.signal.half_span
         windows = [float(T) for T in self.params["windows"] if T <= span]
-        return windows if len(windows) >= 4 else [span / 8, span / 4, span / 2, span]
+        return windows if len(windows) >= MIN_PROBE_WINDOWS else [
+            span / 2 ** k for k in range(MIN_PROBE_WINDOWS - 1, -1, -1)]
 
     @cached_property
     def time_source(self):

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sispace.bumps import (SUPPORT_EPS, g0, g1, g1_support,
-                           h, h_support, partition_defect, smooth_step)
+from sispace.bumps import (g0, g1, g1_support, h, h_support, partition_defect,
+                           smooth_step)
+
+# magnitudes below this count as outside the support; exp(-1/x) underflows
+# smoothly through this level
+SUPPORT_EPS = 1e-14
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sispace import cli
 from sispace.cli import main
+from sispace.localization import PARAMETERS
 from sispace.report import dumps_deterministic, read_spectrum_csv
 
 
@@ -193,6 +195,27 @@ def test_cli_grid_override(tmp_path):
     assert report["grid"]["half_range"] == 8
 
 
+# a value off its default for each flag that sets an analysis parameter
+FLAG_PARAMETER_TEXT = {"eps": "0.25", "n_max": "3", "windows": "1,2,4,8"}
+
+
+@pytest.mark.parametrize("flag", [flag for flag, (key, _, _) in cli._FLAGS.items()
+                                  if key in PARAMETERS])
+def test_each_parameter_flag_sets_its_parameter_and_the_report_echo(tmp_path, flag):
+    key, _, convert = cli._FLAGS[flag]
+    assert key in FLAG_PARAMETER_TEXT, f"give {flag} a value off its default here"
+    text = FLAG_PARAMETER_TEXT[key]
+    value = convert(text)
+    assert value != PARAMETERS[key].default
+    obj = {"generator": {"variant": "sinc"}, "grid": "64,8", "analyses": ["gates"]}
+    cfg = write_config(tmp_path / "c.json", obj)
+    _, _, overrides = cli._parse_args(["analyze", flag, text, cfg])
+    assert cli.RunConfig(obj, overrides).parameters[key] == value
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, flag, text, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["parameters"][key] == value
+
+
 def test_console_script_version():
     res = subprocess.run([sys.executable, "-m", "sispace.cli", "--version"],
                          capture_output=True, text=True)
@@ -284,6 +307,22 @@ def test_window_past_the_valid_span_exits_3_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["numeric precondition violated: window 400.0 exceeds the analytic "
                    "route's table validity 256.0"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("degree, grid", [(1, "64,2"), (3, "16,2")])
+def test_envelope_exponent_on_too_narrow_a_grid_exits_3_with_one_line(tmp_path, capsys,
+                                                                      degree, grid):
+    # the bspline envelope exponent fits the unit-interval peaks from offset 2
+    # on: below half_range 4 it has fewer than two to fit
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "bspline", "degree": degree}, "grid": grid,
+        "analyses": ["pointwise"]})
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["numeric precondition violated: the envelope exponent needs two nonzero "
+                   "unit-interval peaks from offset 2 on, so half_range >= 4; have 2"]
     assert not out.exists()
 
 

@@ -82,7 +82,7 @@ def test_spec_json_round_trip():
                 {"variant": "custom", "path": "spec.csv"}):
         spec = GeneratorSpec.from_json(obj)
         assert GeneratorSpec.from_json(json.dumps(obj)) == spec
-        assert spec.to_json() == obj
+        assert list(spec.to_json().items()) == list(obj.items())   # key order too
 
 
 def test_spec_rejects_bad_degree():
@@ -258,6 +258,15 @@ def test_dirichlet_matches_direct_geometric_sum(count, rng):
     phase = np.mod(np.outer(u - np.round(u), np.arange(count)), 1.0)
     direct = np.abs(np.exp(2j * np.pi * phase).sum(axis=1))
     assert np.max(np.abs(np.abs(dirichlet_ratio(u, count)) - direct)) < 1e-9
+
+
+def test_dirichlet_parity_beyond_int64():
+    # the sign (-1)**m of an even count holds for every float m, also past the
+    # int64 range, with no floating-point error
+    u = np.array([3.0, -3.0, 2.0 ** 63, -(2.0 ** 64), 1e19 + 2048.0, 1e300])
+    with np.errstate(all="raise"):
+        assert dirichlet_ratio(u, 4).tolist() == [-4.0, -4.0, 4.0, 4.0, 4.0, 4.0]
+        assert dirichlet_ratio(u, 7).tolist() == [7.0] * 6
 
 
 def test_dirichlet_near_singularity_continuous():

@@ -13,7 +13,8 @@
   max|f| = f(0) (the spectrum is nonnegative), with the Dirichlet tables in
   use and with them switched off by a zero size cap.
 * Points given as an array are sorted once: any order, shape or repetition
-  of them gets bitwise the values of the ascending points.
+  of them gets bitwise the values of the ascending points.  Past the deepest
+  envelope's table reach the value is +0.0 without a sum, however large x.
 * A lattice cut into consecutive pieces evaluates bitwise as the whole, so
   the probe pass may size its pieces freely; and the Dirichlet tables, built
   for all depths in one pass, are bitwise the per-count ratio.
@@ -294,6 +295,32 @@ def test_point_route_at_any_order_and_shape_matches_the_ascending_evaluation(par
     for empty in (np.array([]), np.zeros((2, 0))):
         values = evaluate_psi_time(empty, params)
         assert values.dtype == np.float64 and values.shape == empty.shape
+
+
+@pytest.mark.parametrize("params", [PsiParams(1.0, 2.0, 2, 3), PsiParams(2.0, 1.0, 2, 4),
+                                    PsiParams(0.75, 2.0, 3, 5)])
+def test_point_route_past_the_deepest_envelope_is_zero_with_no_floating_point_error(params):
+    # where |min(time_scales) * x| > TABLE_X_MAX every window is 0: the value is
+    # +0.0 with no residue cast past int64 and no carrier phase overflow, and
+    # the points in reach keep bitwise the values they get alone
+    edge = TABLE_X_MAX / min(params.time_scales)
+    inside = np.concatenate([np.random.default_rng(6).uniform(-edge, edge, 500),
+                             [-edge, edge, np.nextafter(edge, np.inf)]])
+    huge = np.array([5e18, -1e19, 1e300, 1e306])
+    window_tables(params.alpha)   # the tables, built outside the errstate
+    with np.errstate(all="raise"):
+        values = evaluate_psi_time(np.concatenate([huge, inside]), params)
+        alone = evaluate_psi_time(inside, params)
+    assert _bits(values[:huge.size]).tobytes() == _bits(np.zeros(huge.size)).tobytes()
+    assert _bits(values[huge.size:]).tobytes() == _bits(alone).tobytes()
+
+
+def test_point_route_reach_is_the_scaled_point_not_x_alone():
+    # the first float past 64 / c_J still scales to exactly 64, inside the table
+    params = PsiParams(2.0, 1.0, 2, 4)
+    x = np.nextafter(TABLE_X_MAX / min(params.time_scales), np.inf)
+    assert min(params.time_scales) * x == TABLE_X_MAX
+    assert evaluate_psi_time(x, params) != 0.0
 
 
 @pytest.mark.parametrize("table_cap", [0, generators.DIRICHLET_TABLE_BYTES])
