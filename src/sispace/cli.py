@@ -9,14 +9,16 @@ projects one context per generator into a ``compare.csv`` row, and
 Exit codes: 0 success, 2 config error (the analysis parameters are read
 against ``localization.PARAMETERS``), 3 numeric precondition violation (e.g.
 grid too small, or too large to allocate, or a float overflow), 4 I/O
-failure.  ``analyze`` writes a deterministic ``report.json`` (same config +
-same version => byte-identical bytes) plus CSV tables; wall-clock timings go
-to a separate ``run_meta.json`` so they never perturb the report.  Each
-subcommand creates its output directory only after its computation has
-succeeded, and writes all its files in one
-:func:`~sispace.report.staged_paths` set, which replaces them only once all
-of them are written; ``analyze`` then removes the report and CSV tables of
-an earlier run that it did not write again.
+failure, 143 and 129 a run ended by SIGTERM and SIGHUP (128 + the signal's
+number), which :func:`main` raises as :class:`Terminated` so that every temp
+and part file goes and every forked child is reaped.  ``analyze`` writes a
+deterministic ``report.json`` (same config + same version => byte-identical
+bytes) plus CSV tables; wall-clock timings go to a separate
+``run_meta.json`` so they never perturb the report.  Each subcommand creates
+its output directory only after its computation has succeeded, and writes
+all its files in one :func:`~sispace.report.staged_paths` set, which
+replaces them only once all of them are written; ``analyze`` then removes
+the report and CSV tables of an earlier run that it did not write again.
 
 The command line is read against the ``_FLAGS`` table: each subcommand takes
 the flags listed for it, spelled in full, as ``--flag value`` or
@@ -25,7 +27,9 @@ the flags listed for it, spelled in full, as ``--flag value`` or
 
 from __future__ import annotations
 
+import signal
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -43,6 +47,17 @@ from .report import (dumps_deterministic, staged_paths, write_compare_csv,
                      write_spectrum_csv, write_windows_csv)
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 2, 3, 4
+# the signals a run turns into Terminated (SIGHUP exists on POSIX only)
+TERMINATING = {signal.SIGTERM, getattr(signal, "SIGHUP", signal.SIGTERM)}
+
+
+class Terminated(BaseException):
+    """A run ended by the signal ``args[0]``; a forked child pickles it like any failure."""
+
+
+def _terminate(signum, frame):
+    raise Terminated(signum)
+
 
 ANALYSES = tuple(SECTIONS)
 # every report and CSV table analyze may write (run_meta.json is always written)
@@ -258,6 +273,10 @@ def main(argv=None):
     if argv[:1] == ["--version"]:
         print(f"sispace {__version__}")
         return EXIT_OK
+    # handlers go in from the main thread only; an ignored signal (nohup) stays ignored
+    previous = {signum: signal.signal(signum, _terminate) for signum in TERMINATING
+                if threading.current_thread() is threading.main_thread()
+                and signal.getsignal(signum) != signal.SIG_IGN}
     try:
         # a float overflow, invalid operation or division by zero raises instead of
         # warning, so it ends in one stderr line; underflow is benign
@@ -284,6 +303,12 @@ def main(argv=None):
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO
+    except Terminated as e:
+        print(f"terminated by {signal.Signals(e.args[0]).name}", file=sys.stderr)
+        return 128 + e.args[0]
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

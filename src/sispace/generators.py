@@ -151,9 +151,6 @@ class PsiParams:
         # no commas: labels land in CSV cells
         return f"psi(a={self.alpha:g} b={self.beta:g} n={self.n} J={self.J})"
 
-    def to_json(self):
-        return asdict(self)
-
 
 # the fields each generator variant takes besides its kind
 VARIANT_FIELDS = {"sinc": (), "bspline": ("degree",), "psi": ("psi",), "custom": ("path",)}
@@ -207,7 +204,7 @@ class GeneratorSpec:
     def to_json(self):
         """What :meth:`from_json` reads: the variant, then its fields, psi's flattened."""
         fields = {field: getattr(self, field) for field in VARIANT_FIELDS[self.kind]}
-        return {"variant": self.kind, **(self.psi.to_json() if self.psi else fields)}
+        return {"variant": self.kind, **(asdict(self.psi) if self.psi else fields)}
 
 
 def auto_grid(spec: GeneratorSpec):
@@ -354,7 +351,7 @@ def build_psi_spectrum(params: PsiParams, grid: FrequencyGrid) -> SampledSpectru
     values[0] = 0.0
 
     meta = {
-        "psi": params.to_json(),
+        "psi": asdict(params),
         "exclusion_halfwidth": params.exclusion_halfwidth,
         "blocks": blocks,
     }
@@ -788,6 +785,8 @@ def evaluate_psi_time(x, params: PsiParams):
     carrier differs by the rounding of one complex product.  Where even the
     deepest envelope's ``|min(time_scales) * x|`` passes ``TABLE_X_MAX`` (+-inf
     too), every window is 0 and the value is +0.0, unsummed; NaN gives NaN.
+    A carrier phase of P turns is off by up to P * 2**-53 turns, so a summed
+    point whose ``max_frequency * |x|`` reaches 2**52 turns is a ValueError.
     """
     if isinstance(x, _LatticeFactors):
         return _psi_sum(x, params)
@@ -796,6 +795,12 @@ def evaluate_psi_time(x, params: PsiParams):
 
     def psi_sum(x):
         out, inside = np.where(np.isnan(x), x, 0.0), np.abs(reach * x) <= TABLE_X_MAX
-        out[inside] = _psi_sum(_PointFactors(x[inside], params, windows), params)
+        x = x[inside]
+        # in Python floats, which overflow to inf with no warning
+        widest = max(-float(x[0]), float(x[-1])) if x.size else 0.0
+        if params.max_frequency * widest >= 2.0 ** 52:
+            raise ValueError(f"the carrier phase of {params.label} at |x| = {widest:g} "
+                             "reaches 2^52 turns, where no fraction of a turn is left")
+        out[inside] = _psi_sum(_PointFactors(x, params, windows), params)
         return out
     return _in_order(x, psi_sum)[()]

@@ -168,14 +168,6 @@ class SampledSignal:
         if v.shape != (self.grid.n_points,):
             raise GridError(f"values length {v.shape} != grid point count {self.grid.n_points}")
 
-    @property
-    def time_spacing(self):
-        return self.grid.time_spacing
-
-    @property
-    def half_span(self):
-        return self.grid.time_half_span
-
     def value_at(self, x):
         m = round(x * 2 * self.grid.half_range)
         if abs(m - x * 2 * self.grid.half_range) > 1e-9:

@@ -143,10 +143,9 @@ def _window_partials(source, exponents, windows):
     if any(p < 1 for p, _ in exponents):
         raise ValueError("p must be >= 1")
     if isinstance(source, SampledSignal):
-        dx = source.time_spacing
-        if windows[-1] > source.half_span + 1e-9:
-            raise GridError(f"window {windows[-1]} exceeds the sampled span "
-                            f"{source.half_span}")
+        dx, span = source.grid.time_spacing, source.grid.time_half_span
+        if windows[-1] > span + 1e-9:
+            raise GridError(f"window {windows[-1]} exceeds the sampled span {span}")
         mid = source.grid.n_points // 2
         ks = [min(int(round(T / dx)), mid) for T in windows]
         top = max(ks)
@@ -313,7 +312,7 @@ class PointwiseDecay:
     """sup of |f(xi)| (1+|xi|)**s with the per-depth peaks for banded spectra."""
 
     s: float
-    sup_value: float
+    sup_scaled: float
     per_block_peaks: tuple   # ((j, peak), ...); empty for non-banded spectra
 
 
@@ -338,7 +337,7 @@ def pointwise_freq_decay(f, s) -> PointwiseDecay:
                 peak = max(peak, float(np.max(shape * (1 + np.abs(c + u)) ** s)))
             peaks.append((blk["j"], peak))
             sup = max(sup, peak)
-        return PointwiseDecay(s=s, sup_value=sup, per_block_peaks=tuple(peaks))
+        return PointwiseDecay(s=s, sup_scaled=sup, per_block_peaks=tuple(peaks))
 
     if not isinstance(f, SampledSpectrum):
         raise TypeError("expected SampledSpectrum or PsiParams")
@@ -351,7 +350,7 @@ def pointwise_freq_decay(f, s) -> PointwiseDecay:
     for blk in f.meta.get("blocks", ()):
         _, idx = _block_copies(blk, S)
         peaks.append((blk["j"], float(scaled[center + idx].max())))
-    return PointwiseDecay(s=s, sup_value=sup, per_block_peaks=tuple(peaks))
+    return PointwiseDecay(s=s, sup_scaled=sup, per_block_peaks=tuple(peaks))
 
 
 def spectrum_envelope_exponent(f: SampledSpectrum):
@@ -375,46 +374,39 @@ def spectrum_envelope_exponent(f: SampledSpectrum):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FeasibilityGate:
-    """Exponent bundle for the localization trade-off inequalities; each
-    exponent takes its default and its range from ``PARAMETERS``."""
-
-    alpha: float
-    beta: float
-    gamma: float = PARAMETERS["gamma"].default
-    delta: float = PARAMETERS["delta"].default
-    p: float = PARAMETERS["p"].default
-    q: float = PARAMETERS["q"].default
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("alpha and beta must be positive")
-        for field in ("gamma", "delta", "p", "q"):
-            row = PARAMETERS[field]
-            if not row.ok(getattr(self, field)):
-                raise ValueError(f"{field} {row.rule}")
-
-
-@dataclass(frozen=True)
 class GateReport:
-    """Evaluated gate inequalities (exact arithmetic on the exponents)."""
+    """Evaluated gate inequalities, decided in exact arithmetic on the exponents."""
 
     time_lp_ok: bool          # beta(1/p - 1/2) + alpha(p - 1 - gamma)/p > 0
     freq_lq_ok: bool          # alpha > beta(1 + delta - q/2)
     joint_ok: bool            # 1 + delta - q/2 < 1/(2 gamma); vacuous at gamma = 0
+    joint_unbounded: bool
     time_lp_margin: float
     freq_lq_margin: float
-    joint_unbounded: bool
 
 
-def feasibility_gates(gate: FeasibilityGate) -> GateReport:
-    """Evaluate the three exponent inequalities gating time/frequency decay."""
-    t_margin = gate.beta * (1.0 / gate.p - 0.5) + gate.alpha * (gate.p - 1.0 - gate.gamma) / gate.p
-    f_margin = gate.alpha - gate.beta * (1.0 + gate.delta - gate.q / 2.0)
-    if gate.gamma == 0.0:
-        joint_ok, unbounded = True, True
-    else:
-        joint_ok, unbounded = (1.0 + gate.delta - gate.q / 2.0) < 1.0 / (2.0 * gate.gamma), False
+def feasibility_gates(alpha, beta, gamma=PARAMETERS["gamma"].default,
+                      delta=PARAMETERS["delta"].default, p=PARAMETERS["p"].default,
+                      q=PARAMETERS["q"].default) -> GateReport:
+    """The three exponent inequalities gating time/frequency decay; ``gamma``,
+    ``delta``, ``p`` and ``q`` take their defaults and ranges from ``PARAMETERS``.
+    Each exponent is the shortest decimal that prints it (1.25 is 5/4), so each
+    ``*_ok`` is an exact sign, false at the paper's zero margins, and each
+    margin the float nearest the exact one (OverflowError past float range)."""
+    from fractions import Fraction   # not at the top: it loads decimal, 0.2 MB in every run
+    if not (alpha > 0 and beta > 0):
+        raise ValueError("alpha and beta must be positive")
+    exponents = {"gamma": gamma, "delta": delta, "p": p, "q": q}
+    for name, value in exponents.items():
+        if not PARAMETERS[name].ok(value):
+            raise ValueError(f"{name} {PARAMETERS[name].rule}")
+    if not all(math.isfinite(v) for v in (alpha, beta, *exponents.values())):
+        raise ValueError("the gate exponents must be finite")
+    a, b, g, d, p, q = (Fraction(repr(float(v))) for v in (alpha, beta, *exponents.values()))
+    t_margin = b * (1 / p - Fraction(1, 2)) + a * (p - 1 - g) / p
+    f_margin = a - b * (1 + d - q / 2)
+    unbounded = g == 0
     return GateReport(time_lp_ok=t_margin > 0, freq_lq_ok=f_margin > 0,
-                      joint_ok=joint_ok, time_lp_margin=t_margin,
-                      freq_lq_margin=f_margin, joint_unbounded=unbounded)
+                      joint_ok=unbounded or 1 + d - q / 2 < 1 / (2 * g),
+                      joint_unbounded=unbounded, time_lp_margin=float(t_margin),
+                      freq_lq_margin=float(f_margin))

@@ -18,10 +18,9 @@ from pathlib import Path
 from .generators import (GeneratorSpec, PsiParams, _integer, _number, auto_grid,
                          build_bspline, build_psi_spectrum, build_sinc)
 from .grid import FrequencyGrid, GridError, to_time_domain
-from .localization import (MIN_PROBE_WINDOWS, PARAMETERS, FeasibilityGate,
-                           divergence_probes, feasibility_gates, pointwise_freq_decay,
-                           psi_block_freq_contributions,
-                           spectrum_envelope_exponent,
+from .localization import (MIN_PROBE_WINDOWS, PARAMETERS, divergence_probes,
+                           feasibility_gates, pointwise_freq_decay,
+                           psi_block_freq_contributions, spectrum_envelope_exponent,
                            truncation_depth_for_span)
 from .report import read_spectrum_csv
 from .spectral import (MAGNITUDE_THRESHOLD, RIESZ_THRESHOLD, gram_coefficients,
@@ -195,7 +194,7 @@ class RunContext:
         sampled span, or ``MIN_PROBE_WINDOWS`` of them halving down from it."""
         if self.psi:
             return list(self.params["windows"])
-        span = self.signal.half_span
+        span = self.signal.grid.time_half_span
         windows = [float(T) for T in self.params["windows"] if T <= span]
         return windows if len(windows) >= MIN_PROBE_WINDOWS else [
             span / 2 ** k for k in range(MIN_PROBE_WINDOWS - 1, -1, -1)]
@@ -224,15 +223,10 @@ class RunContext:
         return pointwise_freq_decay(self.psi or self.spectrum, self.params["s"])
 
     @cached_property
-    def gate(self):
-        pars = self.params
-        return FeasibilityGate(alpha=self.psi.alpha, beta=self.psi.beta, gamma=pars["gamma"],
-                               delta=pars["delta"], p=pars["p"], q=pars["q"])
-
-    @cached_property
     def gates(self):
-        """The evaluated exponent inequalities of ``gate``."""
-        return feasibility_gates(self.gate)
+        """psi's exponent inequalities at the run's ``gamma``, ``delta``, ``p`` and ``q``."""
+        return feasibility_gates(self.psi.alpha, self.psi.beta,
+                                 **{k: self.params[k] for k in ("gamma", "delta", "p", "q")})
 
 
 def grid_block(ctx):
@@ -270,9 +264,7 @@ def decay_section(ctx):
 
 
 def pointwise_section(ctx):
-    decay = ctx.pointwise
-    block = {"s": ctx.params["s"], "sup_scaled": decay.sup_value,
-             "per_block_peaks": [list(peak) for peak in decay.per_block_peaks]}
+    block = asdict(ctx.pointwise)
     if ctx.spec.kind == "bspline":
         block["envelope_exponent"] = spectrum_envelope_exponent(ctx.spectrum)
     return block
@@ -281,11 +273,8 @@ def pointwise_section(ctx):
 def gates_section(ctx):
     if not ctx.psi:
         return {"note": "exponent gates apply to the banded family only"}
-    g = ctx.gates
-    central, blocks = psi_block_freq_contributions(ctx.psi, ctx.gate.q, ctx.gate.delta)
-    return {"time_lp_ok": g.time_lp_ok, "freq_lq_ok": g.freq_lq_ok, "joint_ok": g.joint_ok,
-            "joint_unbounded": g.joint_unbounded, "time_lp_margin": g.time_lp_margin,
-            "freq_lq_margin": g.freq_lq_margin, "freq_central_contribution": central,
+    central, blocks = psi_block_freq_contributions(ctx.psi, ctx.params["q"], ctx.params["delta"])
+    return {**asdict(ctx.gates), "freq_central_contribution": central,
             "freq_block_contributions": [list(b) for b in blocks]}
 
 
@@ -345,5 +334,5 @@ def compare_row(ctx):
              ctx.criteria.group.describe()]
             + list(_per_n(ctx).values())
             + [ctx.decay_verdicts["integrability"].verdict,
-               ctx.pointwise.sup_value,
+               ctx.pointwise.sup_scaled,
                str(ctx.gates.freq_lq_ok) if ctx.psi else ""])

@@ -15,8 +15,7 @@ from sispace import (FrequencyGrid, GeneratorSpec, PsiParams, auto_grid,
                      evaluate_psi_time, l2_norm, to_time_domain)
 from sispace.bumps import partition_defect, smooth_step
 from sispace.cli import main as cli_main
-from sispace.localization import (FeasibilityGate, divergence_probes,
-                                  feasibility_gates,
+from sispace.localization import (divergence_probes, feasibility_gates,
                                   pointwise_freq_decay, psi_block_freq_contributions,
                                   truncation_depth_for_span)
 from sispace.spectral import gram_coefficients, grid_criteria, orthonormality_defect
@@ -135,12 +134,12 @@ def test_c08_pointwise_decay_profile():
 
 def test_c09_gate_numeric_consistency():
     t0 = time.perf_counter()
-    ok_gate = feasibility_gates(FeasibilityGate(alpha=3, beta=1, delta=0.2, q=1))
+    ok_gate = feasibility_gates(3, 1, delta=0.2, q=1)
     _, blocks = psi_block_freq_contributions(PsiParams(3.0, 1.0, 2, 5), 1.0, 0.2)
     vals = [c for _, c in blocks]
     decays = all(vals[j] < vals[j - 1] / 1.5 for j in range(2, len(vals)))
 
-    bad_gate = feasibility_gates(FeasibilityGate(alpha=1, beta=2, delta=0.2, q=1))
+    bad_gate = feasibility_gates(1, 2, delta=0.2, q=1)
     _, blocks2 = psi_block_freq_contributions(PsiParams(1.0, 2.0, 2, 5), 1.0, 0.2)
     vals2 = [c for _, c in blocks2]
     grows = all(vals2[j] > vals2[j - 1] for j in range(2, len(vals2)))

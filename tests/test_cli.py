@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -487,7 +490,7 @@ def test_compare_evaluates_each_probe_lattice_once(tmp_path, monkeypatch):
     points = count_probe_points(monkeypatch, tmp_path)
     psis = [PsiParams(2.0, 1.0, 2, 2), PsiParams(2.0, 2.0, 3, 2)]
     cfgs = [write_config(tmp_path / f"psi{i}.json",
-                         {"generator": {"variant": "psi", **params.to_json()}})
+                         {"generator": {"variant": "psi", **asdict(params)}})
             for i, params in enumerate(psis)]
     cfgs.append(write_config(tmp_path / "sinc.json", {"generator": {"variant": "sinc"}}))
     assert main(["compare", *cfgs, "--out", str(tmp_path / "cmp")]) == 0
@@ -977,6 +980,112 @@ def test_a_failing_probe_range_exits_3_with_one_line(tmp_path, capsys, monkeypat
     assert not out.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _signalling_ranges(monkeypatch, where, signum):
+    """Make each range task of ``where`` (a forked worker or this process) send
+    ``signum`` to its own process once it has run."""
+    from sispace import forks
+    parent, run_ranges = os.getpid(), forks.run_ranges
+
+    def signalling_run_ranges(task, cuts):
+        def task_then_signal(first, last):
+            result = task(first, last)
+            if (os.getpid() == parent) == (where == "this process"):
+                os.kill(os.getpid(), signum)
+            return result
+        return run_ranges(task_then_signal, cuts)
+
+    monkeypatch.setattr(forks, "run_ranges", signalling_run_ranges)
+
+
+def _handlers():
+    return {signum: signal.getsignal(signum) for signum in cli.TERMINATING}
+
+
+def _assert_terminated(code, capsys, signum, out, before, handlers):
+    assert code == 128 + signum
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"terminated by {signal.Signals(signum).name}"]
+    # the earlier run's files, and no hidden temp or part file
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _handlers() == handlers   # restored
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP])
+@pytest.mark.parametrize("where", ["worker", "this process"])
+def test_a_signal_in_the_csv_writer_leaves_no_file_and_no_process(tmp_path, capsys,
+                                                                   monkeypatch, where, signum):
+    from sispace import forks
+    # 2^18 rows per CSV: 16 blocks, split across 3 workers
+    cfg = write_config(tmp_path / "c.json", {"generator": {"variant": "sinc"},
+                                             "grid": "512,256"})
+    monkeypatch.setattr(forks, "workers", lambda: 3)
+    out = tmp_path / "out"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    handlers = _handlers()
+    _signalling_ranges(monkeypatch, where, signum)
+    code = main(["construct", "--config", cfg, "--out", str(out)])
+    _assert_terminated(code, capsys, signum, out, before, handlers)
+
+
+@pytest.mark.parametrize("where", ["worker", "this process"])
+def test_a_signal_in_the_probe_pass_leaves_no_file_and_no_process(tmp_path, capsys,
+                                                                 monkeypatch, where):
+    from sispace import forks
+    monkeypatch.setattr(forks, "workers", lambda: 2)
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2},
+        "analyses": ["periodization", "decay"],
+        "parameters": {"windows": [2, 4, 8, 16]},
+    })
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    handlers = _handlers()
+    _signalling_ranges(monkeypatch, where, signal.SIGTERM)   # the probe pass runs first
+    code = main(["analyze", "--config", cfg, "--out", str(out), "--eps", "0.25"])
+    _assert_terminated(code, capsys, signal.SIGTERM, out, before, handlers)
+
+
+def test_an_ignored_signal_stays_ignored(tmp_path, monkeypatch):
+    # as under nohup: a SIGHUP that this process ignores does not end the run
+    cfg = write_config(tmp_path / "c.json", {"generator": {"variant": "sinc"},
+                                             "grid": "64,4"})
+    _signalling_ranges(monkeypatch, "this process", signal.SIGHUP)
+    previous = signal.signal(signal.SIGHUP, signal.SIG_IGN)
+    try:
+        assert main(["construct", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert signal.getsignal(signal.SIGHUP) == signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGHUP, previous)
+
+
+def test_a_run_off_the_main_thread_installs_no_handler(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", {"generator": {"variant": "sinc"},
+                                             "grid": "64,4"})
+    handlers, codes = _handlers(), []
+    worker = threading.Thread(target=lambda: codes.append(
+        main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")])))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and codes == [0]
+    assert _handlers() == handlers
+
+
+def test_gates_at_a_zero_time_margin_report_false(tmp_path):
+    # psi(1, 2, 2, 3) at p = 5/4, gamma = 1: beta (1/p - 1/2) + alpha (p - 1 - gamma)/p = 0
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": {"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 3},
+        "analyses": ["gates"], "parameters": {"p": 1.25, "gamma": 1}})
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    gates = json.loads((tmp_path / "out" / "report.json").read_text())["analyses"]["gates"]
+    assert gates["time_lp_ok"] is False and gates["time_lp_margin"] == 0.0
+    assert list(gates)[:6] == ["time_lp_ok", "freq_lq_ok", "joint_ok", "joint_unbounded",
+                               "time_lp_margin", "freq_lq_margin"]
 
 
 def test_analyze_removes_tables_it_did_not_write(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 from unittest import mock
@@ -10,8 +11,7 @@ from sispace import forks, generators, localization
 from sispace.generators import (GeneratorSpec, PsiParams, build_bspline,
                                 build_psi_spectrum, evaluate_psi_time)
 from sispace.grid import FrequencyGrid, GridError, to_time_domain
-from sispace.localization import (FeasibilityGate, divergence_probes,
-                                  feasibility_gates,
+from sispace.localization import (PARAMETERS, divergence_probes, feasibility_gates,
                                   pointwise_freq_decay,
                                   psi_block_freq_contributions,
                                   spectrum_envelope_exponent,
@@ -56,7 +56,7 @@ def test_partial_monotone_in_T_and_w(sinc_spectrum):
 def test_partial_rejects_T_beyond_span(bspline1):
     sig, _ = bspline1
     with pytest.raises(GridError):
-        divergence_probes(sig, [(1, 0.0)], [1, 2, 3, sig.half_span + 1])
+        divergence_probes(sig, [(1, 0.0)], [1, 2, 3, sig.grid.time_half_span + 1])
 
 
 def test_partial_agrees_between_routes(psi_small):
@@ -217,7 +217,7 @@ def test_no_lattice_table_outlives_its_evaluation(psi_small):
 
 def _whole_array_partials(signal, exponents, windows):
     """The grid-route partials with |f|**p (1+|x|)**w formed on every sample."""
-    dx = signal.time_spacing
+    dx = signal.grid.time_spacing
     values = np.abs(signal.values)
     mid = signal.grid.n_points // 2
     xs_abs = np.abs(np.arange(values.size) - mid) * dx
@@ -233,7 +233,7 @@ def test_grid_partials_are_the_whole_array_formula(sinc_spectrum, bspline_grid, 
                to_time_domain(read_spectrum_csv(tmp_path / "s.csv"))]
     exponents = [(1, 0.0), (2, 1.5), (2, 0.5)]
     for signal in signals:
-        span = signal.half_span
+        span = signal.grid.time_half_span
         for windows in ([span / 64, span / 32, span / 16, span / 8], [1.0, 2.0, 4.0, span]):
             partials, route = localization._window_partials(signal, exponents, windows)
             assert route == "grid"
@@ -370,8 +370,8 @@ def test_sinc_pointwise_sup_at_support_edge(sinc_spectrum):
     S = sinc_spectrum.grid.samples_per_unit
     for s in (0.5, 1.0):
         decay = pointwise_freq_decay(sinc_spectrum, s)
-        assert_allclose(decay.sup_value, (1.5 - 1.0 / S) ** s, rtol=1e-12)
-        assert_allclose(decay.sup_value, 1.5 ** s, rtol=2.0 / S)
+        assert_allclose(decay.sup_scaled, (1.5 - 1.0 / S) ** s, rtol=1e-12)
+        assert_allclose(decay.sup_scaled, 1.5 ** s, rtol=2.0 / S)
         assert decay.per_block_peaks == ()
 
 
@@ -406,46 +406,78 @@ def test_bspline_envelope_exponent(bspline1):
 # ---------------------------------------------------------------------- gates
 
 def test_gate_examples():
-    g = feasibility_gates(FeasibilityGate(alpha=3, beta=1, gamma=0.0, delta=0.2, p=1, q=1))
+    g = feasibility_gates(3, 1, gamma=0.0, delta=0.2, p=1, q=1)
     assert g.time_lp_ok and g.freq_lq_ok and g.joint_ok and g.joint_unbounded
     assert_allclose(g.time_lp_margin, 0.5)
     assert_allclose(g.freq_lq_margin, 3 - 0.7)
 
-    g2 = feasibility_gates(FeasibilityGate(alpha=1, beta=2, gamma=0.0, delta=0.2, p=1, q=1))
+    g2 = feasibility_gates(1, 2, gamma=0.0, delta=0.2, p=1, q=1)
     assert not g2.freq_lq_ok
 
-    g3 = feasibility_gates(FeasibilityGate(alpha=3, beta=1, gamma=1.0, delta=0.2, p=1, q=1))
+    g3 = feasibility_gates(3, 1, gamma=1.0, delta=0.2, p=1, q=1)
     assert not g3.joint_ok
-    g4 = feasibility_gates(FeasibilityGate(alpha=3, beta=1, gamma=0.5, delta=0.2, p=1, q=1))
+    g4 = feasibility_gates(3, 1, gamma=0.5, delta=0.2, p=1, q=1)
     assert g4.joint_ok and not g4.joint_unbounded
 
 
 def test_gate_validation():
     with pytest.raises(ValueError):
-        FeasibilityGate(alpha=1, beta=1, p=2.0)
+        feasibility_gates(1, 1, p=2.0)
     with pytest.raises(ValueError):
-        FeasibilityGate(alpha=1, beta=1, gamma=-1)
+        feasibility_gates(1, 1, gamma=-1)
     with pytest.raises(ValueError):
-        FeasibilityGate(alpha=1, beta=1, delta=0.0)
+        feasibility_gates(1, 1, delta=0.0)
     with pytest.raises(ValueError, match="q must be >= 1"):
-        FeasibilityGate(alpha=1, beta=1, q=float("nan"))
+        feasibility_gates(1, 1, q=float("nan"))
     with pytest.raises(ValueError, match="alpha and beta must be positive"):
-        FeasibilityGate(alpha=float("nan"), beta=1)
+        feasibility_gates(float("nan"), 1)
     with pytest.raises(ValueError, match="alpha and beta must be positive"):
-        FeasibilityGate(alpha=1, beta=float("nan"))
+        feasibility_gates(1, float("nan"))
+    with pytest.raises(ValueError, match="must be finite"):
+        feasibility_gates(1, 1, delta=math.inf)
+
+
+def test_gate_defaults_are_the_parameters_defaults():
+    defaults = {name: PARAMETERS[name].default for name in ("gamma", "delta", "p", "q")}
+    assert feasibility_gates(1, 2) == feasibility_gates(1, 2, **defaults)
+
+
+@pytest.mark.parametrize("exponents, field", [
+    # beta (1/p - 1/2) + alpha (p - 1 - gamma) / p = 2 (3/10) + (-3/4)(4/5) = 0
+    ({"alpha": 1, "beta": 2, "p": 1.25, "gamma": 1}, "time_lp_ok"),
+    # alpha - beta (1 + delta - q/2) = 1/2 - (1 + 2/5 - 9/10) = 0
+    ({"alpha": 0.5, "beta": 1, "delta": 0.4, "q": 1.8}, "freq_lq_ok"),
+    # 1 + delta - q/2 = 1 = 1/(2 gamma)
+    ({"alpha": 1, "beta": 1, "gamma": 0.5, "delta": 0.9, "q": 1.8}, "joint_ok"),
+])
+def test_gate_at_a_zero_margin_is_false(exponents, field):
+    # the paper's bounds are sharp: a margin that is exactly zero is no margin,
+    # though float arithmetic on these decimals leaves 1.1e-16
+    gates = feasibility_gates(**exponents)
+    assert getattr(gates, field) is False
+    if field != "joint_ok":
+        margin = gates.time_lp_margin if field == "time_lp_ok" else gates.freq_lq_margin
+        assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
+
+
+def test_gate_margin_is_the_nearest_float_to_the_exact_margin():
+    # 1 - 2 (1 + 1/5 - 1/2) = -2/5, which float arithmetic gives as -0.39999999999999991
+    assert feasibility_gates(1, 2).freq_lq_margin == -0.4
+    # 3 - (1 + 1/5 - 1/2) = 23/10
+    assert feasibility_gates(3, 1).freq_lq_margin == 2.3
 
 
 def test_gate_consistency_with_block_numerics():
     # gate true with margin: contributions shrink by >= 1.5x from depth 3 on;
     # gate false with margin: contributions grow
-    ok_gate = feasibility_gates(FeasibilityGate(alpha=3, beta=1, delta=0.2, q=1))
+    ok_gate = feasibility_gates(3, 1, delta=0.2, q=1)
     assert ok_gate.freq_lq_ok and ok_gate.freq_lq_margin > 0.3
     _, blocks = psi_block_freq_contributions(PsiParams(3.0, 1.0, 2, 6), 1.0, 0.2)
     vals = [c for _, c in blocks]
     for j in range(2, len(vals)):
         assert vals[j] < vals[j - 1] / 1.5
 
-    bad_gate = feasibility_gates(FeasibilityGate(alpha=1, beta=2, delta=0.2, q=1))
+    bad_gate = feasibility_gates(1, 2, delta=0.2, q=1)
     assert not bad_gate.freq_lq_ok and bad_gate.freq_lq_margin < -0.3
     _, blocks = psi_block_freq_contributions(PsiParams(1.0, 2.0, 2, 6), 1.0, 0.2)
     vals = [c for _, c in blocks]

@@ -323,6 +323,29 @@ def test_point_route_reach_is_the_scaled_point_not_x_alone():
     assert evaluate_psi_time(x, params) != 0.0
 
 
+@pytest.mark.parametrize("n", [10**12, 10**305])
+def test_point_route_refuses_a_carrier_phase_of_2_to_the_52_turns(n):
+    # x = 100 is in reach (c_3 * 100 = 6.25), where the carrier phase passes 2^52
+    # turns and its reduction mod 1 keeps no fraction of a turn; the check runs
+    # in Python floats, so 8.4e306 * 100 overflows to inf with no warning
+    params = PsiParams(1.0, 2.0, n, 3)
+    assert min(params.time_scales) * 100.0 <= TABLE_X_MAX
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=r"reaches 2\^52 turns"):
+        evaluate_psi_time(np.array([0.5, 100.0]), params)
+
+
+def test_carrier_guard_passes_every_point_in_reach_to_the_sum():
+    # psi(1, 2, 2, 6) reaches |x| = 8192, a carrier phase of 1.1e8 turns: every
+    # point in reach is summed, bitwise as the unguarded sum gives it
+    params = PsiParams(1.0, 2.0, 2, 6)
+    edge = TABLE_X_MAX / min(params.time_scales)
+    x = np.sort(np.concatenate([np.random.default_rng(7).uniform(-edge, edge, 2000),
+                                [-edge, 0.0, edge]]))
+    unguarded = generators._psi_sum(
+        generators._PointFactors(x, params, window_tables(params.alpha)), params)
+    assert _bits(evaluate_psi_time(x, params)).tobytes() == _bits(unguarded).tobytes()
+
+
 @pytest.mark.parametrize("table_cap", [0, generators.DIRICHLET_TABLE_BYTES])
 @pytest.mark.parametrize("start", [0, 5, 1024])   # 0 and 1024 start a carrier row
 def test_empty_lattice_evaluates_to_an_empty_array(start, table_cap):
