@@ -15,8 +15,13 @@ never runs an ``atexit`` handler and never flushes a file object it
 inherited.  Every child is reaped on every path, and the first failure is
 re-raised as its own exception (a child that exits without sending one is a
 ``ChildProcessError``); when this process's own range fails, that failure
-wins and the children's are dropped.  Forking is safe here: after
-``import numpy`` the process has 2 threads, and 1 from ``os.fork()`` on,
+wins, and the children, whose work it drops, are killed and reaped.  A
+signal whose handler raises (``cli.Terminated`` for SIGTERM and SIGHUP) does
+not lose a child: every signal is held in this thread from before each fork
+until the child is on the list, and while a child whose pipe has ended is
+reaped and taken off it.  (One that another thread takes is not held: that
+can be OpenBLAS's pool.)  Forking is safe here: after ``import numpy`` the
+process has 2 threads, and 1 after ``os.fork()`` up to the next BLAS call,
 since OpenBLAS's fork handler stops its pool (CPython 3.12 and later warn
 only when the parent has several threads at a fork, so they should not warn;
 CI runs the tests on 3.12).  ``spawn`` would start each worker from a fresh
@@ -29,6 +34,7 @@ import bisect
 import contextlib
 import os
 import pickle
+import signal
 
 
 def workers():
@@ -50,45 +56,65 @@ def split(bounds):
     return [0, *sorted(ends - {0, units}), units]
 
 
-def _fork(task, first, last):
-    """Fork a child that runs ``task(first, last)``; (pid, read end of the pipe
-    that carries its pickled result, or its pickled failure)."""
-    r, w = os.pipe()
+@contextlib.contextmanager
+def _signals_held():
+    """Hold every signal in this thread for the block: one that arrives in it
+    is delivered as the block exits.  ``pthread_sigmask`` runs the handlers of
+    signals that arrived before, so those raise as the block is entered."""
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, ())   # the mask as it is
     try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
+        signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+        yield held
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+
+
+def _fork(task, first, last, children):
+    """Fork a child that runs ``task(first, last)`` and record it in
+    ``children`` as (pid, read end of the pipe that carries its pickled
+    result, or its pickled failure).  Signals are held from before the fork
+    until the child is recorded, so a signal cannot lose it."""
+    with _signals_held() as held:
+        r, w = os.pipe()
         try:
+            pid = os.fork()
+        except BaseException:
             os.close(r)
+            os.close(w)
+            raise
+        if pid == 0:
+            code = 1
             try:
-                payload, status = pickle.dumps(task(first, last)), 0
-            except BaseException as e:
-                # if this fails too, the parent sees exit code 1 and no payload
-                payload, status = pickle.dumps(e), 1
-            while payload:
-                payload = payload[os.write(w, payload):]
-            code = status
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
+                os.close(r)
+                try:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, held)
+                    payload, status = pickle.dumps(task(first, last)), 0
+                except BaseException as e:
+                    # if this fails too, the parent sees exit code 1 and no payload
+                    payload, status = pickle.dumps(e), 1
+                while payload:
+                    payload = payload[os.write(w, payload):]
+                code = status
+            finally:
+                os._exit(code)
+        os.close(w)
+        children.append((pid, r))
 
 
 def _join(children):
     """Reap every ``(pid, pipe)`` of :func:`_fork` in ``children``, emptying the
-    list; their results in order, or the first failure raised as its own."""
+    list; their results in order, or the first failure raised as its own.  A
+    child leaves the list only once it is reaped."""
     outcomes = []
     while children:
-        pid, r = children.pop(0)
-        try:
-            with os.fdopen(r, "rb") as pipe:
-                payload = pipe.read()
-        finally:
+        pid, r = children[0]
+        with open(r, "rb", closefd=False) as pipe:
+            payload = pipe.read()
+        # the pipe is at its end, so the child has exited and the wait is short
+        with _signals_held():
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(r)
+            children.pop(0)
         outcomes.append((pid, code, payload))
     results = []
     for pid, code, payload in outcomes:
@@ -107,9 +133,13 @@ def run_ranges(task, cuts):
     children = []
     try:
         for first, last in zip(cuts[1:], cuts[2:]):
-            children.append(_fork(task, first, last))
+            _fork(task, first, last, children)
         return [task(cuts[0], cuts[1]), *_join(children)]
     finally:
-        if children:   # this process failed first: its failure wins
-            with contextlib.suppress(Exception):
-                _join(children)
+        if children:   # this process failed first: its failure wins, the children's work goes
+            with _signals_held():
+                for pid, r in children:
+                    os.kill(pid, signal.SIGKILL)
+                    os.close(r)
+                    os.waitpid(pid, 0)
+                children.clear()

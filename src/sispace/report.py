@@ -6,17 +6,26 @@ with 17 significant digits ('.' decimal, no locale), which round-trips
 float64 exactly.  Identical config + identical version => byte-identical
 bytes out.
 
-Numeric CSV tables are formatted ``CSV_BLOCK_ROWS`` rows at a time, one
-``%`` operation per block, cell for cell the same text as
-:func:`_fmt_float`; a float cell that is exactly +0.0 or -0.0 is literal
-text in its row's template and costs no formatting.  A table of several
-blocks is split into contiguous block ranges by :func:`sispace.forks.split`,
-and :func:`sispace.forks.run_ranges` formats them: this process the first
-range into the file, a forked child each further range into a hidden part
-file beside it, which the parent appends in order.  Each range goes through
-the same formatter in the same blocks, so the bytes are those of one
-worker, and the part files are removed on every path.  Each writer checks
-its values, then creates the path it is given; :func:`staged_paths` makes a
+Numeric CSV tables are formatted ``CSV_BLOCK_ROWS`` rows at a time, each
+cell the text it has when formatted alone (:func:`_fmt_float` for a
+float).  Only the sampled float cells go through ``%``, one ``%`` operation
+per block; the rest of the block is text built in numpy and baked into the
+format string of that ``%``: the row index and integer cells as their
+digits, a float cell that is exactly +0.0 or -0.0 as literal text, and the
+grid axis of a spectrum or signal, ``(first + r) * 2**-e`` at row ``r``
+(``N`` is a power of two, so both axes are), as its sign, the digits of its
+integer part and the text of its fraction, from a table of the ``2**e``
+fractions built once per file.  That text is ``%.17g``'s exactly when
+``e <= 13`` (no exponent form: ``2**-13 > 1e-4``) and the integer part's
+digits plus ``e`` are at most 17 (no rounding); outside that guard the axis
+goes through ``%`` like a sampled value.  A table of several blocks is
+split into contiguous block ranges by :func:`sispace.forks.split`, and
+:func:`sispace.forks.run_ranges` formats them: this process the first range
+into the file, a forked child each further range into a hidden part file
+beside it, which the parent appends in order.  Each range goes through the
+same formatter in the same blocks, so the bytes are those of one worker,
+and the part files are removed on every path.  Each writer checks its
+values, then creates the path it is given; :func:`staged_paths` makes a
 command's outputs visible, all of them at once.
 """
 
@@ -35,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import forks
-from .grid import FrequencyGrid, SampledSignal, SampledSpectrum
+from .grid import FrequencyGrid, GridError, SampledSignal, SampledSpectrum
 
 FLOAT_FMT = ".17g"
 NON_FINITE = "reports must not contain NaN or infinity"
@@ -111,50 +120,105 @@ def write_report(path, obj):
         fh.write(text)
 
 
+def _table(texts):
+    """``texts`` as rows of ASCII bytes, padded with NUL to one width: indexed
+    by an array of entries, the text of each entry."""
+    width = max(map(len, texts))
+    chars = "".join(t.ljust(width, "\0") for t in texts).encode("ascii")
+    return np.frombuffer(chars, np.uint8).reshape(len(texts), width)
+
+
+def _digits(n, width):
+    """The decimal digits of the non-negative integers ``n``, right-aligned in
+    ``width`` bytes, each leading zero a NUL (0 keeps one digit)."""
+    chars = np.empty((n.size, width), np.uint8)
+    for k in range(width - 1, -1, -1):
+        shown = (n > 0) | (k == width - 1)
+        n, digit = np.divmod(n, 10)
+        chars[:, k] = (digit + ord("0")) * shown
+    return chars
+
+
+def _sign(n):
+    """A ``-`` before each negative of ``n``, a NUL before the rest."""
+    return (n < 0)[:, None] * np.uint8(ord("-"))
+
+
 def _write_csv(path, header, kinds, *columns):
     """CSV of numeric columns, formatted ``CSV_BLOCK_ROWS`` rows per ``%``.
 
     ``kinds`` has one letter per CSV column: ``i`` the row index, ``d`` an
-    integer column, ``g`` a float column printed as :func:`_fmt_float` does.
-    ``columns`` are the ``d`` and ``g`` columns in order.  Every float is
-    checked before the file is opened.  This process writes the first block
-    range into ``path``, each forked child its range into a hidden part file
-    beside it, and the parts are appended in order.
+    integer column, ``g`` a float column printed as :func:`_fmt_float` does,
+    and ``a`` an axis ``(first, e)`` whose row ``r`` holds
+    ``(first + r) * 2**-e``, printed as a ``g`` column of those values is.
+    ``columns`` are the ``d``, ``g`` and ``a`` columns in order.  Every float
+    is checked before the file is opened.  This process writes the first
+    block range into ``path``, each forked child its range into a hidden
+    part file beside it, and the parts are appended in order.
     """
-    columns = [np.asarray(c, dtype=int if kind == "d" else float)
-               for kind, c in zip(kinds.replace("i", ""), columns)]
-    if not all(np.isfinite(c).all() for c in columns):
-        raise ValueError(NON_FINITE)
-    n_rows = columns[0].size
-    floats = [j for j, kind in enumerate(kinds) if kind == "g"]
-    # one row template per pattern of float cell states, base 4 (digit b: float b):
-    # 0 general, 1 integral, 2 and 3 +0.0 and -0.0, written as text with no argument
-    templates = []
-    for code in range(4 ** len(floats)):
-        cells = ["%d"] * len(kinds)
-        for b, j in enumerate(floats):
-            cells[j] = ("%.17g", "%.1f", "0.0", "-0.0")[code // 4 ** b % 4]
-        templates.append(",".join(cells) + "\n")
-    templates = np.array(templates, dtype=object)
-    weights = 4 ** np.arange(len(floats))
+    kinds = list(kinds)
     data = iter(columns)
     sources = [None if kind == "i" else next(data) for kind in kinds]
+    for j, kind in enumerate(kinds):
+        if kind in "dg":
+            sources[j] = np.asarray(sources[j], dtype=np.int64 if kind == "d" else float)
+    if not all(np.isfinite(src).all() for kind, src in zip(kinds, sources) if kind in "dg"):
+        raise ValueError(NON_FINITE)
+    n_rows = next(src.size for kind, src in zip(kinds, sources) if kind in "dg")
+    widths = {}   # column -> digits of its widest integer, or integer part
+    for j, kind in enumerate(kinds):
+        if kind == "a":
+            first, e = sources[j]
+            widths[j] = len(str(max(abs(first), abs(first + n_rows - 1)) >> e))
+            # digits of (first + r) * 2**-e are its exact decimal text, which is
+            # %.17g's unless that takes the exponent form (below 1e-4: e > 13) or
+            # rounds (past 17 significant digits); then the axis is a g column
+            if e > 13 or widths[j] + e > 17:
+                kinds[j], sources[j] = "g", np.arange(first, first + n_rows) / 2.0 ** e
+        elif kind == "i":
+            widths[j] = len(str(max(n_rows - 1, 0)))
+        elif kind == "d":
+            # as uint64 the magnitude of every int64, -2**63 included
+            widths[j] = len(str(int(np.abs(sources[j]).astype(np.uint64).max(initial=0))))
+    floats = [j for j, kind in enumerate(kinds) if kind == "g"]
+    # a float cell's text by its state: 0 general, 1 integral, 2 +0.0 and 3 -0.0;
+    # a zero is literal text that takes no argument
+    formats = _table(["%.17g", "%.1f", "0.0", "-0.0"])
+    # an axis row's text after its integer part, by its fraction f * 2**-e
+    fractions = {j: _table([".0", *(("%.17g" % (f / 2 ** sources[j][1]))[1:]
+                                     for f in range(1, 2 ** sources[j][1]))])
+                 for j, kind in enumerate(kinds) if kind == "a"}
 
     def write_blocks(fh, first, last):   # rows first..last-1, from a block's first row
         for start in range(first, last, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, n_rows)
-            # integer cells ride as float64 too: exact below 2^53, printed by %d
-            block = np.empty((stop - start, len(kinds)))
-            for j, src in enumerate(sources):
-                block[:, j] = np.arange(start, stop) if src is None else src[start:stop]
-            cells = block[:, floats]
+            rows = np.arange(start, stop)
+            cells = np.empty((stop - start, len(floats)))
+            for k, j in enumerate(floats):
+                cells[:, k] = sources[j][start:stop]
             zero = cells == 0.0
             state = (np.trunc(cells) == cells) & (np.abs(cells) < _FIXED_INTEGRAL_LIMIT)
-            state = state + zero * (1 + np.signbit(cells))
-            template = "".join(templates[state @ weights].tolist())
-            keep = np.ones(block.shape, dtype=bool)
-            keep[:, floats] = ~zero
-            fh.write(template % tuple(block[keep].tolist()))
+            state = iter((state + zero * (1 + np.signbit(cells))).T)
+            # each cell's bytes then a comma, or the line end after the last cell
+            comma = np.full((stop - start, 1), ord(","), np.uint8)
+            text = []
+            for j, kind in enumerate(kinds):
+                if kind == "i":
+                    text.append(_digits(rows, widths[j]))
+                elif kind == "d":
+                    n = sources[j][start:stop]
+                    text += [_sign(n), _digits(np.abs(n).astype(np.uint64), widths[j])]
+                elif kind == "a":
+                    q = rows + sources[j][0]
+                    magnitude, e = np.abs(q), sources[j][1]
+                    text += [_sign(q), _digits(magnitude >> e, widths[j]),
+                             fractions[j][magnitude & (2 ** e - 1)]]
+                else:
+                    text.append(formats[next(state)])
+                text.append(comma)
+            text[-1] = np.full_like(comma, ord("\n"))
+            text = np.concatenate(text, axis=1).tobytes().translate(None, b"\0").decode("ascii")
+            fh.write(text % tuple(cells[~zero].tolist()))
 
     bounds = [*range(0, n_rows, CSV_BLOCK_ROWS), n_rows]
     cuts = forks.split(bounds)
@@ -179,17 +243,20 @@ def _write_csv(path, header, kinds, *columns):
                 os.unlink(part)
 
 
-def _write_samples_csv(path, axis_name, axis, values):
+def _write_samples_csv(path, axis_name, grid, scale, values):
+    # the axis is (r - N/2) / scale at row r, scale a power of two
     values = np.asarray(values)
-    _write_csv(path, ("index", axis_name, "re", "im"), "iggg", axis, values.real, values.imag)
+    _write_csv(path, ("index", axis_name, "re", "im"), "iagg",
+               (-grid.n_points // 2, scale.bit_length() - 1), values.real, values.imag)
 
 
 def write_spectrum_csv(path, spectrum: SampledSpectrum):
-    _write_samples_csv(path, "xi", spectrum.grid.xi, spectrum.values)
+    _write_samples_csv(path, "xi", spectrum.grid, spectrum.grid.samples_per_unit,
+                       spectrum.values)
 
 
 def write_signal_csv(path, signal: SampledSignal):
-    _write_samples_csv(path, "x", signal.grid.x, signal.values)
+    _write_samples_csv(path, "x", signal.grid, 2 * signal.grid.half_range, signal.values)
 
 
 def write_periodization_csv(path, profile):
@@ -242,8 +309,9 @@ def read_spectrum_csv(path, grid: FrequencyGrid | None = None,
     ValueError, naming ``path``, unless the file is UTF-8 with a number in
     each row's ``xi``, ``re`` and ``im`` column after the header, and there
     are at least two rows, all of them finite,
-    (rebuilding the grid) the first two xi a finite positive step apart, and
-    every xi the grid's (exact for a file :func:`write_spectrum_csv` wrote:
+    (rebuilding the grid) the first two xi a finite positive step apart, from
+    which the first xi and the step give a :class:`FrequencyGrid`, and every
+    xi the grid's (exact for a file :func:`write_spectrum_csv` wrote:
     ``S`` is a power of two); the error names the first row, counted from 1
     after the header, that is unreadable or whose xi is not.
     """
@@ -264,9 +332,12 @@ def read_spectrum_csv(path, grid: FrequencyGrid | None = None,
         spacing = float(xi[1]) - float(xi[0])   # as Python floats an overflow is inf, no warning
         if not 0 < spacing < math.inf:
             raise ValueError(f"{path} has xi spacing {spacing}; need a finite positive one")
-        S = int(round(1.0 / spacing))
-        Xi = int(round(-xi[0]))
-        grid = FrequencyGrid(samples_per_unit=S, half_range=Xi)
+        try:   # 1 / a subnormal spacing overflows to inf
+            grid = FrequencyGrid(samples_per_unit=int(round(1.0 / spacing)),
+                                 half_range=int(round(-xi[0])))
+        except (GridError, OverflowError) as e:
+            raise ValueError(f"{path} has xi from {float(xi[0])!r} in steps of {spacing!r}, "
+                             f"which is no grid: {e}") from None
     if data.shape[0] != grid.n_points:
         raise ValueError(f"{path} holds {data.shape[0]} samples, grid wants {grid.n_points}")
     off_grid = np.flatnonzero(xi != grid.xi)

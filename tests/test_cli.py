@@ -730,7 +730,8 @@ def test_unreadable_config_or_spec_exits_2_with_one_line(tmp_path, capsys, confi
 @pytest.mark.parametrize("corrupt", ["one row", "nan", "inf", "repeated xi", "huge xi",
                                      "off-grid xi", "empty", "header only", "not a number",
                                      "no im column", "not utf-8", "first row not a number",
-                                     "first row no im column"])
+                                     "first row no im column", "first xi 0", "step 1/3",
+                                     "subnormal step"])
 def test_malformed_custom_spectrum_exits_3_with_one_line(tmp_path, capsys, corrupt):
     from sispace.generators import build_sinc
     from sispace.grid import FrequencyGrid
@@ -756,6 +757,13 @@ def test_malformed_custom_spectrum_exits_3_with_one_line(tmp_path, capsys, corru
         rows[1] = rows[1][:3]
     elif corrupt == "first row not a number":
         rows[1][2] = "x"
+    elif corrupt in ("first xi 0", "step 1/3", "subnormal step"):
+        # xi that form no FrequencyGrid: half_range 0, samples_per_unit 3 (N = 12)
+        # and a samples_per_unit of 1 / 5e-324, which is inf
+        xi = {"first xi 0": [0.0, 0.25, 0.5, 0.75],
+              "step 1/3": [-2 + k / 3 for k in range(12)],
+              "subnormal step": [0.0, 5e-324]}[corrupt]
+        rows = rows[:1] + [[str(r), repr(x), "1.0", "0.0"] for r, x in enumerate(xi)]
     else:   # "\udcff" is written as the byte 0xff, which UTF-8 never holds
         rows[5][2] = {"not a number": "x", "not utf-8": "\udcff"}.get(corrupt, corrupt)
     text = "".join(",".join(row) + "\n" for row in rows)
@@ -773,6 +781,9 @@ def test_malformed_custom_spectrum_exits_3_with_one_line(tmp_path, capsys, corru
     assert err[0].startswith("numeric precondition violated:") and str(path) in err[0]
     if corrupt == "off-grid xi":
         assert "row 10 has xi = 123.5" in err[0]
+    if corrupt == "first xi 0":
+        assert err[0].endswith(f"{path} has xi from 0.0 in steps of 0.25, which is no grid: "
+                               "half_range must be >= 2")
     # an unreadable row is counted from 1 after the header, as an off-grid one is
     row = {"not a number": 5, "no im column": 5, "not utf-8": 5,
            "first row not a number": 1, "first row no im column": 1}.get(corrupt)
@@ -1029,6 +1040,39 @@ def test_a_signal_in_the_csv_writer_leaves_no_file_and_no_process(tmp_path, caps
     handlers = _handlers()
     _signalling_ranges(monkeypatch, where, signum)
     code = main(["construct", "--config", cfg, "--out", str(out)])
+    _assert_terminated(code, capsys, signum, out, before, handlers)
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP])
+@pytest.mark.parametrize("call", ["fork", "waitpid"])
+def test_a_signal_as_a_child_is_forked_or_reaped_leaves_no_process(tmp_path, capsys,
+                                                                   monkeypatch, call, signum):
+    # the signal lands right after os.fork() returns in this process, before the
+    # child is recorded, or as this process starts to wait for a finished child
+    from sispace import forks, report
+    cfg = write_config(tmp_path / "c.json", {"generator": {"variant": "sinc"},
+                                             "grid": "64,64"})
+    monkeypatch.setattr(forks, "workers", lambda: 3)
+    monkeypatch.setattr(report, "CSV_BLOCK_ROWS", 1024)
+    out = tmp_path / "out"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    handlers = _handlers()
+    parent, real, sent = os.getpid(), getattr(os, call), []
+
+    def signalling(*args):
+        if call == "waitpid" and not sent:
+            sent.append(signum)
+            os.kill(parent, signum)
+        result = real(*args)
+        if call == "fork" and result and not sent:
+            sent.append(signum)
+            os.kill(parent, signum)
+        return result
+
+    monkeypatch.setattr(os, call, signalling)
+    code = main(["construct", "--config", cfg, "--out", str(out)])
+    assert sent
     _assert_terminated(code, capsys, signum, out, before, handlers)
 
 

@@ -1,4 +1,5 @@
 import os
+import time
 
 import pytest
 
@@ -28,4 +29,17 @@ def test_a_child_that_exits_without_a_word_is_a_child_process_error():
 
     with pytest.raises(ChildProcessError, match="exited with 5"):
         forks.run_ranges(task, [0, 1, 2])
+    assert_no_child_left()
+
+
+def test_a_failure_here_kills_the_children_whose_work_it_drops():
+    def task(first, last):
+        if first:
+            time.sleep(60)
+        raise ValueError(f"range {first} failed")
+
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="range 0 failed"):
+        forks.run_ranges(task, [0, 1, 2, 3])
+    assert time.monotonic() - started < 30   # not the children's 60 s
     assert_no_child_left()

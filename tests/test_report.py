@@ -2,11 +2,12 @@
 and the JSON emitter's round trip.
 
 The reference formats one cell at a time: the row index and integer cells
-with ``str(int(v))``, float cells with ``_fmt_float``.  That is what every
-numeric table was written with before the block formatter, so equal bytes
-here mean byte-identical CSV outputs.
+with ``str(int(v))``, float cells (a grid axis included) with
+``_fmt_float``.  That is what every numeric table was written with before
+the block formatter, so equal bytes here mean byte-identical CSV outputs.
 """
 
+import functools
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from sispace import forks, report
 from sispace.generators import build_sinc
-from sispace.grid import FrequencyGrid, SampledSignal
+from sispace.grid import FrequencyGrid, SampledSignal, SampledSpectrum
 from sispace.report import (CSV_BLOCK_ROWS, NON_FINITE, _fmt_float, _write_csv,
                             dumps_deterministic, staged_paths, write_periodization_csv,
                             write_report, write_signal_csv, write_spectrum_csv,
@@ -76,6 +77,95 @@ def test_block_writer_matches_per_cell_reference(tmp_path_factory, cols, block_r
             _write_csv(path, header, "igdg", a, ints, b)
         assert path.read_text() == expected
         assert [p.name for p in path.parent.iterdir()] == ["t.csv"]
+
+
+@st.composite
+def axis_columns(draw):
+    # an axis (first + r) * 2**-e from near 0 out to 16 integer digits: both
+    # sides of the writer's guard (e <= 13, integer digits + e <= 17)
+    n = draw(st.integers(0, 24))
+    first = draw(st.one_of(st.integers(-64, 64), st.integers(-2 ** 50, 2 ** 50)))
+    e = draw(st.integers(0, 15))
+    column = st.lists(finite, min_size=n, max_size=n)
+    return (first, e), draw(column), draw(st.lists(st.integers(-2 ** 40, 2 ** 40),
+                                                   min_size=n, max_size=n)), draw(column)
+
+
+@PROPERTY
+@given(axis_columns(), st.integers(1, 7))
+def test_axis_writer_matches_per_cell_reference(tmp_path_factory, cols, block_rows):
+    (first, e), a, ints, b = cols
+    header = ("index", "x", "a", "k", "b")
+    axis = np.arange(first, first + len(a)) / 2.0 ** e
+    expected = reference_csv(header, "iggdg", axis, a, ints, b)
+    for workers in (1, 2, 3):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        with mock.patch.object(report, "CSV_BLOCK_ROWS", block_rows), \
+                mock.patch.object(forks, "workers", lambda: workers):
+            _write_csv(path, header, "iagdg", (first, e), a, ints, b)
+        assert path.read_text() == expected
+        assert [p.name for p in path.parent.iterdir()] == ["t.csv"]
+
+
+@pytest.mark.parametrize("first, e", [
+    (-1024 << 13, 13),              # the README grid's x axis: 4 integer digits + 13 = 17
+    ((1024 << 13) - 40, 13),
+    (-20, 13),                      # 2**-13 prints in fixed notation
+    (-20, 14),                      # 2**-14 = 6.103515625e-05: past the guard
+    ((10000 << 13) - 20, 13),       # 9999 (17 digits) to 10000 (18: %.17g rounds)
+    (-(10 ** 16 << 1) - 20, 1),     # 17 integer digits + 1 = 18
+    (-(10 ** 15 << 2) - 20, 2),     # 16 + 2 = 18, and 15 + 2 = 17 past -10**15
+])
+def test_axis_on_both_sides_of_the_guard(tmp_path, first, e):
+    # 40 rows near the boundary, not the whole axis
+    zeros = np.zeros(40)
+    _write_csv(tmp_path / "t.csv", ("index", "x", "re"), "iag", (first, e), zeros)
+    axis = np.arange(first, first + 40) / 2.0 ** e
+    assert (tmp_path / "t.csv").read_text() == reference_csv(("index", "x", "re"), "igg",
+                                                             axis, zeros)
+
+
+@functools.cache
+def axis_reference(e):
+    """``_fmt_float`` of ``q * 2**-e`` at ``q + 2**15`` for every q in
+    [-2**15, 2**15): the cells of every grid axis of N <= 2**16 at spacing 2**-e."""
+    return [_fmt_float(q / 2 ** e) for q in range(-2 ** 15, 2 ** 15)]
+
+
+def samples_reference(axis_name, n, e, values):
+    """``reference_csv`` of a samples table on an axis (r - n/2) * 2**-e, its
+    cells taken from ``axis_reference`` and from ``values``, which repeat
+    with period 7."""
+    re_text = [_fmt_float(v) for v in values.real[:7]]
+    im_text = [_fmt_float(v) for v in np.asarray(values, dtype=complex).imag[:7]]
+    axis = axis_reference(e)[2 ** 15 - n // 2:2 ** 15 + n // 2]
+    return f"index,{axis_name},re,im\n" + "".join(
+        f"{r},{x},{re_text[r % 7]},{im_text[r % 7]}\n" for r, x in enumerate(axis))
+
+
+def test_every_grid_axis_up_to_2_to_the_16_matches_the_reference(tmp_path):
+    grids = [FrequencyGrid(1 << a, 1 << c) for a in range(1, 15) for c in range(1, 16 - a)]
+    assert len(grids) == 105 and max(g.n_points for g in grids) == 1 << 16
+    for k, grid in enumerate(grids):
+        n = grid.n_points
+        cycle = [0.0, 1.0 / 3.0, 0.0, -0.0, -2.5, 0.0, 1e22]
+        real = np.resize(cycle, n)
+        cplx = real - 1j * np.resize(np.roll(cycle, 1), n)
+        # the spectrum's and the signal's values take turns being real and complex
+        spectrum_values, signal_values = (real, cplx) if k % 2 else (cplx, real)
+        write_spectrum_csv(tmp_path / "s.csv", SampledSpectrum(grid, spectrum_values))
+        write_signal_csv(tmp_path / "x.csv", SampledSignal(grid, signal_values))
+        S, two_xi = grid.samples_per_unit, 2 * grid.half_range
+        expected = samples_reference("xi", n, S.bit_length() - 1, spectrum_values)
+        if n <= 1 << 8:   # the cycle reference is reference_csv's text
+            assert expected == reference_csv(("index", "xi", "re", "im"), "iggg", grid.xi,
+                                             spectrum_values.real,
+                                             np.asarray(spectrum_values, dtype=complex).imag)
+        assert (tmp_path / "s.csv").read_text() == expected
+        assert (tmp_path / "x.csv").read_text() == samples_reference(
+            "x", n, two_xi.bit_length() - 1, signal_values)
+        os.unlink(tmp_path / "s.csv")
+        os.unlink(tmp_path / "x.csv")
 
 
 @pytest.mark.parametrize("n_rows", [1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
