@@ -378,13 +378,17 @@ def _turns(coef, q):
 
 
 def _inverse_transform_table(window_values, xi_nodes, x_nodes):
-    """Trapezoid quadrature of integral w(xi) exp(2 pi i xi x) dxi at every x node.
+    """Trapezoid quadrature of integral w(xi) exp(2 pi i xi x) dxi at every x node,
+    for each row w of ``window_values`` (its last axis runs over ``xi_nodes``;
+    any leading axes are a batch, transformed together).
 
     Both node sets are uniform, so the sum over xi is a chirp-z transform
     (Rabiner, Schafer & Rader 1969), evaluated with Bluestein's identity
     ``m*k = (m**2 + k**2 - (k - m)**2) / 2`` as one FFT convolution.  Every
     phase is reduced mod 1 before ``exp``: the chirp phases grow like
     ``q**2`` and, unreduced, would lose their low digits inside ``exp``.
+    The row ``2 pi i xi w(xi)`` gives the x-derivative of the row ``w``'s
+    sum, term by term, so one call gives a table and its exact slopes.
     """
     M, K = xi_nodes.size, x_nodes.size
     xi0, x0 = xi_nodes[0], x_nodes[0]
@@ -401,84 +405,29 @@ def _inverse_transform_table(window_values, xi_nodes, x_nodes):
     q = np.arange(L)
     q = np.where(q < K, q, q - L)
     chirp = np.exp(-2j * np.pi * _turns(half_c, q * q))
-    conv = np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(chirp))[:K]
+    conv = np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(chirp))[..., :K]
     post = _turns(xi0 * dx, k) + _turns(half_c, k * k) + _turns(xi0 * x0, 1)
     return conv * np.exp(2j * np.pi * post)
 
 
-def _tridiagonal_solve(dl, d, du, b):
-    """Solve the tridiagonal system with sub-, main and super-diagonal ``dl``,
-    ``d``, ``du`` (float arrays) for the real right-hand side ``b``.
-
-    Forward elimination and back substitution (the Thomas algorithm), in
-    Python floats, operation for operation as LAPACK ``dgtsv`` computes when
-    it swaps no rows, so the solution is bitwise ``dgtsv``'s, signed zeros
-    included.  ``dgtsv`` swaps rows where ``|d_i| < |dl_i|`` at step ``i``;
-    there, or on a zero pivot, this raises ValueError instead of answering
-    differently.
-    """
-    dl, d, du, b = dl.tolist(), d.tolist(), du.tolist(), b.tolist()
-    n = len(d)
-    for i in range(n - 1):
-        if not (abs(d[i]) >= abs(dl[i]) and d[i] != 0):
-            raise ValueError(f"tridiagonal solve needs a row swap or meets a zero "
-                             f"pivot at row {i}")
-        f = dl[i] / d[i]
-        d[i + 1] -= f * du[i]
-        b[i + 1] -= f * b[i]
-    if d[-1] == 0:
-        raise ValueError(f"tridiagonal solve meets a zero pivot at row {n - 1}")
-    b[-1] /= d[-1]
-    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
-    # gtsv also subtracts its row-swap fill-in times b[i + 2]; without swaps
-    # that entry is 0.0, but subtracting 0.0 * b[i + 2] still turns a -0.0
-    # into +0.0 where b[i + 2] is negative, so the term stays
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - 0.0 * b[i + 2]) / d[i]
-    return np.array(b)
-
-
-def _not_a_knot(x, y):
-    """Coefficients of the not-a-knot cubic spline through real ``(x, y)``, on
-    at least four knots ``x``.
-
-    The end condition asks the third derivative to be continuous across the
-    second and the second-to-last knot (de Boor, *A Practical Guide to
-    Splines*, ch. IV).  The knot slopes solve one tridiagonal system, set up
-    row by row as the tests' oracle ``CubicSpline`` sets it up and solved by
-    :func:`_tridiagonal_solve`, so every coefficient is bitwise the one that
-    class holds.  Returns ``c`` of shape ``(4, x.size - 1)``, highest power
+def _hermite(x, y, slopes):
+    """Coefficients of the cubic Hermite spline through real ``(x, y)`` with the
+    knot slopes ``slopes``: each interval's cubic from its two end values and
+    slopes, as ``scipy.interpolate.CubicHermiteSpline`` computes it, operation
+    for operation.  Returns ``c`` of shape ``(4, x.size - 1)``, highest power
     first: interval ``i`` is ``c[0, i] s**3 + c[1, i] s**2 + c[2, i] s +
     c[3, i]`` with ``s = t - x[i]``.
     """
-    n = x.size
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    d = np.empty(n)
-    du = np.empty(n - 1)
-    dl = np.empty(n - 1)
-    b = np.empty(n)
-    d[1:-1] = 2 * (dx[:-1] + dx[1:])
-    du[1:] = dx[:-1]
-    dl[:-1] = dx[1:]
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    span = x[2] - x[0]
-    d[0] = dx[1]
-    du[0] = span
-    b[0] = ((dx[0] + 2 * span) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / span
-    span = x[-1] - x[-3]
-    d[-1] = dx[-2]
-    dl[-1] = span
-    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * span + dx[-1]) * dx[-2] * slope[-1]) / span
-    s = _tridiagonal_solve(dl, d, du, b)
-    # the cubic Hermite form of each interval from its end values and slopes
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    t = (slopes[:-1] + slopes[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - slopes[:-1]) / dx - t, slopes[:-1], y[:-1]))
 
 
 def _cubic(s, coeffs, i, outs, term):
     """``c3 + c2 s + c1 s**2 + c0 s**3`` of interval ``i`` (one index) for each
-    ``c`` of ``coeffs``, into ``outs``.
+    ``c`` of ``coeffs`` (:func:`_hermite`'s layout, highest power first), into
+    ``outs``.
 
     The terms are summed left to right in place; ``term`` is scratch of
     ``s``'s shape.  Every window-spline value of :class:`WindowTables` is
@@ -508,13 +457,14 @@ def _in_order(x, evaluate):
 class WindowTables:
     """Tabulated inverse transforms of ``g0`` and ``g1`` with cubic interpolation.
 
-    The tables are interpolated by real not-a-knot cubic splines
-    (:func:`_not_a_knot`) whose per-interval coefficients are all that is
-    kept: one for ``g0``'s real table, and one each for the real and
-    imaginary parts of ``g1``'s complex one.  Values beyond ``|x| = TABLE_X_MAX``
-    evaluate to 0; ``tail_bound`` records the largest magnitude seen on the
-    outer 2% of each table, which bounds the truncation error committed by
-    that convention.  One path evaluates the splines,
+    One :func:`_inverse_transform_table` call per window gives its table and
+    the table's exact slopes, and each knot interval's cubic is fitted to its
+    two end values and slopes (:func:`_hermite`).  Only the per-interval
+    coefficients are kept: one set for ``g0``'s real table, and one each for
+    the real and imaginary parts of ``g1``'s complex one.  Values beyond
+    ``|x| = TABLE_X_MAX`` evaluate to 0; ``tail_bound`` records the largest
+    magnitude seen on the outer 2% of each table, which bounds the truncation
+    error committed by that convention.  One path evaluates the splines,
     :meth:`_interval_runs`, which takes ascending points one knot interval at
     a time; ``g0_inv``/``g1_inv`` take x of any shape and order through
     :func:`_in_order`, so a value depends on its point alone.
@@ -522,16 +472,18 @@ class WindowTables:
 
     def __init__(self, alpha):
         x_nodes = np.linspace(-TABLE_X_MAX, TABLE_X_MAX, TABLE_X_SAMPLES)
-
         xi0 = np.linspace(-1.0, 1.0, TABLE_QUAD_NODES)
-        g0_inv = _inverse_transform_table(g0(xi0), xi0, x_nodes)
         xi1 = np.linspace(*g1_support(alpha), TABLE_QUAD_NODES)
-        g1_inv = _inverse_transform_table(g1(xi1, alpha), xi1, x_nodes)
+        # each window's table and its x-derivative, from w and 2 pi i xi w
+        (g0_inv, g0_slopes), (g1_inv, g1_slopes) = (
+            _inverse_transform_table(np.stack((w, 2j * np.pi * xi * w)), xi, x_nodes)
+            for xi, w in ((xi0, g0(xi0)), (xi1, g1(xi1, alpha))))
 
         # per-interval cubic coefficients, highest power first
         self._knots = x_nodes
-        self._g0_coeffs = _not_a_knot(x_nodes, g0_inv.real)
-        self._g1_coeffs = (_not_a_knot(x_nodes, g1_inv.real), _not_a_knot(x_nodes, g1_inv.imag))
+        self._g0_coeffs = _hermite(x_nodes, g0_inv.real, g0_slopes.real)
+        self._g1_coeffs = (_hermite(x_nodes, g1_inv.real, g1_slopes.real),
+                           _hermite(x_nodes, g1_inv.imag, g1_slopes.imag))
         edge = x_nodes.size // 50
         self.tail_bound = max(float(np.abs(table[ends]).max()) for table in (g0_inv, g1_inv)
                               for ends in (slice(None, edge), slice(-edge, None)))

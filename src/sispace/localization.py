@@ -52,8 +52,11 @@ def truncation_depth_for_span(alpha, span):
 
     The depth-j envelope lives on the scale ``2**(j*alpha) / (2**alpha - 1)``;
     probing windows beyond that scale sees the truncation tail instead of
-    the object's trend.
+    the object's trend.  ValueError unless both are positive and finite.
     """
+    for name, value in (("alpha", alpha), ("span", span)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     need = span * (2.0 ** alpha - 1.0)
     return max(1, math.ceil(math.log2(need) / alpha))
 
@@ -109,6 +112,18 @@ def _lattice_exponent(params: PsiParams):
     return next_pow2(int(max(256, LATTICE_OVERSAMPLE * params.max_frequency))).bit_length() - 1
 
 
+def _probe_samples(windows, dx, last=math.inf):
+    """``k = round(T/dx)`` for each window ``T``, at most ``last``; GridError
+    unless they strictly increase, since windows that share a probe sample
+    would give equal partials."""
+    ks = [min(int(round(T / dx)), last) for T in windows]
+    for (T, a), (U, b) in zip(zip(windows, ks), zip(windows[1:], ks[1:])):
+        if b <= a:
+            raise GridError(f"windows {T:g} and {U:g} share the probe sample k = {b} "
+                            f"at step {dx:g}")
+    return ks
+
+
 def _window_partials(source, exponents, windows):
     """Trapezoid partials of |f(x)|**p (1+|x|)**w over |x| <= T.
 
@@ -136,9 +151,10 @@ def _window_partials(source, exponents, windows):
     further one in a forked child that shares the evaluator's tables; each
     range sends back only its segments' sums, which are added here in the
     same order whatever the split, so the partials are bitwise those of one
-    worker.  The tables go with the evaluator when the pass returns.  A
-    lattice of more than ``LATTICE_POINTS_CAP`` points is a GridError,
-    raised before the evaluator is built.
+    worker.  The tables go with the evaluator when the pass returns.  Windows
+    that share a probe sample (see :func:`_probe_samples`), and a lattice of
+    more than ``LATTICE_POINTS_CAP`` points, are a GridError, raised before the
+    evaluator is built.
     """
     if any(p < 1 for p, _ in exponents):
         raise ValueError("p must be >= 1")
@@ -147,7 +163,7 @@ def _window_partials(source, exponents, windows):
         if windows[-1] > span + 1e-9:
             raise GridError(f"window {windows[-1]} exceeds the sampled span {span}")
         mid = source.grid.n_points // 2
-        ks = [min(int(round(T / dx)), mid) for T in windows]
+        ks = _probe_samples(windows, dx, mid)
         top = max(ks)
         lo, hi = mid - top, min(mid + top + 1, source.values.size)
         values = np.abs(source.values[lo:hi])
@@ -164,7 +180,7 @@ def _window_partials(source, exponents, windows):
     if windows[-1] > source.valid_span:
         raise GridError(f"window {windows[-1]} exceeds the analytic route's "
                         f"table validity {source.valid_span}")
-    ks = [int(round(T / dx)) for T in windows]
+    ks = _probe_samples(windows, dx)
     if ks[-1] + 1 > LATTICE_POINTS_CAP:
         raise GridError(f"the probe lattice at step 2^-{exponent} holds {ks[-1] + 1:.3g} points, "
                         f"more than the cap 2^{LATTICE_POINTS_CAP.bit_length() - 1}")

@@ -839,6 +839,27 @@ def test_probe_lattice_beyond_the_cap_exits_3_with_one_line(tmp_path, capsys, n,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("generator, grid, windows, message", [
+    ({"variant": "psi", "alpha": 1, "beta": 2, "n": 2, "J": 2}, None,
+     [1e-9, 2e-9, 3e-9, 4e-9], "windows 1e-09 and 2e-09 share the probe sample k = 0 "
+                               "at step 0.00195312"),
+    ({"variant": "sinc"}, "8,4", [0.001, 0.002, 0.003, 0.004],
+     "windows 0.001 and 0.002 share the probe sample k = 0 at step 0.125"),
+], ids=["analytic", "grid"])
+def test_windows_sharing_a_probe_sample_exit_3_with_one_line(tmp_path, capsys, generator, grid,
+                                                             windows, message):
+    # equal partials would read as vanishing tail increments: "converging", even
+    # for sinc, whose L1 norm diverges
+    cfg = write_config(tmp_path / "c.json", {
+        "generator": generator, **({"grid": grid} if grid else {}),
+        "analyses": ["decay"], "parameters": {"windows": windows}})
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"numeric precondition violated: {message}"]
+    assert not out.exists()
+
+
 def test_huge_n_gates_and_pointwise_exit_0(tmp_path):
     # the copy centers n*(gamma_j + l) reach 1e300: far beyond int64, finite as floats
     cfg = write_config(tmp_path / "c.json", {

@@ -292,11 +292,12 @@ def test_g0_inverse_at_zero_is_window_mass():
 
 
 def dense_inverse_transform_table(window_values, xi_nodes, x_nodes):
-    """Reference: the trapezoid sum of w(xi) exp(2 pi i xi x) as a dense matrix product."""
+    """Reference: the trapezoid sum of w(xi) exp(2 pi i xi x) as a dense matrix
+    product, for each row w of ``window_values``."""
     weights = np.full(xi_nodes.size, xi_nodes[1] - xi_nodes[0])
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    return np.exp(2j * np.pi * np.outer(x_nodes, xi_nodes)) @ (window_values * weights)
+    return (window_values * weights) @ np.exp(2j * np.pi * np.outer(xi_nodes, x_nodes))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0, 2.0])
@@ -306,9 +307,15 @@ def test_chirp_z_table_matches_dense_quadrature(alpha):
     xi0 = np.linspace(-1.0, 1.0, 513)
     xi1 = np.linspace(-1.0, 2.0 ** (-alpha), 513)
     for values, xi in ((g0(xi0), xi0), (g1(xi1, alpha), xi1)):
-        got = _inverse_transform_table(values, xi, x)
-        ref = dense_inverse_transform_table(values, xi, x)
-        assert np.max(np.abs(got - ref)) < 1e-12
+        # a window alone, and stacked with the row whose sum is the x-derivative
+        stacked = np.stack((values, 2j * np.pi * xi * values))
+        for rows in (values, stacked):
+            got = _inverse_transform_table(rows, xi, x)
+            ref = dense_inverse_transform_table(rows, xi, x)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) < 1e-12
+        # each row of a batch is transformed bitwise as it would be alone
+        assert got[0].tobytes() == _inverse_transform_table(values, xi, x).tobytes()
 
 
 def test_route_cross_check_small(psi_small, rng):

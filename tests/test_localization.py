@@ -98,22 +98,23 @@ def assert_no_child_left():
 
 @pytest.mark.parametrize("windows", [
     [0.3, 0.7, 1.1, 2.9],          # 9 segments, seams off the 1000-point chunks
-    [1e-5, 2e-5, 5e-4, 1e-3],      # 2 segments, k = 0, 0, 1, 2 at dx = 2**-11
-    [1e-6, 2e-6, 3e-6, 4e-6],      # no segment: every window rounds to k = 0
-], ids=["seams-off-chunks", "two-segments", "no-segment"])
+    [1e-5, 5e-4, 1e-3, 1.5e-3],    # 3 segments, k = 0, 1, 2, 3 at dx = 2**-11
+    [5e-4, 1e-3, 1.5e-3, 2e-3],    # 4 one-step segments, k = 1, 2, 3, 4
+], ids=["seams-off-chunks", "three-segments", "one-step-segments"])
 def test_split_partials_are_bitwise_those_of_one_worker(psi_small, monkeypatch, windows):
     monkeypatch.setattr(localization, "PROBE_CHUNK", 1000)
     params = psi_small[0]
     exponents = [(1, 0.0), (2, 1.5), (2, 0.5)]
     partials = {}
-    for workers in (1, 2, 3):
+    # 6 workers: more than the short lattices' segments, so fewer ranges than workers
+    for workers in (1, 2, 3, 6):
         monkeypatch.setattr(forks, "workers", lambda: workers)
         partials[workers], route = localization._window_partials(params, exponents, windows)
         assert route == "analytic"
         assert_no_child_left()
     assert partials[1].shape == (len(exponents), len(windows))
-    assert partials[2].tobytes() == partials[1].tobytes()
-    assert partials[3].tobytes() == partials[1].tobytes()
+    for workers in (2, 3, 6):
+        assert partials[workers].tobytes() == partials[1].tobytes()
     # without Dirichlet tables every piece takes the per-point ratios' one pass
     monkeypatch.setattr(generators, "DIRICHLET_TABLE_BYTES", 0)
     without_tables, _ = localization._window_partials(params, exponents, windows)
@@ -491,6 +492,16 @@ def test_truncation_depth_rule():
     assert truncation_depth_for_span(1.0, 64.0) == 6
     assert truncation_depth_for_span(1.0, 32.0) == 5
     assert truncation_depth_for_span(3.0, 64.0) == 3
+
+
+@pytest.mark.parametrize("alpha, span, name", [
+    (1.0, 0.0, "span"), (1.0, -1.0, "span"), (1.0, math.inf, "span"), (1.0, math.nan, "span"),
+    (0.0, 64.0, "alpha"), (-1.0, 64.0, "alpha"), (math.inf, 64.0, "alpha"),
+    (math.nan, 64.0, "alpha"),
+])
+def test_truncation_depth_refuses_a_span_or_alpha_out_of_range(alpha, span, name):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+        truncation_depth_for_span(alpha, span)
 
 
 def test_suite_sinc():

@@ -18,12 +18,12 @@
 * A lattice cut into consecutive pieces evaluates bitwise as the whole, so
   the probe pass may size its pieces freely; and the Dirichlet tables, built
   for all depths in one pass, are bitwise the per-count ratio.
-* The window splines' in-repo tridiagonal sweep gives bitwise the
-  coefficients of scipy's ``CubicSpline`` (the oracle, imported by the tests
-  only) on uniform knots, for random real values; on any system that needs
-  no row swap it is bitwise LAPACK ``dgtsv``, signed zeros included.  Each
-  window table is real (``g1``'s as its real and imaginary parts), so the
-  oracle solves with ``dgtsv`` too.
+* Each window spline is fitted to its table's values and exact slopes, both
+  from one chirp-z transform: its coefficients and values are bitwise those
+  of scipy's ``CubicHermiteSpline`` (the oracle, imported by the tests only)
+  on the same data, as is the in-repo fit on random knots.  At the half-step
+  nodes, against the chirp-z transform evaluated there, it is no less
+  accurate than scipy's not-a-knot ``CubicSpline`` of the same table.
 """
 
 from unittest import mock
@@ -35,9 +35,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sispace import generators
-from sispace.generators import (TABLE_X_MAX, TABLE_X_SAMPLES, GeneratorSpec,
-                                PsiParams, auto_grid, build_psi_spectrum,
-                                dirichlet_ratio, evaluate_psi_time, window_tables)
+from sispace.bumps import g0, g1, g1_support
+from sispace.generators import (TABLE_QUAD_NODES, TABLE_X_MAX, TABLE_X_SAMPLES,
+                                GeneratorSpec, PsiParams, auto_grid,
+                                build_psi_spectrum, dirichlet_ratio,
+                                evaluate_psi_time, window_tables)
 from sispace.grid import FrequencyGrid, to_time_domain
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -166,24 +168,34 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint8)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.5, 1.77, 2.0])
-def test_window_splines_are_scipy_not_a_knot_splines(alpha):
-    # the oracle: scipy's CubicSpline (not-a-knot by default) on the same
-    # real tables; scipy.interpolate is imported here only, never by the package
-    from scipy.interpolate import CubicSpline
+SPLINE_ALPHAS = [0.5, 0.75, 1.0, 1.5, 1.77, 2.0]
 
+
+def _fitted_tables(alpha):
+    """A fresh ``WindowTables(alpha)`` and the ``(x, y, slopes)`` of each of its
+    fits, recorded through a patched ``_hermite``: g0's table, then g1's real
+    and imaginary parts."""
     tables = []
-    fit = generators._not_a_knot
+    fit = generators._hermite
 
-    def recording_fit(x, y):
-        tables.append((x, y))
-        return fit(x, y)
+    def recording_fit(x, y, slopes):
+        tables.append((x, y, slopes))
+        return fit(x, y, slopes)
 
-    with mock.patch.object(generators, "_not_a_knot", recording_fit):
+    with mock.patch.object(generators, "_hermite", recording_fit):
         windows = generators.WindowTables(alpha)
-    # g0's table, then g1's real and imaginary parts
-    assert len(tables) == 3 and not any(np.iscomplexobj(y) for _, y in tables)
-    g0_spline, g1_re_spline, g1_im_spline = (CubicSpline(x, y) for x, y in tables)
+    assert len(tables) == 3 and not any(np.iscomplexobj(a) for t in tables for a in t)
+    return windows, tables
+
+
+@pytest.mark.parametrize("alpha", SPLINE_ALPHAS)
+def test_window_splines_are_scipy_not_a_knot_splines(alpha):
+    # the oracle: scipy's CubicHermiteSpline on the same real tables and slopes;
+    # scipy.interpolate is imported here only, never by the package
+    from scipy.interpolate import CubicHermiteSpline
+
+    windows, tables = _fitted_tables(alpha)
+    g0_spline, g1_re_spline, g1_im_spline = (CubicHermiteSpline(*t) for t in tables)
     coeffs = [windows._g0_coeffs, *windows._g1_coeffs]
     assert all(c.dtype == np.float64 for c in coeffs)
     for c, spline in zip(coeffs, (g0_spline, g1_re_spline, g1_im_spline)):
@@ -197,43 +209,39 @@ def test_window_splines_are_scipy_not_a_knot_splines(alpha):
     assert np.array_equal(_bits(g1.imag), _bits(np.where(inside, g1_im_spline(x), 0.0)))
 
 
-@settings(derandomize=True, database=None, deadline=None)
-@given(data=st.data(), n=st.integers(4, 64) | st.just(TABLE_X_SAMPLES))
-def test_not_a_knot_sweep_is_scipy_cubic_spline(data, n):
+@pytest.mark.parametrize("alpha", SPLINE_ALPHAS)
+def test_window_splines_at_half_steps_are_no_worse_than_not_a_knot(alpha):
+    # the truth at the half-step nodes is the chirp-z transform evaluated there
     from scipy.interpolate import CubicSpline
 
-    x = np.arange(n) / 32 - 64   # the window tables' knots, or their first n
-    y = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
-    c, expected = generators._not_a_knot(x, y), CubicSpline(x, y).c
-    assert c.dtype == expected.dtype == np.float64
-    assert np.array_equal(_bits(c), _bits(expected))
+    windows, tables = _fitted_tables(alpha)
+    knots = tables[0][0]
+    half = (knots[:-1] + knots[1:]) / 2
+    xi0 = np.linspace(-1.0, 1.0, TABLE_QUAD_NODES)
+    xi1 = np.linspace(*g1_support(alpha), TABLE_QUAD_NODES)
+    g0_truth = generators._inverse_transform_table(g0(xi0), xi0, half)
+    g1_truth = generators._inverse_transform_table(g1(xi1, alpha), xi1, half)
+    g1_fit = windows.g1_inv(half)
+    for fit, truth, (x, y, _) in zip((windows.g0_inv(half), g1_fit.real, g1_fit.imag),
+                                     (g0_truth.real, g1_truth.real, g1_truth.imag), tables):
+        error = np.abs(fit - truth).max()
+        assert 0 < error <= np.abs(CubicSpline(x, y)(half) - truth).max()
+    assert np.abs(windows.g0_inv(half) - g0_truth.real).max() < 2e-7
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(data=st.data(), n=st.integers(3, 8))
-def test_tridiagonal_sweep_is_lapack_gtsv(data, n):
-    # |d| >= 4 against |dl| <= 1 keeps every pivot ahead of the entry below
-    # it, so gtsv swaps no rows; the small value sets make signed zeros common
-    from scipy.linalg import solve_banded
+@given(data=st.data(), n=st.integers(2, 64))
+def test_hermite_fit_is_scipy_cubic_hermite_spline(data, n):
+    from scipy.interpolate import CubicHermiteSpline
 
-    def draw(values, size):
-        return np.array(data.draw(st.lists(st.sampled_from(values), min_size=size,
-                                           max_size=size)))
+    def draw(elements):
+        return data.draw(hnp.arrays(np.float64, n, elements=elements))
 
-    d = draw([4.0, 5.0, -4.0], n)
-    dl, du = draw([1.0, -1.0, 0.0, -0.0], n - 1), draw([1.0, -1.0, 0.0, -0.0], n - 1)
-    b = draw([-0.0, 0.0, -1.0, 1.0, 2.0, -3.0], n)
-    banded = np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]])
-    expected = solve_banded((1, 1), banded, b, check_finite=False)
-    assert np.array_equal(_bits(generators._tridiagonal_solve(dl, d, du, b)), _bits(expected))
-
-
-def test_not_a_knot_sweep_refuses_a_row_swap():
-    # after the first step the pivot is dx[0] + dx[1] = 2 and the sub-diagonal
-    # entry below it dx[2] = 10: gtsv would swap rows 1 and 2
-    x = np.array([0.0, 1.0, 2.0, 12.0, 13.0])
-    with pytest.raises(ValueError, match="row swap"):
-        generators._not_a_knot(x, np.arange(5.0))
+    x = np.cumsum(draw(st.floats(1e-3, 10.0))) - 64   # random knots, strictly increasing
+    y, slopes = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
+    c, expected = generators._hermite(x, y, slopes), CubicHermiteSpline(x, y, slopes).c
+    assert c.dtype == expected.dtype == np.float64
+    assert np.array_equal(_bits(c), _bits(expected))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
