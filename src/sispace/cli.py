@@ -27,6 +27,7 @@ the flags listed for it, spelled in full, as ``--flag value`` or
 
 from __future__ import annotations
 
+import gc
 import signal
 import sys
 import threading
@@ -266,13 +267,20 @@ def _parse_args(argv):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
+    entry = argv is None
+    argv = sys.argv[1:] if entry else list(argv)
     if "-h" in argv or "--help" in argv:
         print(_usage(argv[0]))
         return EXIT_OK
     if argv[:1] == ["--version"]:
         print(f"sispace {__version__}")
         return EXIT_OK
+    if entry:
+        # as the process entry, what the imports made lives until exit: frozen, it
+        # is never scanned again, nor by the final collection at interpreter exit;
+        # the collection first leaves no import-time garbage among it
+        gc.collect()
+        gc.freeze()
     # handlers go in from the main thread only; an ignored signal (nohup) stays ignored
     previous = {signum: signal.signal(signum, _terminate) for signum in TERMINATING
                 if threading.current_thread() is threading.main_thread()

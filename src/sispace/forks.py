@@ -8,7 +8,9 @@ pickled through its own pipe.  The numeric CSV writer formats its blocks
 trapezoid segments this way (:func:`sispace.localization._window_partials`).
 A child shares this process's memory copy-on-write, so tables built before
 the fork cost it nothing, and it computes exactly what this process would
-have computed for its range.
+have computed for its range.  The objects that :func:`sispace.cli.main`
+freezes (``gc.freeze``) are never scanned by a child's collector either, so
+their pages stay shared too.
 
 A child leaves only through ``os._exit``: it never returns into the caller,
 never runs an ``atexit`` handler and never flushes a file object it

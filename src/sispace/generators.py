@@ -424,17 +424,21 @@ def _hermite(x, y, slopes):
     return np.stack((t / dx, (slope - slopes[:-1]) / dx - t, slopes[:-1], y[:-1]))
 
 
-def _cubic(s, coeffs, i, outs, term):
-    """``c3 + c2 s + c1 s**2 + c0 s**3`` of interval ``i`` (one index) for each
-    ``c`` of ``coeffs`` (:func:`_hermite`'s layout, highest power first), into
-    ``outs``.
+def _cubic(x, knot, coeffs, i, outs, scratch):
+    """``c3 + c2 s + c1 s**2 + c0 s**3`` of interval ``i`` (one index) at
+    ``s = x - knot``, for each ``c`` of ``coeffs`` (:func:`_hermite`'s layout,
+    highest power first), into ``outs``.
 
-    The terms are summed left to right in place; ``term`` is scratch of
-    ``s``'s shape.  Every window-spline value of :class:`WindowTables` is
-    computed here, each from its own point alone.
+    The terms are summed left to right in place; ``scratch`` holds four
+    arrays of ``x``'s shape (``s``, ``s**2``, ``s**3`` and a term).  ``x`` is
+    read once, first, so the term may be ``x`` itself.  Every window-spline
+    value of :class:`WindowTables` is computed here, each from its own point
+    alone.
     """
-    s2 = s * s
-    s3 = s2 * s
+    s, s2, s3, term = scratch
+    np.subtract(x, knot, out=s)
+    np.multiply(s, s, out=s2)
+    np.multiply(s2, s, out=s3)
     for c, out in zip(coeffs, outs):
         np.multiply(s, c[2, i], out=out)
         out += c[3, i]
@@ -494,33 +498,42 @@ class WindowTables:
     def g1_inv(self, x):
         def runs(x):
             out = np.empty(x.shape, dtype=complex)
-            out.real, out.imag = self._interval_runs(x, *self._g1_coeffs)
+            self._interval_runs(x, *self._g1_coeffs, outs=(out.real, out.imag))
             return out
         return _in_order(x, runs)
 
-    def _interval_runs(self, x, *coeffs):
-        """Each spline of ``coeffs`` at an ascending ``x``, one knot interval at a time.
+    def _interval_runs(self, x, *coeffs, outs=None, scratch=None):
+        """Each spline of ``coeffs`` at an ascending 1-d ``x``, one knot interval
+        at a time, into ``outs`` (one array of ``x``'s shape per spline; new
+        ones when None), which are returned.
 
         The points of one interval form a contiguous run of ``x``; each run
-        is evaluated by :func:`_cubic` with its interval's coefficients.  The
+        is evaluated by :func:`_cubic` with its interval's coefficients, in
+        ``scratch`` (four arrays of ``x``'s shape; new ones when None).  The
         first and last interval and the runs' bounds are found by search: an
         inner knot opens its interval, the last knot closes the last.  Points
-        outside the table (NaN and +-inf too) stay 0.
+        outside the table (NaN and +-inf too) are set to 0; the runs write
+        every other point.
         """
         knots = self._knots
-        outs = [np.zeros(x.shape) for _ in coeffs]
+        if outs is None:
+            outs = np.empty((len(coeffs), x.size))
         first = np.searchsorted(x, knots[0], "left")
         last = np.searchsorted(x, knots[-1], "right")
+        for out in outs:
+            out[:first] = 0.0
+            out[last:] = 0.0
         if first >= last:
             return outs
         ends = np.searchsorted(knots, x[[first, last - 1]], "right") - 1
         lo, hi = np.minimum(ends, knots.size - 2).tolist()
         bounds = [first, *np.searchsorted(x, knots[lo + 1:hi + 1], "left").tolist(), last]
-        scratch = np.empty(x.shape)
+        if scratch is None:
+            scratch = np.empty((4, x.size))
         for i, a, b in zip(range(lo, hi + 1), bounds, bounds[1:]):
             if a < b:
-                _cubic(x[a:b] - knots[i], coeffs, i, [out[a:b] for out in outs],
-                       scratch[a:b])
+                _cubic(x[a:b], knots[i], coeffs, i, [out[a:b] for out in outs],
+                       [t[a:b] for t in scratch])
         return outs
 
 
@@ -565,18 +578,27 @@ def _dirichlet_ratios(u, counts):
         yield ratio
 
 
-def _carrier(freq, x):
-    """Cosine and sine of the carrier phase ``freq * x``, reduced mod 1 turn
+def _phasor(freq, x, weight=1.0):
+    """``weight * exp(2 pi i freq x)``, the phase ``freq * x`` reduced mod 1 turn
     before the angle is formed."""
-    angle = 2.0 * np.pi * np.mod(freq * x, 1.0)
-    return np.cos(angle), np.sin(angle)
+    return weight * np.exp(2j * np.pi * np.mod(freq * x, 1.0))
 
 
-def _carrier_frequency(blk, alpha):
-    """The carrier of one depth: at the block scale and the comb's center
-    frequency, in turns; the comb center is exact, so the sum rounds once."""
-    center = blk["center_first"] + blk["center_step"] * (blk["count"] - 1) / 2
-    return (1.0 - 2.0 ** (-blk["j"] * alpha)) / 2.0 + center
+@lru_cache(maxsize=8)
+def _sum_constants(params):
+    """``(s0, depths)`` of the analytic sum: the central window's time scale
+    and, per depth j = 1..J, its envelope's time scale, Dirichlet count,
+    carrier frequency (turns) and weight: the block weight times the
+    envelope's prefactor ``(2**alpha - 1) / 2 * 2**(-j*alpha)``, doubled for
+    the mirror term.  The carrier sits at the block scale and the comb's
+    center frequency; the comb center is exact, so that sum rounds once.
+    Made once per parameter set."""
+    a = params.alpha
+    s0, *scales = params.time_scales
+    return s0, tuple((c, blk["count"], (1.0 - 2.0 ** (-blk["j"] * a)) / 2.0
+                      + (blk["center_first"] + blk["center_step"] * (blk["count"] - 1) / 2),
+                      (2.0 ** a - 1.0) * blk["weight"] * 2.0 ** (-blk["j"] * a))
+                     for c, blk in zip(scales, params.blocks))
 
 
 # Cap on the Dirichlet tables of one lattice (J tables of 2**e + 1 floats):
@@ -587,23 +609,27 @@ CARRIER_SPLIT_BITS = 10   # lattice carrier: k = k_hi * 2**10 + k_lo
 
 class _PointFactors:
     """The factors of the analytic sum at ascending points ``x``: the windows
-    from :meth:`WindowTables._interval_runs`, and the Dirichlet ratios of every
-    depth from one :func:`_dirichlet_ratios` pass."""
+    from :meth:`WindowTables._interval_runs`, the Dirichlet ratios of every
+    depth from one :func:`_dirichlet_ratios` pass, and each depth's weighted
+    carrier from :func:`_phasor`."""
 
     def __init__(self, x, params, windows):
         self.x, self.n, self.windows = x, params.n, windows
 
     def central(self, scale):
-        return self.windows._interval_runs(scale * self.x, self.windows._g0_coeffs)[0]
+        return self._windows_at(scale, self.windows._g0_coeffs)[0]
 
     def envelope(self, scale):
-        return self.windows._interval_runs(scale * self.x, *self.windows._g1_coeffs)
+        return self._windows_at(scale, *self.windows._g1_coeffs)
+
+    def _windows_at(self, scale, *coeffs):
+        return self.windows._interval_runs(scale * self.x, *coeffs)
 
     def dirichlets(self, counts):
         return _dirichlet_ratios(self.n * self.x, counts)
 
-    def carrier(self, j, freq):
-        return _carrier(freq, self.x)
+    def carrier(self, j, freq, weight):
+        return _phasor(freq, self.x, weight)
 
 
 class _LatticeFactors(_PointFactors):
@@ -615,11 +641,17 @@ class _LatticeFactors(_PointFactors):
       time, while they fit in ``DIRICHLET_TABLE_BYTES``, else the point
       route's one pass; bitwise equal either way;
     * carrier: ``E(k) = E_hi(k_hi) * E_lo(k_lo)`` for
-      ``k = k_hi * 2**CARRIER_SPLIT_BITS + k_lo``, each factor's phase
-      reduced as the point route reduces ``freq * x``, so the one new
-      rounding is that complex product.  ``E_lo`` is the evaluator's table.
+      ``k = k_hi * 2**CARRIER_SPLIT_BITS + k_lo``, one complex product.  Both
+      phases are reduced as the point route reduces ``freq * x``, and
+      ``E_lo``, the evaluator's table, carries the depth's weight, so the one
+      new rounding is that of the product.
 
-    Every factor is a function of its point alone, so a lattice split into
+    The piece's scratch is allocated here, once, and goes with it: the two
+    window outputs (the Dirichlet ratio is drawn into the second once the
+    depth's sum has spent it), and one work block of four rows that holds
+    the scaled points (then the cubic's term) and the cubic's powers of
+    ``s`` while the windows are evaluated, then the carrier product.  Every
+    factor is a function of its point alone, so a lattice split into
     consecutive pieces gives bitwise the values of the whole.  As an array
     it is its points, which :func:`evaluate_psi_time` is given.
     """
@@ -628,32 +660,38 @@ class _LatticeFactors(_PointFactors):
         e = lattice.exponent
         k = np.arange(start, stop)
         super().__init__(k * 2.0 ** -e, lattice.params, lattice.windows)
-        self.dirichlet_tables, self.carrier_lo = lattice.dirichlet, lattice.carrier_lo
-        if self.dirichlet_tables is not None:
+        self.lattice = lattice
+        if lattice.dirichlet is not None:
             q = (self.n * k) & ((2 << e) - 1)
             self.q = np.minimum(q, (2 << e) - q)   # the ratio is even about u = 1
         bits = CARRIER_SPLIT_BITS
         first = start >> bits << bits
         self.x_hi = np.arange(first, stop, 1 << bits) * 2.0 ** -e
         self.span = slice(start - first, stop - first)
+        self.env = np.empty((2, k.size))
+        self.work = np.empty(max(4 * k.size, self.x_hi.size << (bits + 1)))
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.x, dtype=dtype, copy=copy)
 
-    def dirichlets(self, counts):
-        if self.dirichlet_tables is None:
-            return super().dirichlets(counts)
-        return (table.take(self.q) for table in self.dirichlet_tables)
+    def _windows_at(self, scale, *coeffs):
+        scaled, *powers = self.work[:4 * self.x.size].reshape(4, -1)
+        np.multiply(self.x, scale, out=scaled)
+        return self.windows._interval_runs(scaled, *coeffs, outs=self.env[:len(coeffs)],
+                                           scratch=(*powers, scaled))
 
-    def carrier(self, j, freq):
-        cos_hi, sin_hi = (t[:, None] for t in _carrier(freq, self.x_hi))
-        cos_lo, sin_lo = self.carrier_lo[j - 1]
-        # the complex product written out (numpy's own may fuse multiply-adds)
-        cos = cos_hi * cos_lo
-        cos -= sin_hi * sin_lo
-        sin = cos_hi * sin_lo
-        sin += sin_hi * cos_lo
-        return cos.ravel()[self.span], sin.ravel()[self.span]
+    def dirichlets(self, counts):
+        if self.lattice.dirichlet is None:
+            return super().dirichlets(counts)
+        # "clip" never clips (q <= 2**e) but, unlike "raise", writes into out unbuffered
+        return (table.take(self.q, out=self.env[1], mode="clip")
+                for table in self.lattice.dirichlet)
+
+    def carrier(self, j, freq, weight):
+        product = self.work[:self.x_hi.size << (CARRIER_SPLIT_BITS + 1)].view(complex)
+        np.multiply(_phasor(freq, self.x_hi)[:, None], self.lattice.carrier_lo[j],
+                    out=product.reshape(-1, 1 << CARRIER_SPLIT_BITS))
+        return product[self.span]
 
 
 class _LatticeEvaluator:
@@ -671,21 +709,21 @@ class _LatticeEvaluator:
       and negates the residue exactly), so on the lattice
       ``u = n*k*2**-exponent`` it is ``T[min(q, 2**(exponent+1) - q)]``,
       ``q = (n*k) mod 2**(exponent+1)``;
-    * ``carrier_lo[j-1]``, depth j's carrier low table: :func:`_carrier` at
-      the ``2**CARRIER_SPLIT_BITS`` points ``k_lo * 2**-exponent``.
+    * ``carrier_lo[j-1]``, depth j's weighted carrier at the
+      ``2**CARRIER_SPLIT_BITS`` points ``k_lo * 2**-exponent``
+      (:func:`_phasor`).
     """
 
     def __init__(self, params, exponent):
         self.params, self.exponent = params, exponent
         self.windows = window_tables(params.alpha)
-        blocks = params.blocks
+        depths = _sum_constants(params)[1]
         self.dirichlet = None
         if params.J * ((1 << exponent) + 1) * 8 <= DIRICHLET_TABLE_BYTES:
             residues = np.arange((1 << exponent) + 1) * 2.0 ** -exponent
-            self.dirichlet = tuple(_dirichlet_ratios(residues, [blk["count"] for blk in blocks]))
+            self.dirichlet = tuple(_dirichlet_ratios(residues, [d[1] for d in depths]))
         x_lo = np.arange(1 << CARRIER_SPLIT_BITS) * 2.0 ** -exponent
-        self.carrier_lo = tuple(_carrier(_carrier_frequency(blk, params.alpha), x_lo)
-                                for blk in blocks)
+        self.carrier_lo = tuple(_phasor(freq, x_lo, weight) for _, _, freq, weight in depths)
 
     def __call__(self, start, stop):
         return evaluate_psi_time(_LatticeFactors(start, stop, self), self.params)
@@ -694,24 +732,20 @@ class _LatticeEvaluator:
 def _psi_sum(factors, params):
     """The analytic sum of both routes from its factors (see
     :func:`evaluate_psi_time`)."""
-    a = params.alpha
-    s0, *envelope_scales = params.time_scales
+    s0, depths = _sum_constants(params)
     out = s0 * factors.central(s0)
-
-    blocks = params.blocks
-    ratios = factors.dirichlets([blk["count"] for blk in blocks])
-    for blk, cj in zip(blocks, envelope_scales):
-        j = blk["j"]
-        pref = (2.0 ** a - 1.0) / 2.0 * blk["weight"] * 2.0 ** (-j * a)
-        env_re, env_im = factors.envelope(cj)
-        cos, sin = factors.carrier(j, _carrier_frequency(blk, a))
-        # out += 2 pref D (env_re cos - env_im sin), in place, in that order;
-        # D is drawn only where it is multiplied in: the sum holds no ratio
-        # across a depth's envelope and carrier work
-        term = env_re * cos
-        term -= env_im * sin
-        term *= 2.0 * pref * next(ratios)
-        out += term
+    ratios = factors.dirichlets([d[1] for d in depths])
+    for j, (scale, _, freq, weight) in enumerate(depths):
+        # out += D (env_re cos - env_im sin) weight, in place, in the window
+        # outputs; the carrier comes after the envelope, whose scratch it takes
+        # on the lattice, and D only where it is multiplied in
+        env_re, env_im = factors.envelope(scale)
+        carrier = factors.carrier(j, freq, weight)
+        env_re *= carrier.real
+        env_im *= carrier.imag
+        env_re -= env_im
+        env_re *= next(ratios)
+        out += env_re
     return out
 
 
@@ -721,19 +755,20 @@ def evaluate_psi_time(x, params: PsiParams):
 
     Sums the inverse transforms of the individual blocks: a central window
     term plus, per depth j, an envelope ``g1_inv`` at the block scale, a
-    carrier phase at the block center frequency, and the closed-form
-    geometric sum over the ``beta_j`` copies (Dirichlet ratio).  The window
-    ``g1`` is real, so each mirror term is the complex conjugate of its
-    direct term and the pair sums to ``2 Re``; the values returned are real,
-    for every x.
+    carrier phase at the block center frequency, which carries the depth's
+    weight, and the closed-form geometric sum over the ``beta_j`` copies
+    (Dirichlet ratio).  The window ``g1`` is real, so each mirror term is
+    the complex conjugate of its direct term and the pair sums to ``2 Re``;
+    the values returned are real, for every x.
 
     The points are sorted once (:func:`_in_order`) and summed as
     :class:`_PointFactors`, so a value depends on its point alone; a scalar
     ``x`` gives a scalar.  The probe pass runs the same sum on its dyadic
     lattice: its ``_LatticeEvaluator`` gives each piece here as a
     ``_LatticeFactors``, whose Dirichlet ratios and carrier come from the
-    evaluator's tables instead of per-point work.  Windows and Dirichlet
-    ratios are bitwise those of the same points given as an array; the
+    evaluator's tables instead of per-point work, and whose sum runs in
+    scratch allocated once per piece.  Windows and Dirichlet ratios are
+    bitwise those of the same points given as an array; the weighted
     carrier differs by the rounding of one complex product.  Where even the
     deepest envelope's ``|min(time_scales) * x|`` passes ``TABLE_X_MAX`` (+-inf
     too), every window is 0 and the value is +0.0, unsummed; NaN gives NaN.

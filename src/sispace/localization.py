@@ -139,21 +139,23 @@ def _window_partials(source, exponents, windows):
 
     The walk is cut three times.  Trapezoid segments of at most
     ``PROBE_CHUNK`` + 1 points end at every window seam; each segment's
-    trapezoid is summed once per ``(p, w)`` and added to the window it lies
-    in, in segment order, so the partials depend on the segments alone.  A
-    segment's |f| is filled by evaluation pieces of at most ``EVAL_PIECE`` + 1
-    points from one ``generators._LatticeEvaluator``, created here for the
-    pass: every factor comes from its lattice tables, bitwise as point by
-    point, so the pieces change no bit, and they keep the depth loop's
-    temporaries at 128 KiB each.  :func:`sispace.forks.split` cuts the
-    segments into ranges of about equal point count, and
-    :func:`sispace.forks.run_ranges` sums them, the first range here and each
-    further one in a forked child that shares the evaluator's tables; each
-    range sends back only its segments' sums, which are added here in the
-    same order whatever the split, so the partials are bitwise those of one
-    worker.  The tables go with the evaluator when the pass returns.  Windows
-    that share a probe sample (see :func:`_probe_samples`), and a lattice of
-    more than ``LATTICE_POINTS_CAP`` points, are a GridError, raised before the
+    trapezoid is summed once per ``(p, w)`` (``|f|**p`` once per distinct p,
+    see :func:`_weighted`) and added to the window it lies in, in segment
+    order, so the partials depend on the segments alone.  A segment's |f| is
+    filled by evaluation pieces of at most ``EVAL_PIECE`` + 1 points from one
+    ``generators._LatticeEvaluator``, created here for the pass: each value
+    is a function of its point alone, so the pieces change no bit.  Each
+    piece allocates its scratch once, about ten arrays of its own size (see
+    ``generators._LatticeFactors``), and frees it when it returns.
+    :func:`sispace.forks.split` cuts the segments into ranges of about equal
+    point count, and :func:`sispace.forks.run_ranges` sums them, the first
+    range here and each further one in a forked child that shares the
+    evaluator's tables; each range sends back only its segments' sums, which
+    are added here in the same order whatever the split, so the partials are
+    bitwise those of one worker.  The tables go with the evaluator when the
+    pass returns.  Windows that share a probe sample (see
+    :func:`_probe_samples`), and a lattice of more than
+    ``LATTICE_POINTS_CAP`` points, are a GridError, raised before the
     evaluator is built.
     """
     if any(p < 1 for p, _ in exponents):
@@ -168,11 +170,9 @@ def _window_partials(source, exponents, windows):
         lo, hi = mid - top, min(mid + top + 1, source.values.size)
         values = np.abs(source.values[lo:hi])
         weight = 1.0 + np.abs(np.arange(lo, hi) - mid) * dx
-        partials = np.empty((len(exponents), len(windows)))
-        for row, (p, w) in enumerate(exponents):
-            integrand = _weighted(values, p, weight, w)
-            partials[row] = [np.trapezoid(integrand[top - k:top + k + 1], dx=dx) for k in ks]
-        return partials, "grid"
+        partials = _weighted(values, weight, exponents, lambda integrand: [
+            np.trapezoid(integrand[top - k:top + k + 1], dx=dx) for k in ks])
+        return np.array(partials), "grid"
     if not isinstance(source, PsiParams):
         raise TypeError("expected SampledSignal or PsiParams")
     exponent = _lattice_exponent(source)
@@ -198,8 +198,8 @@ def _window_partials(source, exponents, windows):
                 values[c - a:stop - a] = evaluate(c, stop)
             np.abs(values, out=values)
             weight = 1.0 + np.arange(a, b + 1) * dx
-            for row, (p, w) in enumerate(exponents):
-                out[i - first, row] = np.trapezoid(_weighted(values, p, weight, w), dx=dx)
+            out[i - first] = _weighted(values, weight, exponents,
+                                       lambda integrand: np.trapezoid(integrand, dx=dx))
         return out
 
     segments = np.zeros((len(exponents), len(windows)))
@@ -209,10 +209,31 @@ def _window_partials(source, exponents, windows):
     return 2.0 * np.cumsum(segments, axis=1), "analytic"
 
 
-def _weighted(values, p, weight, w):
-    """``values**p * weight**w`` with one temporary besides the result."""
-    out = values ** p
-    out *= weight ** w
+def _weighted(values, weight, exponents, reduce):
+    """``reduce(values**p * weight**w)`` for each ``(p, w)`` of ``exponents``, in
+    order; ``values`` is spent.
+
+    ``values**p`` is computed once for each distinct p and shared by its
+    rows, the last p's in place in ``values``, and each p's last row
+    multiplies the power itself: besides ``values`` and ``weight``, at most
+    one power and one integrand are held at once.  Each integrand is bitwise
+    ``values**p * weight**w`` computed for its row alone.
+    """
+    out = [None] * len(exponents)
+    powers = list(dict.fromkeys(p for p, _ in exponents))
+    for p in powers:
+        if p == powers[-1]:
+            values **= p
+            powered = values
+        else:
+            powered = values ** p
+        *rows, (last, w) = [(row, w) for row, (q, w) in enumerate(exponents) if q == p]
+        for row, v in rows:
+            integrand = weight ** v
+            integrand *= powered
+            out[row] = reduce(integrand)
+        powered *= weight ** w
+        out[last] = reduce(powered)
     return out
 
 

@@ -226,6 +226,30 @@ def test_console_script_version():
     assert "sispace" in res.stdout
 
 
+def test_only_the_process_entry_freezes_its_objects(tmp_path, monkeypatch):
+    # as the process entry (argv from sys.argv) a subcommand collects and freezes
+    # what the imports made, so interpreter exit does not scan it again; --version
+    # returns before that, and an in-process main([...]) freezes nothing
+    import gc
+    cfg = write_config(tmp_path / "c.json", {"generator": {"variant": "sinc"}, "grid": "64,4",
+                                             "analyses": ["pointwise"]})
+    assert gc.get_freeze_count() == 0
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "in_process")]) == 0
+    assert gc.get_freeze_count() == 0
+    monkeypatch.setattr(sys, "argv", ["sispace", "--version"])
+    assert main() == 0
+    assert gc.get_freeze_count() == 0
+    monkeypatch.setattr(sys, "argv", ["sispace", "analyze", "--config", cfg,
+                                      "--out", str(tmp_path / "entry")])
+    try:
+        assert main() == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert (tmp_path / "entry" / "report.json").read_bytes() == (
+        tmp_path / "in_process" / "report.json").read_bytes()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # nothing the CLI imports needs scipy; hashlib (with OpenSSL) is not
     # needed either, temp names come from os.urandom; and the command line is

@@ -122,6 +122,23 @@ def test_split_partials_are_bitwise_those_of_one_worker(psi_small, monkeypatch, 
     assert without_tables.tobytes() == partials[1].tobytes()
 
 
+def test_benchmark_shape_partials_are_bitwise_those_of_one_worker(monkeypatch):
+    # psi(1, 2, 3, 4) probed to T = 32 runs at J = 5 and step 2**-15: five depths
+    # over full probe pieces, 2**20 + 1 half-lattice points
+    params = PsiParams(1.0, 2.0, 3, 5)
+    windows = [2.0, 4.0, 8.0, 16.0, 32.0]
+    assert localization.truncation_depth_for_span(1.0, windows[-1]) == params.J
+    assert localization._lattice_exponent(params) == 15
+    exponents = [(1, 0.0), (2, 1.5), (2, 0.5)]
+    partials = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(forks, "workers", lambda: workers)
+        partials[workers], _ = localization._window_partials(params, exponents, windows)
+        assert_no_child_left()
+    assert partials[2].tobytes() == partials[1].tobytes()
+    assert partials[3].tobytes() == partials[1].tobytes()
+
+
 @pytest.mark.parametrize("failing, raised", [
     ({"child"}, "child"), ({"here"}, "here"), ({"child", "here"}, "here")],
     ids=["child", "this-process", "both"])
@@ -167,8 +184,8 @@ def test_probe_memory_does_not_grow_with_the_lattice(psi_small, monkeypatch):
 def test_lattice_pass_peak_memory():
     # psi(1, 2, 3, J=5) to T = 32: 2**20 + 1 half-lattice points at dx = 2**-15
     # and 1.25 MiB of Dirichlet tables (half a period each); the pass peaks at
-    # 4.25 MiB, at 5.76 MiB with full-period tables and at 11.1 MiB evaluating
-    # whole 2**16-point segments
+    # 3.7-3.9 MiB, and at 7.3 MiB evaluating whole 2**16-point segments;
+    # full-period tables would add 1.25 MiB
     params = PsiParams(1.0, 2.0, 3, 5)
     generators.window_tables(1.0)   # built once per process, not per pass
     tracemalloc.start()

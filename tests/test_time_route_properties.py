@@ -16,8 +16,9 @@
   of them gets bitwise the values of the ascending points.  Past the deepest
   envelope's table reach the value is +0.0 without a sum, however large x.
 * A lattice cut into consecutive pieces evaluates bitwise as the whole, so
-  the probe pass may size its pieces freely; and the Dirichlet tables, built
-  for all depths in one pass, are bitwise the per-count ratio.
+  the probe pass may size its pieces freely, and one evaluator gives each
+  piece what a fresh one gives; the Dirichlet tables, built for all depths
+  in one pass, are bitwise the per-count ratio.
 * Each window spline is fitted to its table's values and exact slopes, both
   from one chirp-z transform: its coefficients and values are bitwise those
   of scipy's ``CubicHermiteSpline`` (the oracle, imported by the tests only)
@@ -122,6 +123,27 @@ def test_lattice_pieces_evaluate_as_the_whole(table_cap, params, split):
     whole = evaluate(start, stop)
     pieces = [evaluate(a, b) for a, b in zip(bounds, bounds[1:])]
     assert _bits(np.concatenate(pieces)).tobytes() == _bits(whole).tobytes()
+
+
+@pytest.mark.parametrize("table_cap", [0, generators.DIRICHLET_TABLE_BYTES])
+@pytest.mark.parametrize("start", [1000, (1 << 23) - 24000])
+def test_an_evaluator_keeps_no_piece_state(table_cap, start):
+    # one evaluator over pieces of a full probe piece, none, one, a few and a
+    # full one again gives bitwise what a fresh evaluator gives for each piece:
+    # each piece's scratch is its own.  From the second start the last piece
+    # crosses x = 256, where the central window and the first envelope leave
+    # their tables (|x| / 4 = TABLE_X_MAX)
+    params = PsiParams(1.0, 2.0, 3, 5)
+    sizes = [16385, 0, 1, 7, 16385]
+    bounds = np.cumsum([start, *sizes]).tolist()
+    with mock.patch.object(generators, "DIRICHLET_TABLE_BYTES", table_cap):
+        evaluate = generators._LatticeEvaluator(params, 15)
+        fresh = [generators._LatticeEvaluator(params, 15)(a, b)
+                 for a, b in zip(bounds, bounds[1:])]
+    for (a, b), want in zip(zip(bounds, bounds[1:]), fresh, strict=True):
+        got = evaluate(a, b)
+        assert got.shape == (b - a,)
+        assert _bits(got).tobytes() == _bits(want).tobytes()
 
 
 def _dirichlet_per_count(u, count):
